@@ -7,6 +7,7 @@ command with the same inputs rewrites identical files.
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -60,35 +61,35 @@ def _fail(key: str, message: str):
     raise ConfigError(f"config key '{key}': {message}")
 
 
-def _require(doc: dict, key: str):
+_REQUIRED = object()
+
+
+def _lookup(doc: dict, key: str, default=_REQUIRED):
+    """Follow a dotted key through nested mappings; a missing key fails unless defaulted."""
     node = doc
     for part in key.split("."):
         if not isinstance(node, dict) or part not in node:
-            _fail(key, "missing")
+            if default is _REQUIRED:
+                _fail(key, "missing")
+            return default
         node = node[part]
     return node
 
 
-def _number(doc: dict, key: str, minimum=None, default=None) -> float:
-    node = doc
-    for part in key.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if default is not None:
-                return default
-            _fail(key, "missing")
-        node = node[part]
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        _fail(key, f"expected a number, got {node!r}")
+def _number(doc: dict, key: str, minimum=None, default=_REQUIRED) -> float:
+    node = _lookup(doc, key, default)
+    if isinstance(node, bool) or not isinstance(node, (int, float)) or not np.isfinite(node):
+        _fail(key, f"expected a finite number, got {node!r}")
     if minimum is not None and node < minimum:
         _fail(key, f"must be >= {minimum}, got {node}")
     return float(node)
 
 
-def _point(doc, key) -> np.ndarray:
-    node = _require(doc, key)
+def _point(node, key: str) -> np.ndarray:
     if (not isinstance(node, (list, tuple)) or len(node) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in node)):
-        _fail(key, f"expected a [q, p] pair of numbers, got {node!r}")
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in node)
+            or not np.all(np.isfinite(node))):
+        _fail(key, f"expected a [q, p] pair of finite numbers, got {node!r}")
     return np.asarray(node, dtype=float)
 
 
@@ -168,20 +169,18 @@ class ExperimentConfig:
 
 
 def _log_grid(doc: dict, key: str, default) -> np.ndarray:
-    node = doc
-    for part in key.split("."):
-        node = node.get(part, {}) if isinstance(node, dict) else {}
+    node = _lookup(doc, key, None)
     if not node:
         return default
     if isinstance(node, list):
         grid = np.asarray(node, dtype=float)
-        if grid.size == 0 or np.any(grid <= 0):
-            _fail(key, "explicit grid must be a non-empty list of positive numbers")
+        if grid.size == 0 or not np.all((grid > 0) & np.isfinite(grid)):
+            _fail(key, "explicit grid must be a non-empty list of positive finite numbers")
         return grid
     if not isinstance(node, dict):
         _fail(key, f"expected a list or a log-grid mapping, got {node!r}")
-    count = int(_number(node, "count", minimum=1))
-    return np.logspace(_number(node, "log10_start"), _number(node, "log10_stop"), count)
+    count = int(_number(doc, f"{key}.count", minimum=1))
+    return np.logspace(_number(doc, f"{key}.log10_start"), _number(doc, f"{key}.log10_stop"), count)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -200,36 +199,29 @@ def parse_config(path) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
 
-    name = _require(doc, "system.name")
+    name = _lookup(doc, "system.name")
     if name not in sy.SYSTEM_FACTORIES:
         _fail("system.name", f"unknown system {name!r}; choose from {sorted(sy.SYSTEM_FACTORIES)}")
-    if name == "msd":
-        params = {
-            "m": _number(doc, "system.m", minimum=1e-12),
-            "k": _number(doc, "system.k", minimum=1e-12),
-            "d": _number(doc, "system.d", minimum=0.0),
-        }
-    else:
-        params = {
-            "m": _number(doc, "system.m", minimum=1e-12),
-            "l": _number(doc, "system.l", minimum=1e-12),
-            "d": _number(doc, "system.d", minimum=0.0),
-            "g": _number(doc, "system.g", minimum=1e-12),
-        }
+    factory = sy.SYSTEM_FACTORIES[name]
+    params = {p: _number(doc, f"system.{p}") for p in inspect.signature(factory).parameters}
+    try:
+        factory(**params)
+    except ValueError as err:
+        _fail("system", str(err))
 
-    ic_node = _require(doc, "data.initial_conditions")
+    ic_node = _lookup(doc, "data.initial_conditions")
     if not isinstance(ic_node, list) or not ic_node:
         _fail("data.initial_conditions", "expected a non-empty list of [q, p] pairs")
-    ics = np.array([_point({"ic": ic}, "ic") for ic in ic_node])
+    ics = np.array([_point(ic, f"data.initial_conditions[{i}]") for i, ic in enumerate(ic_node)])
 
     h = _number(doc, "data.h", minimum=1e-12)
     t_end = _number(doc, "data.t_end", minimum=h)
-    include_t0 = _require(doc, "data.include_t0") if "data" in doc and "include_t0" in doc["data"] else True
+    include_t0 = _lookup(doc, "data.include_t0", True)
     if not isinstance(include_t0, bool):
         _fail("data.include_t0", f"expected a boolean, got {include_t0!r}")
     noise_sigma = _number(doc, "data.noise_sigma", minimum=0.0)
 
-    test_x0 = _point(doc, "test.x0")
+    test_x0 = _point(_lookup(doc, "test.x0"), "test.x0")
     test_h = _number(doc, "test.h", minimum=1e-12, default=h)
     test_t_end = _number(doc, "test.t_end", minimum=test_h)
 
@@ -238,47 +230,36 @@ def parse_config(path) -> ExperimentConfig:
         _fail("model.d", f"feature budget must be even so the baseline map splits over both outputs, got {d}")
 
     folds = int(_number(doc, "search.folds", minimum=2, default=5.0))
-    sigma_grid = _log_grid(doc, "search.sigma_grid", np.logspace(-1.0, 1.0, 13))
-    lambda_grid = _log_grid(doc, "search.lambda_grid", np.logspace(-8.0, 0.0, 17))
+    defaults = ev.default_search_space()
+    sigma_grid = _log_grid(doc, "search.sigma_grid", defaults.sigmas)
+    lambda_grid = _log_grid(doc, "search.lambda_grid", defaults.lambda1s)
     _check_sigma_range("search.sigma_grid", sigma_grid)
 
-    fixed_h = fixed_g = None
+    fixed = {}
     hp = doc.get("hyperparameters") or {}
-    if "helmholtz" in hp:
-        node = {"hyperparameters": {"helmholtz": hp["helmholtz"]}}
-        sigma = _number(node, "hyperparameters.helmholtz.sigma", minimum=SIGMA_RANGE[0])
-        _check_sigma_range("hyperparameters.helmholtz.sigma", sigma)
-        fixed_h = rg.Hyperparameters(
-            sigma=sigma,
-            lambda1=_number(node, "hyperparameters.helmholtz.lambda1", minimum=1e-300),
-            lambda2=_number(node, "hyperparameters.helmholtz.lambda2", minimum=1e-300),
-            d=d,
-        )
-    if "gaussian" in hp:
-        node = {"hyperparameters": {"gaussian": hp["gaussian"]}}
-        sigma = _number(node, "hyperparameters.gaussian.sigma", minimum=SIGMA_RANGE[0])
-        _check_sigma_range("hyperparameters.gaussian.sigma", sigma)
-        fixed_g = rg.Hyperparameters(
-            sigma=sigma,
-            lambda1=_number(node, "hyperparameters.gaussian.lambda", minimum=1e-300),
-            lambda2=None,
-            d=d,
-        )
+    for model, lambda_keys in (("helmholtz", ("lambda1", "lambda2")), ("gaussian", ("lambda",))):
+        key = f"hyperparameters.{model}"
+        if model not in hp:
+            fixed[model] = None
+            continue
+        sigma = _number(doc, f"{key}.sigma", minimum=SIGMA_RANGE[0])
+        _check_sigma_range(f"{key}.sigma", sigma)
+        lambda1, *lambda2 = (_number(doc, f"{key}.{k}", minimum=1e-300) for k in lambda_keys)
+        fixed[model] = rg.Hyperparameters(sigma, lambda1, lambda2[0] if lambda2 else None, d)
 
     seed = int(_number(doc, "seed", minimum=0.0, default=0.0))
     output_dir = doc.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
         _fail("output_dir", f"expected a non-empty string, got {output_dir!r}")
 
-    fig = doc.get("figure") or {}
-    bounds_node = fig.get("bounds", [[-4.0, 4.0], [-4.0, 4.0]])
+    bounds_node = _lookup(doc, "figure.bounds", [[-4.0, 4.0], [-4.0, 4.0]])
     try:
         (q_lo, q_hi), (p_lo, p_hi) = [(float(b[0]), float(b[1])) for b in bounds_node]
     except (TypeError, ValueError, IndexError):
         _fail("figure.bounds", f"expected [[q_lo, q_hi], [p_lo, p_hi]], got {bounds_node!r}")
     if q_lo >= q_hi or p_lo >= p_hi:
         _fail("figure.bounds", "lower bounds must be below upper bounds")
-    resolution = int(_number(fig, "resolution", minimum=2, default=25.0))
+    resolution = int(_number(doc, "figure.resolution", minimum=2, default=25.0))
 
     return ExperimentConfig(
         system_name=name,
@@ -295,8 +276,8 @@ def parse_config(path) -> ExperimentConfig:
         folds=folds,
         sigma_grid=sigma_grid,
         lambda_grid=lambda_grid,
-        fixed_helmholtz=fixed_h,
-        fixed_gaussian=fixed_g,
+        fixed_helmholtz=fixed["helmholtz"],
+        fixed_gaussian=fixed["gaussian"],
         seed=seed,
         output_dir=output_dir,
         figure_bounds=((q_lo, q_hi), (p_lo, p_hi)),
@@ -327,12 +308,10 @@ def run_protocol(config: ExperimentConfig, master: int, dataset: rg.Dataset | No
     seeds = _seed_map(master)
     if dataset is None:
         dataset = simulate_dataset(config, master)
-    hyper_h = config.fixed_helmholtz
-    if hyper_h is None:
-        hyper_h = ev.cross_validate(dataset, config.search_space(baseline=False), seeds["cv_shuffle"])
-    hyper_g = config.fixed_gaussian
-    if hyper_g is None:
-        hyper_g = ev.cross_validate(dataset, config.search_space(baseline=True), seeds["cv_shuffle"])
+    fixed_or_tune = ((config.fixed_helmholtz, False), (config.fixed_gaussian, True))
+    hyper_h, hyper_g = (fixed if fixed is not None else
+                        ev.cross_validate(dataset, config.search_space(baseline), seeds["cv_shuffle"])
+                        for fixed, baseline in fixed_or_tune)
     helm = rg.fit_helmholtz(dataset, hyper_h, seeds["helmholtz_fit"])
     base = rg.fit_baseline(dataset, hyper_g, seeds["gaussian_fit"])
     test = ev.make_test_set(config.make_system(), config.test_x0, config.test_h, config.test_t_end)
@@ -372,11 +351,17 @@ def _summary_lines(rows: list[dict], title: str) -> list[str]:
     return lines
 
 
-def cmd_simulate(args) -> int:
-    config = parse_config(args.config)
+def _setup(args, path) -> tuple[ExperimentConfig, int, Path]:
+    """Parse the config, resolve the master seed, and create the output directory."""
+    config = parse_config(path)
     master = config.seed if args.seed is None else args.seed
     out = Path(args.out or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    return config, master, out
+
+
+def cmd_simulate(args) -> int:
+    config, master, out = _setup(args, args.config)
     seeds = _seed_map(master)
     dataset = simulate_dataset(config, master)
     comments = _comments(config, seeds)
@@ -394,21 +379,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    config = parse_config(args.config)
-    master = config.seed if args.seed is None else args.seed
-    out = Path(args.out or config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    config, master, out = _setup(args, args.config)
     if args.fixed_hypers:
         try:
             sigma, lam1, lam2 = (float(v) for v in args.fixed_hypers.split(","))
-        except ValueError:
-            raise ConfigError(f"--fixed-hypers expects 'sigma,lambda1,lambda2', got {args.fixed_hypers!r}")
+            fixed_h = rg.Hyperparameters(sigma, lam1, lam2, config.d)
+        except ValueError as err:
+            raise ConfigError(f"--fixed-hypers expects 'sigma,lambda1,lambda2', "
+                              f"got {args.fixed_hypers!r}: {err}")
         _check_sigma_range("--fixed-hypers", sigma)
-        config = dataclasses.replace(
-            config,
-            fixed_helmholtz=rg.Hyperparameters(sigma, lam1, lam2, config.d),
-            fixed_gaussian=rg.Hyperparameters(sigma, lam1, None, config.d),
-        )
+        config = dataclasses.replace(config, fixed_helmholtz=fixed_h,
+                                     fixed_gaussian=dataclasses.replace(fixed_h, lambda2=None))
     dataset = _load_dataset(args.data) if args.data else None
     result = run_protocol(config, master, dataset)
 
@@ -422,18 +403,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = parse_config(args.config)
-    master = config.seed if args.seed is None else args.seed
-    out = Path(args.out or config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    config, master, out = _setup(args, args.config)
     with open(args.model) as fh:
         doc = json.load(fh)
-    if doc.get("model") == "helmholtz":
-        model = rg.HelmholtzModel.from_json(doc)
-    elif doc.get("model") == "gaussian":
-        model = rg.BaselineModel.from_json(doc)
-    else:
+    model_types = {"helmholtz": rg.HelmholtzModel, "gaussian": rg.BaselineModel}
+    if doc.get("model") not in model_types:
         raise ConfigError(f"{args.model}: unknown model kind {doc.get('model')!r}")
+    model = model_types[doc["model"]].from_json(doc)
     dataset = _load_dataset(args.data) if args.data else simulate_dataset(config, master)
     test = ev.make_test_set(config.make_system(), config.test_x0, config.test_h, config.test_t_end)
     report = ev.evaluate_model(model, dataset, test, config.system_name, doc["model"], master, NOTES)
@@ -457,10 +433,7 @@ def _median_summary(reports: list[dict]) -> dict:
 def cmd_reproduce(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
-    config = parse_config(args.config or bundled_config_path(args.experiment))
-    base_seed = config.seed if args.seed is None else args.seed
-    out = Path(args.out or config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    config, base_seed, out = _setup(args, args.config or bundled_config_path(args.experiment))
     masters = [base_seed + i for i in range(args.seeds)]
 
     # Per-seed runs are pure; gather in seed order so aggregation is stable.
@@ -490,14 +463,10 @@ def cmd_reproduce(args) -> int:
     check_lines = [f"{'PASS' if ok else 'FAIL'}: {desc}" for desc, ok in checks]
     (out / "summary.txt").write_text("\n".join(comments + summary_text + check_lines) + "\n")
 
-    system = config.make_system()
     first = results[0]
-    grids = {
-        "true": ev.stream_grid(system.field, config.figure_bounds, config.figure_resolution),
-        "gaussian": ev.stream_grid(first["gaussian"], config.figure_bounds, config.figure_resolution),
-        "helmholtz": ev.stream_grid(first["helmholtz"], config.figure_bounds, config.figure_resolution),
-    }
-    for label, grid in grids.items():
+    for label, field in (("true", config.make_system().field), ("gaussian", first["gaussian"]),
+                         ("helmholtz", first["helmholtz"])):
+        grid = ev.stream_grid(field, config.figure_bounds, config.figure_resolution)
         ev.stream_grid_to_csv(grid, out / f"grid_{label}.csv", comments)
     sy.dataset_to_csv(first["dataset"], out / "grid_data.csv", comments)
 

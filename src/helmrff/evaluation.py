@@ -7,14 +7,13 @@ closed-form minimizer, but computes it through the dual form so only
 the whole search stays deterministic.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import features as ft
 from .regression import Dataset, Hyperparameters
-from .systems import SystemSpec, Trajectory, integrate_rk4
+from .systems import SystemSpec, Trajectory, integrate_rk4, sample_flow, write_csv
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,7 @@ class EvalReport:
 
 def vector_field_mse(model, dataset: Dataset) -> float:
     """Mean squared prediction error (1/N) sum ||f(x_i) - xdot_i||^2."""
-    resid = model.predict(dataset.states) - dataset.derivatives
-    return float(np.mean(np.sum(resid**2, axis=1)))
+    return float(np.mean(pointwise_residuals(model, dataset)))
 
 
 def pointwise_residuals(model, dataset: Dataset) -> np.ndarray:
@@ -98,10 +96,7 @@ def make_test_set(system: SystemSpec, x0, h: float, t_end: float, sim_refine: in
     """Noiseless (state, true-field) samples along one long test trajectory."""
     if t_end < h:
         raise ValueError(f"test horizon shorter than the sampling step: t_end={t_end}, h={h}")
-    fine = integrate_rk4(system.field, x0, h / sim_refine, t_end)
-    states = fine.states[::sim_refine]
-    times = fine.times[::sim_refine]
-    derivs = np.array([system.field(x) for x in states])
+    times, states, derivs = sample_flow(system, x0, h, t_end, sim_refine)
     return Dataset(states=states, derivatives=derivs, times=times,
                    traj_ids=np.zeros(len(times), dtype=int))
 
@@ -129,52 +124,41 @@ def cross_validate(dataset: Dataset, space: SearchSpace, seed: int) -> Hyperpara
 
     Ties break toward stronger smoothing: larger ridge weight first, then
     larger kernel width.  Deterministic given (dataset, space, seed): the
-    fold shuffle and the feature draws all derive from child seeds.
+    fold shuffle and the feature draws all derive from child seeds.  Raises
+    if a score is not finite, for example when a ridge weight underflows.
     """
     shuffle_seed, seed_a, seed_b = ft.split_seed(seed, 3)
     folds = fold_indices(len(dataset), space.folds, shuffle_seed)
     n = dataset.dim
     # Descending grids make the first minimum the preferred tie-break winner.
-    sigmas = np.sort(np.asarray(space.sigmas))[::-1]
-    lam1 = np.sort(np.asarray(space.lambda1s))[::-1]
-    baseline = space.lambda2s is None
-    lam2 = None if baseline else np.sort(np.asarray(space.lambda2s))[::-1]
-
-    if baseline:
-        scores = np.zeros((lam1.size, sigmas.size))
+    sigmas = np.sort(space.sigmas)[::-1]
+    if space.lambda2s is None:
+        maps = [(ft.GAUSSIAN_SEPARABLE, seed_a)]
+        lams = [np.sort(space.lambda1s)[::-1]]
     else:
-        scores = np.zeros((lam1.size, lam2.size, sigmas.size))
+        maps = [(ft.ODD_CURL_FREE, seed_a), (ft.ODD_SYMPLECTIC, seed_b)]
+        lams = [np.sort(space.lambda1s)[::-1], np.sort(space.lambda2s)[::-1]]
 
+    scores = np.zeros(tuple(lam.size for lam in lams) + (sigmas.size,))
     for si, sigma in enumerate(sigmas):
-        if baseline:
-            basis = ft.sample_basis(ft.GAUSSIAN_SEPARABLE, space.d, n, sigma, seed_a)
-            grams = [_design_gram(basis, dataset)]
-        else:
-            basis_c = ft.sample_basis(ft.ODD_CURL_FREE, space.d, n, sigma, seed_a)
-            basis_s = ft.sample_basis(ft.ODD_SYMPLECTIC, space.d, n, sigma, seed_b)
-            grams = [_design_gram(basis_c, dataset), _design_gram(basis_s, dataset)]
+        grams = [_design_gram(ft.sample_basis(kind, space.d, n, sigma, map_seed), dataset)
+                 for kind, map_seed in maps]
         for train, val in folds:
             ct, cv = _sample_columns(train, n), _sample_columns(val, n)
-            x_t = dataset.derivatives[train].reshape(-1)
-            x_v = dataset.derivatives[val].reshape(-1)
-            g_tt = [g[np.ix_(ct, ct)] for g in grams]
-            g_vt = [g[np.ix_(cv, ct)] for g in grams]
-            if baseline:
-                scores[:, si] += _fold_mse_single(g_tt[0], g_vt[0], x_t, x_v,
-                                                  lam1, len(train), len(val))
-            else:
-                scores[:, :, si] += _fold_mse_pair(g_tt, g_vt, x_t, x_v,
-                                                   lam1, lam2, len(train), len(val))
+            scores[..., si] += _fold_mse([g[np.ix_(ct, ct)] for g in grams],
+                                         [g[np.ix_(cv, ct)] for g in grams],
+                                         dataset.derivatives[train].reshape(-1),
+                                         dataset.derivatives[val].reshape(-1),
+                                         lams, len(train), len(val))
+        if not np.all(np.isfinite(scores[..., si])):
+            raise ValueError(f"cross-validation score is not finite at sigma={sigma:g}; "
+                             "check the data and the ridge-weight grids")
     scores /= space.folds
 
-    flat = int(np.argmin(scores))
-    if baseline:
-        i1, si = np.unravel_index(flat, scores.shape)
-        return Hyperparameters(sigma=float(sigmas[si]), lambda1=float(lam1[i1]),
-                               lambda2=None, d=space.d)
-    i1, i2, si = np.unravel_index(flat, scores.shape)
-    return Hyperparameters(sigma=float(sigmas[si]), lambda1=float(lam1[i1]),
-                           lambda2=float(lam2[i2]), d=space.d)
+    *lam_idx, si = np.unravel_index(int(np.argmin(scores)), scores.shape)
+    lambda1, *lambda2 = (float(lam[i]) for lam, i in zip(lams, lam_idx))
+    return Hyperparameters(sigma=float(sigmas[si]), lambda1=lambda1,
+                           lambda2=lambda2[0] if lambda2 else None, d=space.d)
 
 
 def _design_gram(basis: ft.FeatureBasis, dataset: Dataset) -> np.ndarray:
@@ -182,32 +166,22 @@ def _design_gram(basis: ft.FeatureBasis, dataset: Dataset) -> np.ndarray:
     return design.T @ design
 
 
-def _fold_mse_single(g_tt, g_vt, x_t, x_v, lams, n_train, n_val) -> np.ndarray:
-    """Validation MSE of the single-map ridge fit for every lambda at once.
+def _fold_mse(g_tt, g_vt, x_t, x_v, lams, n_train, n_val) -> np.ndarray:
+    """Validation MSE of the ridge fit for every ridge-weight combination.
 
-    Dual form of the closed-form solution: with G = Phi^T Phi, the predictions
-    are (G_vt / lambda) (G_tt / lambda + N I)^-1 x_t.
+    Feature map k has Gram blocks G_k = Phi_k^T Phi_k and ridge weights
+    lams[k] along batch axis k.  In dual form the training coefficients
+    solve (sum_k G_k,tt / lambda_k + N I) c = x_t and the validation
+    predictions are sum_k (G_k,vt / lambda_k) c.
     """
-    M = g_tt[None, :, :] / lams[:, None, None]
-    M[:, np.arange(len(x_t)), np.arange(len(x_t))] += n_train
-    rhs = np.broadcast_to(x_t[:, None], (lams.size, x_t.size, 1)).copy()
+    grid = np.ix_(*lams)  # lams[k] reshaped to run along axis k
+    terms = [g / lam[..., None, None] for g, lam in zip(g_tt, grid)]
+    M = sum(terms[1:], terms[0])
+    M[..., np.arange(len(x_t)), np.arange(len(x_t))] += n_train
+    rhs = np.broadcast_to(x_t[:, None], M.shape[:-1] + (1,)).copy()
     c = np.linalg.solve(M, rhs)[..., 0]
-    preds = np.einsum("vt,lt->lv", g_vt, c) / lams[:, None]
-    return np.sum((preds - x_v) ** 2, axis=-1) / n_val
-
-
-def _fold_mse_pair(g_tt, g_vt, x_t, x_v, lam1, lam2, n_train, n_val) -> np.ndarray:
-    """Validation MSE of the two-map fit for the whole lambda1 x lambda2 grid."""
-    gc_tt, gs_tt = g_tt
-    gc_vt, gs_vt = g_vt
-    M = (gc_tt[None, None] / lam1[:, None, None, None]
-         + gs_tt[None, None] / lam2[None, :, None, None])
-    M[:, :, np.arange(len(x_t)), np.arange(len(x_t))] += n_train
-    rhs = np.broadcast_to(x_t[:, None], (lam1.size, lam2.size, x_t.size, 1)).copy()
-    c = np.linalg.solve(M, rhs)[..., 0]
-    pc = np.einsum("vt,abt->abv", gc_vt, c) / lam1[:, None, None]
-    ps = np.einsum("vt,abt->abv", gs_vt, c) / lam2[None, :, None]
-    return np.sum((pc + ps - x_v) ** 2, axis=-1) / n_val
+    preds = [np.einsum("vt,...t->...v", g, c) / lam[..., None] for g, lam in zip(g_vt, grid)]
+    return np.sum((sum(preds[1:], preds[0]) - x_v) ** 2, axis=-1) / n_val
 
 
 def rollout_model(model, x0, h: float, t_end: float) -> Trajectory:
@@ -239,24 +213,20 @@ def stream_grid(field_or_model, bounds, resolution) -> np.ndarray:
 
 
 def stream_grid_to_csv(grid: np.ndarray, path, comments: list[str] | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["q", "p", "qdot", "pdot"])
-        for row in grid:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(path, ["q", "p", "qdot", "pdot"], grid, comments)
 
 
 def evaluate_model(model, train: Dataset, test: Dataset, system: str, model_kind: str,
                    seed: int, notes: dict | None = None) -> EvalReport:
+    train_res = pointwise_residuals(model, train)
+    test_res = pointwise_residuals(model, test)
     return EvalReport(
         system=system,
         model_kind=model_kind,
-        train_mse=vector_field_mse(model, train),
-        test_mse=vector_field_mse(model, test),
-        train_residuals=pointwise_residuals(model, train).tolist(),
-        test_residuals=pointwise_residuals(model, test).tolist(),
+        train_mse=float(np.mean(train_res)),
+        test_mse=float(np.mean(test_res)),
+        train_residuals=train_res.tolist(),
+        test_residuals=test_res.tolist(),
         hyper=model.hyper,
         seed=seed,
         notes=notes or {},

@@ -5,7 +5,6 @@ state yields a d x n matrix whose products approximate the matching exact
 kernel from :mod:`helmrff.kernels`.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,71 +92,29 @@ def sample_basis(kind: str, d: int, n: int, sigma: float, seed: int) -> FeatureB
     return FeatureBasis(kind=kind, weights=weights, sigma=float(sigma), seed=int(seed), phases=phases)
 
 
-def _check_states(basis: FeatureBasis, x) -> np.ndarray:
-    X = np.asarray(x, dtype=float)
-    if X.shape[-1] != basis.n:
-        raise ValueError(f"state dimension {X.shape[-1]} does not match basis dimension {basis.n}")
-    return X
-
-
-def features_odd_curl_free(x, basis: FeatureBasis) -> np.ndarray:
-    """Feature matrix with rows sin(w_i . x) w_i^T / sqrt(d)."""
-    if basis.kind != ODD_CURL_FREE:
-        raise ValueError(f"expected an {ODD_CURL_FREE} basis, got {basis.kind!r}")
-    x = _check_states(basis, x)
-    s = np.sin(basis.weights @ x) / np.sqrt(basis.d)
-    return s[:, None] * basis.weights
-
-
-def features_odd_symplectic(x, basis: FeatureBasis) -> np.ndarray:
-    """Feature matrix with rows sin(w_i . x) (J w_i)^T / sqrt(d)."""
-    if basis.kind != ODD_SYMPLECTIC:
-        raise ValueError(f"expected an {ODD_SYMPLECTIC} basis, got {basis.kind!r}")
-    x = _check_states(basis, x)
-    J = symplectic_matrix(basis.n // 2)
-    s = np.sin(basis.weights @ x) / np.sqrt(basis.d)
-    return s[:, None] * (basis.weights @ J.T)
-
-
-def features_gaussian_separable(x, basis: FeatureBasis) -> np.ndarray:
-    """Block-diagonal scalar-RFF map approximating k_sigma(x, z) I_n.
-
-    The d frequencies are split into n blocks of m = d/n; block j fills
-    column j with sqrt(2/m) cos(w_i . x + b_i), so cross-output products
-    vanish exactly and each diagonal estimates the scalar Gaussian kernel.
-    """
-    if basis.kind != GAUSSIAN_SEPARABLE:
-        raise ValueError(f"expected a {GAUSSIAN_SEPARABLE} basis, got {basis.kind!r}")
-    x = _check_states(basis, x)
-    d, n = basis.d, basis.n
-    m = d // n
-    c = np.sqrt(2.0 / m) * np.cos(basis.weights @ x + basis.phases)
-    psi = np.zeros((d, n))
-    for j in range(n):
-        psi[j * m:(j + 1) * m, j] = c[j * m:(j + 1) * m]
-    return psi
-
-
-_MAPS = {
-    ODD_CURL_FREE: features_odd_curl_free,
-    ODD_SYMPLECTIC: features_odd_symplectic,
-    GAUSSIAN_SEPARABLE: features_gaussian_separable,
-}
-
-
 def feature_matrix(x, basis: FeatureBasis) -> np.ndarray:
-    """Evaluate the feature map matching `basis.kind` at a single state."""
-    return _MAPS[basis.kind](x, basis)
+    """Evaluate the feature map matching `basis.kind` at a single state (d x n)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"expected a single state vector, got shape {x.shape}")
+    return feature_design(basis, x)
 
 
 def feature_design(basis: FeatureBasis, states) -> np.ndarray:
     """Stack feature matrices for N states into a d x (n N) design block.
 
-    Column block i holds the feature matrix at states[i]; this is the
-    vectorized building block for the closed-form fits.
+    Column block i holds the feature matrix at states[i].  Its rows are
+    sin(w_i . x) w_i^T / sqrt(d) for the odd curl-free map and
+    sin(w_i . x) (J w_i)^T / sqrt(d) for the odd symplectic map.  The
+    Gaussian-separable map splits the d frequencies into n blocks of m = d/n;
+    block j fills column j with sqrt(2/m) cos(w_i . x + b_i), so cross-output
+    products vanish exactly and each diagonal estimates the scalar Gaussian
+    kernel k_sigma(x, z).
     """
-    X = np.atleast_2d(_check_states(basis, states))
+    X = np.atleast_2d(np.asarray(states, dtype=float))
     N, n = X.shape
+    if n != basis.n:
+        raise ValueError(f"state dimension {n} does not match basis dimension {basis.n}")
     d = basis.d
     if basis.kind == GAUSSIAN_SEPARABLE:
         m = d // n
@@ -170,6 +127,3 @@ def feature_design(basis: FeatureBasis, states) -> np.ndarray:
     s = np.sin(X @ basis.weights.T).T / np.sqrt(d)  # (d, N)
     return (s[:, :, None] * rows[:, None, :]).reshape(d, N * n)
 
-
-def basis_to_json_str(basis: FeatureBasis) -> str:
-    return json.dumps(basis.to_json(), sort_keys=True)

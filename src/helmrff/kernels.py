@@ -49,6 +49,53 @@ def gaussian_kernel(x, z, sigma: float) -> float:
     return float(np.exp(-u @ u / (2.0 * sigma**2)))
 
 
+def _curl_free_blocks(U, sigma: float) -> np.ndarray:
+    s2 = sigma**2
+    scale = np.exp(-np.sum(U * U, axis=-1) / (2.0 * s2)) / s2
+    outer = U[..., :, None] * U[..., None, :]
+    return scale[..., None, None] * (np.eye(U.shape[-1]) - outer / s2)
+
+
+def _symplectic_blocks(U, sigma: float) -> np.ndarray:
+    n = U.shape[-1]
+    if n % 2:
+        raise ValueError(f"symplectic kernel needs an even state dimension, got {n}")
+    J = symplectic_matrix(n // 2)
+    return J @ _curl_free_blocks(U, sigma) @ J.T
+
+
+_EVEN = {"curl-free": _curl_free_blocks, "symplectic": _symplectic_blocks}
+# Odd kinds antisymmetrize and sum these even kernels.
+_ODD = {
+    "odd-curl-free": ("curl-free",),
+    "odd-symplectic": ("symplectic",),
+    "helmholtz": ("curl-free", "symplectic"),
+}
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in _EVEN and kind not in _ODD:
+        raise ValueError(f"unknown kernel kind {kind!r}; choose from {sorted(_EVEN) + sorted(_ODD)}")
+
+
+def kernel_blocks(kind: str, X, Z, sigma: float) -> np.ndarray:
+    """All kernel blocks K(x_i, z_j) between two point sets, (M, N, n, n).
+
+    Even kinds evaluate at the differences x_i - z_j; an odd kind is
+    (K(x - z) - K(x + z)) / 2 summed over its even parts.
+    """
+    _check_kind(kind)
+    sigma = _check_sigma(sigma)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    U = X[:, None, :] - Z[None, :, :]
+    if kind in _EVEN:
+        return _EVEN[kind](U, sigma)
+    V = X[:, None, :] + Z[None, :, :]
+    parts = [0.5 * (_EVEN[p](U, sigma) - _EVEN[p](V, sigma)) for p in _ODD[kind]]
+    return sum(parts[1:], parts[0])
+
+
 def curl_free_kernel(x, z, sigma: float) -> np.ndarray:
     """Curl-free kernel: negative Hessian of the scalar Gaussian.
 
@@ -57,21 +104,12 @@ def curl_free_kernel(x, z, sigma: float) -> np.ndarray:
     Every column is the gradient of a scalar field, so functions built from
     this kernel are gradient fields.
     """
-    x, z = _check_pair(x, z)
-    sigma = _check_sigma(sigma)
-    u = x - z
-    s2 = sigma**2
-    scale = np.exp(-(u @ u) / (2.0 * s2)) / s2
-    return scale * (np.eye(x.size) - np.outer(u, u) / s2)
+    return kernel_by_kind("curl-free")(x, z, sigma)
 
 
 def symplectic_kernel(x, z, sigma: float) -> np.ndarray:
     """Divergence-free kernel J G_c(x - z) J^T; requires even dimension."""
-    x, z = _check_pair(x, z)
-    if x.size % 2:
-        raise ValueError(f"symplectic kernel needs an even state dimension, got {x.size}")
-    J = symplectic_matrix(x.size // 2)
-    return J @ curl_free_kernel(x, z, sigma) @ J.T
+    return kernel_by_kind("symplectic")(x, z, sigma)
 
 
 def odd_curl_free_kernel(x, z, sigma: float) -> np.ndarray:
@@ -79,50 +117,29 @@ def odd_curl_free_kernel(x, z, sigma: float) -> np.ndarray:
 
     Functions in the induced space are odd gradient fields: f(-x) = -f(x).
     """
-    x, z = _check_pair(x, z)
-    return 0.5 * (curl_free_kernel(x, z, sigma) - curl_free_kernel(x, -z, sigma))
+    return kernel_by_kind("odd-curl-free")(x, z, sigma)
 
 
 def odd_symplectic_kernel(x, z, sigma: float) -> np.ndarray:
     """Antisymmetrized symplectic kernel (G_s(x-z) - G_s(x+z)) / 2."""
-    x, z = _check_pair(x, z)
-    return 0.5 * (symplectic_kernel(x, z, sigma) - symplectic_kernel(x, -z, sigma))
-
-
-_KERNELS = {
-    "odd-curl-free": odd_curl_free_kernel,
-    "odd-symplectic": odd_symplectic_kernel,
-    "curl-free": curl_free_kernel,
-    "symplectic": symplectic_kernel,
-}
+    return kernel_by_kind("odd-symplectic")(x, z, sigma)
 
 
 def kernel_by_kind(kind: str):
     """Look up a matrix kernel by name; 'helmholtz' is the two-kernel sum."""
-    if kind == "helmholtz":
-        return lambda x, z, sigma: (
-            odd_curl_free_kernel(x, z, sigma) + odd_symplectic_kernel(x, z, sigma)
-        )
-    try:
-        return _KERNELS[kind]
-    except KeyError:
-        raise ValueError(f"unknown kernel kind {kind!r}; choose from {sorted(_KERNELS) + ['helmholtz']}")
+    _check_kind(kind)
+
+    def kernel(x, z, sigma: float) -> np.ndarray:
+        x, z = _check_pair(x, z)
+        return kernel_blocks(kind, x, z, sigma)[0, 0]
+    return kernel
 
 
 def gram_matrix(kind: str, points, sigma: float) -> np.ndarray:
     """Block Gram matrix of a matrix kernel on a point set.
 
-    Block (i, j) of the (n N) x (n N) result is K(x_i, x_j).  Uses the
-    kernel symmetry K(x, z) = K(z, x)^T to evaluate only the upper triangle.
+    Block (i, j) of the (n N) x (n N) result is K(x_i, x_j).
     """
-    kernel = kernel_by_kind(kind)
     X = np.atleast_2d(np.asarray(points, dtype=float))
     N, n = X.shape
-    G = np.empty((n * N, n * N))
-    for i in range(N):
-        for j in range(i, N):
-            block = kernel(X[i], X[j], sigma)
-            G[i * n:(i + 1) * n, j * n:(j + 1) * n] = block
-            if i != j:
-                G[j * n:(j + 1) * n, i * n:(i + 1) * n] = block.T
-    return G
+    return kernel_blocks(kind, X, X, sigma).transpose(0, 2, 1, 3).reshape(n * N, n * N)

@@ -8,12 +8,13 @@ share across threads.
 """
 
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from . import features as ft
-from .kernels import gram_matrix, kernel_by_kind, symplectic_matrix
+from .kernels import gram_matrix, kernel_blocks, symplectic_matrix
 
 # Above this coefficient count the primal normal matrix is formed no more;
 # the algebraically identical dual solve works on the (n N) x (n N) system.
@@ -44,6 +45,8 @@ class Dataset:
             raise ValueError(f"states {states.shape} and derivatives {derivs.shape} must match")
         if states.shape[0] < 1:
             raise ValueError("dataset needs at least one sample")
+        if not (np.all(np.isfinite(states)) and np.all(np.isfinite(derivs))):
+            raise ValueError("states and derivatives must be finite (found NaN or inf)")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "derivatives", derivs)
 
@@ -81,12 +84,12 @@ class Hyperparameters:
     d: int = 200
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not self.lambda1 > 0:
-            raise ValueError(f"lambda1 must be positive, got {self.lambda1}")
-        if self.lambda2 is not None and not self.lambda2 > 0:
-            raise ValueError(f"lambda2 must be positive, got {self.lambda2}")
+        for name in ("sigma", "lambda1", "lambda2"):
+            value = getattr(self, name)
+            if name == "lambda2" and value is None:
+                continue
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.d < 1:
             raise ValueError(f"feature budget must be >= 1, got {self.d}")
 
@@ -100,13 +103,26 @@ class Hyperparameters:
                    None if lam2 is None else float(lam2), int(doc["d"]))
 
 
-def _as_batch(x, n):
-    X = np.asarray(x, dtype=float)
-    single = X.ndim == 1
-    X = np.atleast_2d(X)
-    if X.shape[1] != n:
-        raise ValueError(f"state dimension {X.shape[1]} does not match model dimension {n}")
-    return X, single
+def _batched(method):
+    """Let a model method take one state or an (B, n) batch; one state in, one result out."""
+    @wraps(method)
+    def call(self, x):
+        X = np.atleast_2d(np.asarray(x, dtype=float))
+        if X.shape[1] != self.dim:
+            raise ValueError(f"state dimension {X.shape[1]} does not match model dimension {self.dim}")
+        out = method(self, X)
+        return out[0] if np.ndim(x) == 1 else out
+    return call
+
+
+def _sine_sum(X, basis: ft.FeatureBasis, coef, rows) -> np.ndarray:
+    """sum_i coef_i sin(w_i . x) rows_i / sqrt(d) at each state of X."""
+    return (np.sin(X @ basis.weights.T) * coef) @ rows / np.sqrt(basis.d)
+
+
+def _cosine_potential(X, basis: ft.FeatureBasis, coef) -> np.ndarray:
+    """-sum_i coef_i cos(w_i . x) / sqrt(d): the potential whose gradient is the sine sum."""
+    return -np.cos(X @ basis.weights.T) @ coef / np.sqrt(basis.d)
 
 
 @dataclass(frozen=True)
@@ -123,21 +139,14 @@ class HelmholtzModel:
     def dim(self) -> int:
         return self.basis_c.n
 
-    def _sqrt_d(self) -> float:
-        return np.sqrt(self.basis_c.d)
+    @_batched
+    def dissipative_part(self, X) -> np.ndarray:
+        return _sine_sum(X, self.basis_c, self.alpha, self.basis_c.weights)
 
-    def dissipative_part(self, x) -> np.ndarray:
-        X, single = _as_batch(x, self.dim)
-        W = self.basis_c.weights
-        out = (np.sin(X @ W.T) * self.alpha) @ W / self._sqrt_d()
-        return out[0] if single else out
-
-    def symplectic_part(self, x) -> np.ndarray:
-        X, single = _as_batch(x, self.dim)
-        W = self.basis_s.weights
+    @_batched
+    def symplectic_part(self, X) -> np.ndarray:
         J = symplectic_matrix(self.dim // 2)
-        out = (np.sin(X @ W.T) * self.beta) @ (W @ J.T) / np.sqrt(self.basis_s.d)
-        return out[0] if single else out
+        return _sine_sum(X, self.basis_s, self.beta, self.basis_s.weights @ J.T)
 
     def decompose(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Return (symplectic, dissipative) parts of the learned field."""
@@ -146,27 +155,23 @@ class HelmholtzModel:
     def predict(self, x) -> np.ndarray:
         return self.symplectic_part(x) + self.dissipative_part(x)
 
-    def hamiltonian(self, x) -> float | np.ndarray:
+    @_batched
+    def hamiltonian(self, X) -> float | np.ndarray:
         """Energy estimate whose symplectic gradient is the symplectic part.
 
         Defined up to an additive constant; even in x.
         """
-        X, single = _as_batch(x, self.dim)
-        vals = -np.cos(X @ self.basis_s.weights.T) @ self.beta / np.sqrt(self.basis_s.d)
-        return float(vals[0]) if single else vals
+        return _cosine_potential(X, self.basis_s, self.beta)
 
-    def hamiltonian_gradient(self, x) -> np.ndarray:
+    @_batched
+    def hamiltonian_gradient(self, X) -> np.ndarray:
         """Closed-form gradient of the energy estimate."""
-        X, single = _as_batch(x, self.dim)
-        W = self.basis_s.weights
-        out = (np.sin(X @ W.T) * self.beta) @ W / np.sqrt(self.basis_s.d)
-        return out[0] if single else out
+        return _sine_sum(X, self.basis_s, self.beta, self.basis_s.weights)
 
-    def dissipation_potential(self, x) -> float | np.ndarray:
+    @_batched
+    def dissipation_potential(self, X) -> float | np.ndarray:
         """Scalar potential whose gradient is the dissipative part."""
-        X, single = _as_batch(x, self.dim)
-        vals = -np.cos(X @ self.basis_c.weights.T) @ self.alpha / self._sqrt_d()
-        return float(vals[0]) if single else vals
+        return _cosine_potential(X, self.basis_c, self.alpha)
 
     def to_json(self) -> dict:
         return {
@@ -201,13 +206,12 @@ class BaselineModel:
     def dim(self) -> int:
         return self.basis.n
 
-    def predict(self, x) -> np.ndarray:
-        X, single = _as_batch(x, self.dim)
+    @_batched
+    def predict(self, X) -> np.ndarray:
         n = self.dim
         m = self.basis.d // n
         c = np.sqrt(2.0 / m) * np.cos(X @ self.basis.weights.T + self.basis.phases)
-        out = np.einsum("bjm,jm->bj", c.reshape(len(X), n, m), self.alpha.reshape(n, m))
-        return out[0] if single else out
+        return np.einsum("bjm,jm->bj", c.reshape(len(X), n, m), self.alpha.reshape(n, m))
 
     def to_json(self) -> dict:
         return {
@@ -235,16 +239,14 @@ class ExactKernelModel:
     kind: str
     sigma: float
 
-    def predict(self, x) -> np.ndarray:
-        kernel = kernel_by_kind(self.kind)
-        X, single = _as_batch(x, self.anchors.shape[1])
-        out = np.empty_like(X)
-        for b, xb in enumerate(X):
-            acc = np.zeros(X.shape[1])
-            for anchor, coef in zip(self.anchors, self.coefficients):
-                acc += kernel(xb, anchor, self.sigma) @ coef
-            out[b] = acc
-        return out[0] if single else out
+    @property
+    def dim(self) -> int:
+        return self.anchors.shape[1]
+
+    @_batched
+    def predict(self, X) -> np.ndarray:
+        blocks = kernel_blocks(self.kind, X, self.anchors, self.sigma)
+        return np.einsum("bnij,nj->bi", blocks, self.coefficients)
 
 
 def assemble_design(dataset: Dataset, basis_c: ft.FeatureBasis, basis_s: ft.FeatureBasis) -> np.ndarray:
@@ -259,6 +261,19 @@ def assemble_design(dataset: Dataset, basis_c: ft.FeatureBasis, basis_s: ft.Feat
         ft.feature_design(basis_c, dataset.states),
         ft.feature_design(basis_s, dataset.states),
     ])
+
+
+def _spd_solver(A: np.ndarray):
+    """Solve function for a symmetric positive-definite matrix.
+
+    Factors A by Cholesky once; if rounding spoils a positive pivot, falls
+    back to least squares.
+    """
+    try:
+        factor = cho_factor(A, lower=True)
+    except LinAlgError:
+        return lambda b: np.linalg.lstsq(A, b, rcond=None)[0]
+    return lambda b: cho_solve(factor, b)
 
 
 def solve_ridge(design: np.ndarray, targets: np.ndarray, lam_diag: np.ndarray, n_samples: int) -> np.ndarray:
@@ -282,26 +297,12 @@ def solve_ridge(design: np.ndarray, targets: np.ndarray, lam_diag: np.ndarray, n
     if D <= _PRIMAL_LIMIT:
         A = design @ design.T
         A[np.diag_indices_from(A)] += nlam
-        try:
-            factor = cho_factor(A, lower=True)
-
-            def solve(b):
-                return cho_solve(factor, b)
-        except LinAlgError:
-            def solve(b):
-                return np.linalg.lstsq(A, b, rcond=None)[0]
+        solve = _spd_solver(A)
     else:
         scaled = design / lam_diag[:, None]
         B = design.T @ scaled
         B[np.diag_indices_from(B)] += n_samples
-        try:
-            factor = cho_factor(B, lower=True)
-
-            def inner(b):
-                return cho_solve(factor, b)
-        except LinAlgError:
-            def inner(b):
-                return np.linalg.lstsq(B, b, rcond=None)[0]
+        inner = _spd_solver(B)
 
         def solve(b):
             # Woodbury inverse of (design design^T + N diag(lam)).
@@ -350,18 +351,16 @@ def fit_baseline(dataset: Dataset, hyper: Hyperparameters, seed: int) -> Baselin
     return BaselineModel(alpha=alpha, basis=basis, hyper=hyper)
 
 
-def helmholtz_objective(model: HelmholtzModel, dataset: Dataset) -> float:
-    """Training objective: mean squared residual plus both ridge penalties."""
-    resid = model.predict(dataset.states) - dataset.derivatives
-    mse = np.sum(resid**2) / len(dataset)
-    return float(mse + model.hyper.lambda1 * model.alpha @ model.alpha
-                 + model.hyper.lambda2 * model.beta @ model.beta)
-
-
-def baseline_objective(model: BaselineModel, dataset: Dataset) -> float:
+def baseline_objective(model: BaselineModel | HelmholtzModel, dataset: Dataset) -> float:
+    """Training objective: mean squared residual plus the lambda1 penalty on alpha."""
     resid = model.predict(dataset.states) - dataset.derivatives
     mse = np.sum(resid**2) / len(dataset)
     return float(mse + model.hyper.lambda1 * model.alpha @ model.alpha)
+
+
+def helmholtz_objective(model: HelmholtzModel, dataset: Dataset) -> float:
+    """Training objective: the baseline objective plus the lambda2 penalty on beta."""
+    return float(baseline_objective(model, dataset) + model.hyper.lambda2 * model.beta @ model.beta)
 
 
 def fit_exact_kernel(dataset: Dataset, kind: str, sigma: float, lam: float) -> ExactKernelModel:
@@ -377,11 +376,7 @@ def fit_exact_kernel(dataset: Dataset, kind: str, sigma: float, lam: float) -> E
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     G = gram_matrix(kind, dataset.states, sigma)
-    A = G + len(dataset) * lam * np.eye(G.shape[0])
-    try:
-        coeffs = cho_solve(cho_factor(A, lower=True), dataset.target_vector())
-    except LinAlgError:
-        coeffs, *_ = np.linalg.lstsq(A, dataset.target_vector(), rcond=None)
+    coeffs = _spd_solver(G + len(dataset) * lam * np.eye(G.shape[0]))(dataset.target_vector())
     return ExactKernelModel(
         coefficients=coeffs.reshape(len(dataset), dataset.dim),
         anchors=dataset.states.copy(),

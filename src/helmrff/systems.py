@@ -110,15 +110,25 @@ def integrate_rk4(field, x0, h: float, t_end: float) -> Trajectory:
     return Trajectory(times=h * np.arange(steps + 1), states=states)
 
 
+def sample_flow(system: SystemSpec, x0, h: float, t_end: float, sim_refine: int):
+    """Times, states and exact derivatives every h along one trajectory.
+
+    The system is integrated at step h/sim_refine and downsampled, so the
+    samples track the continuous dynamics rather than coarse-step
+    integrator error.
+    """
+    fine = integrate_rk4(system.field, x0, h / sim_refine, t_end)
+    states = fine.states[::sim_refine]
+    return fine.times[::sim_refine], states, np.array([system.field(x) for x in states])
+
+
 def generate_dataset(system: SystemSpec, ics, h: float, t_end: float, noise: NoiseSpec,
                      include_t0: bool = True, sim_refine: int = 25) -> Dataset:
     """Simulate each initial condition and sample a noisy training set.
 
-    The true system is integrated at step h/sim_refine and downsampled to
-    the reporting grid, so the samples track the continuous dynamics rather
-    than coarse-step integrator error.  Derivatives come from the exact
-    field at the noiseless states; i.i.d. Gaussian noise is then added to
-    states and derivatives alike.  Each trajectory draws from its own child
+    Samples come from `sample_flow`: derivatives are the exact field at the
+    noiseless states; i.i.d. Gaussian noise is then added to states and
+    derivatives alike.  Each trajectory draws from its own child
     seed, so the result is reproducible point for point.
     """
     ics = [np.asarray(ic, dtype=float) for ic in ics]
@@ -127,13 +137,9 @@ def generate_dataset(system: SystemSpec, ics, h: float, t_end: float, noise: Noi
     child_seeds = np.random.SeedSequence(noise.seed).spawn(len(ics))
     states, derivs, times, traj_ids = [], [], [], []
     for traj_id, (ic, child) in enumerate(zip(ics, child_seeds)):
-        fine = integrate_rk4(system.field, ic, h / sim_refine, t_end)
-        grid_states = fine.states[::sim_refine]
-        grid_times = fine.times[::sim_refine]
+        grid_times, grid_states, grid_derivs = sample_flow(system, ic, h, t_end, sim_refine)
         if not include_t0:
-            grid_states = grid_states[1:]
-            grid_times = grid_times[1:]
-        grid_derivs = np.array([system.field(x) for x in grid_states])
+            grid_times, grid_states, grid_derivs = grid_times[1:], grid_states[1:], grid_derivs[1:]
         rng = np.random.default_rng(child)
         grid_states = grid_states + rng.normal(0.0, noise.sigma_n, size=grid_states.shape)
         grid_derivs = grid_derivs + rng.normal(0.0, noise.sigma_n, size=grid_derivs.shape)
@@ -149,6 +155,19 @@ def generate_dataset(system: SystemSpec, ics, h: float, t_end: float, noise: Noi
     )
 
 
+def write_csv(path, header: list[str], rows, comments: list[str] | None = None) -> None:
+    """Write `# comment` lines, then a header and rows in the csv module's dialect.
+
+    Floats are written as their repr, so values read back exactly.
+    """
+    with open(path, "w", newline="") as fh:
+        for line in comments or []:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+
+
 def dataset_to_csv(dataset: Dataset, path, comments: list[str] | None = None) -> None:
     """Write a 2-D dataset as `t,q,p,qdot,pdot,traj_id` rows."""
     if dataset.dim != 2:
@@ -156,14 +175,9 @@ def dataset_to_csv(dataset: Dataset, path, comments: list[str] | None = None) ->
     N = len(dataset)
     times = dataset.times if dataset.times is not None else np.zeros(N)
     ids = dataset.traj_ids if dataset.traj_ids is not None else np.zeros(N, dtype=int)
-    with open(path, "w", newline="") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for t, x, xdot, tid in zip(times, dataset.states, dataset.derivatives, ids):
-            writer.writerow([repr(float(t)), repr(float(x[0])), repr(float(x[1])),
-                             repr(float(xdot[0])), repr(float(xdot[1])), int(tid)])
+    rows = ([t, x[0], x[1], xdot[0], xdot[1], int(tid)]
+            for t, x, xdot, tid in zip(times, dataset.states, dataset.derivatives, ids))
+    write_csv(path, CSV_HEADER, rows, comments)
 
 
 def dataset_from_csv(path) -> Dataset:
@@ -201,14 +215,9 @@ def dataset_from_json(doc: dict) -> Dataset:
 
 def trajectories_to_csv(trajectories: list[Trajectory], path, comments: list[str] | None = None) -> None:
     """Write rollouts as `t,q,p,traj_id` rows for plotting."""
-    with open(path, "w", newline="") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "q", "p", "traj_id"])
-        for tid, traj in enumerate(trajectories):
-            for t, x in zip(traj.times, traj.states):
-                writer.writerow([repr(float(t)), repr(float(x[0])), repr(float(x[1])), tid])
+    rows = ([t, x[0], x[1], tid] for tid, traj in enumerate(trajectories)
+            for t, x in zip(traj.times, traj.states))
+    write_csv(path, ["t", "q", "p", "traj_id"], rows, comments)
 
 
 def json_dump(doc: dict, path) -> None:

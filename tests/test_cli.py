@@ -58,6 +58,30 @@ def test_parse_errors_name_the_offending_key(tmp_path):
     with pytest.raises(cli.ConfigError, match="figure.bounds"):
         cli.parse_config(bounds)
 
+    ics = write_config(tmp_path, "msd", **{"data.initial_conditions": [[1.0, 0.0], [2.0]]})
+    with pytest.raises(cli.ConfigError, match=r"'data\.initial_conditions\[1\]'"):
+        cli.parse_config(ics)
+
+    # the system factory's own check, reported under the system key
+    mass = write_config(tmp_path, "msd", **{"system.m": -1})
+    with pytest.raises(cli.ConfigError, match=r"'system': need m, k > 0"):
+        cli.parse_config(mass)
+
+    missing = write_config(tmp_path, "pendulum")
+    doc = yaml.safe_load(missing.read_text())
+    del doc["system"]["g"]
+    missing.write_text(yaml.safe_dump(doc))
+    with pytest.raises(cli.ConfigError, match="system.g"):
+        cli.parse_config(missing)
+
+    noise = write_config(tmp_path, "msd", **{"data.noise_sigma": float("inf")})
+    with pytest.raises(cli.ConfigError, match="data.noise_sigma"):
+        cli.parse_config(noise)
+    ridge = write_config(tmp_path, "msd", **{"hyperparameters.helmholtz": {
+        "sigma": 1.0, "lambda1": float("nan"), "lambda2": 1e-3}})
+    with pytest.raises(cli.ConfigError, match="hyperparameters.helmholtz.lambda1"):
+        cli.parse_config(ridge)
+
 
 def test_kernel_width_range_is_enforced(tmp_path):
     path = write_config(tmp_path, "msd", **{"search.sigma_grid": [1e-7, 1.0]})

@@ -152,6 +152,17 @@ def test_cross_validate_needs_enough_points():
         ev.cross_validate(ds, space, seed=0)
 
 
+def test_cross_validate_rejects_non_finite_scores():
+    # a subnormal ridge weight passes the grid checks, but its scores are NaN
+    ds = toy_dataset(4, n=12)
+    tiny = np.array([1e-310, 1e-3])
+    for lambda2s in (None, tiny):
+        space = ev.SearchSpace(sigmas=np.array([0.7]), lambda1s=tiny, lambda2s=lambda2s,
+                               folds=3, d=8)
+        with pytest.raises(ValueError, match="sigma=0.7"):
+            ev.cross_validate(ds, space, seed=0)
+
+
 def test_cross_validate_matches_explicit_fold_fits():
     """The batched dual-form search must equal per-fold primal ridge fits."""
     ds = pendulum_dataset()

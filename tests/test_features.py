@@ -104,14 +104,38 @@ def test_odd_map_error_decays_with_budget():
         assert med[2000] < med[500]
 
 
+def closed_form_feature_matrix(b, x):
+    """Feature matrix at one state, written out row by row from its definition."""
+    d, n = b.d, b.n
+    if b.kind == ft.GAUSSIAN_SEPARABLE:
+        # block-diagonal cosine map: frequency i feeds output i // m only
+        m = d // n
+        psi = np.zeros((d, n))
+        for i, w in enumerate(b.weights):
+            psi[i, i // m] = np.sqrt(2.0 / m) * np.cos(w @ x + b.phases[i])
+        return psi
+    J = kn.symplectic_matrix(n // 2)
+    # sin(w.x) w / sqrt(d) for curl-free rows, sin(w.x) J w / sqrt(d) for symplectic rows
+    rows = [np.sin(w @ x) * (w if b.kind == ft.ODD_CURL_FREE else J @ w) for w in b.weights]
+    return np.array(rows) / np.sqrt(d)
+
+
 def test_feature_design_stacks_per_point_blocks():
     states = np.array([[0.3, -0.2], [1.0, 0.4], [-0.7, 0.9]])
     for kind in ft.KINDS:
         b = ft.sample_basis(kind, 12, 2, 0.8, seed=6)
         design = ft.feature_design(b, states)
         assert design.shape == (12, 6)
-        blocks = np.hstack([ft.feature_matrix(x, b) for x in states])
-        assert_allclose(design, blocks, atol=1e-15)
+        blocks = np.hstack([closed_form_feature_matrix(b, x) for x in states])
+        assert_allclose(design, blocks, rtol=1e-13, atol=1e-15)
+        for i, x in enumerate(states):
+            assert_allclose(ft.feature_matrix(x, b), design[:, 2 * i:2 * i + 2], rtol=1e-13, atol=1e-15)
+
+
+def test_feature_matrix_takes_a_single_state():
+    b = ft.sample_basis(ft.ODD_CURL_FREE, 8, 2, 1.0, seed=0)
+    with pytest.raises(ValueError):
+        ft.feature_matrix(np.zeros((3, 2)), b)
 
 
 def test_feature_design_dimension_mismatch():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from helmrff import kernels as kn
 
@@ -83,17 +83,38 @@ def test_odd_kernels_antisymmetrize():
         assert_allclose(odd(np.zeros(2), np.zeros(2), 1.1), np.zeros((2, 2)), atol=1e-15)
 
 
+def closed_form_curl_free(u, sigma):
+    s2 = sigma**2
+    return np.exp(-(u @ u) / (2 * s2)) / s2 * (np.eye(u.size) - np.outer(u, u) / s2)
+
+
+def closed_form_kernel(kind, x, z, sigma):
+    """G_c(x - z), its symplectic conjugate, and their odd parts from G_c(x -/+ z)."""
+    J = kn.symplectic_matrix(x.size // 2)
+    minus = closed_form_curl_free(x - z, sigma)
+    plus = closed_form_curl_free(x + z, sigma)
+    odd = 0.5 * (minus - plus)
+    return {
+        "curl-free": minus,
+        "symplectic": J @ minus @ J.T,
+        "odd-curl-free": odd,
+        "odd-symplectic": J @ odd @ J.T,
+        "helmholtz": odd + J @ odd @ J.T,
+    }[kind]
+
+
 def test_gram_matrix_blocks_and_psd():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(6, 2))
-    for kind in ("curl-free", "symplectic", "odd-curl-free", "odd-symplectic"):
+    for kind in ("curl-free", "symplectic", "odd-curl-free", "odd-symplectic", "helmholtz"):
         G = kn.gram_matrix(kind, pts, 0.9)
         assert G.shape == (12, 12)
-        assert_allclose(G, G.T, atol=1e-14)
-        # spot-check one off-diagonal block against the kernel itself
-        block = G[2 * 4:2 * 5, 2 * 1:2 * 2]
-        expected = kn.kernel_by_kind(kind)(pts[4], pts[1], 0.9)
-        assert_allclose(block, expected, atol=1e-14)
+        assert_array_equal(G, G.T)
+        # spot-check blocks against the closed form
+        for i, j in ((4, 1), (0, 5), (2, 2)):
+            expected = closed_form_kernel(kind, pts[i], pts[j], 0.9)
+            assert_allclose(G[2 * i:2 * i + 2, 2 * j:2 * j + 2], expected, atol=1e-14)
+            assert_allclose(kn.kernel_by_kind(kind)(pts[i], pts[j], 0.9), expected, atol=1e-14)
         eigs = np.linalg.eigvalsh(G)
         assert eigs.min() >= -1e-10 * max(eigs.max(), 1.0)
 
@@ -119,3 +140,5 @@ def test_dimension_and_sigma_validation():
         kn.odd_symplectic_kernel(np.zeros(3), np.zeros(3), 1.0)
     with pytest.raises(ValueError):
         kn.gram_matrix("no-such-kernel", np.zeros((2, 2)), 1.0)
+    with pytest.raises(ValueError):
+        kn.kernel_by_kind("no-such-kernel")

@@ -39,6 +39,13 @@ def test_dataset_validation():
         rg.Dataset(np.zeros((3, 2)), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         rg.Dataset(np.zeros((0, 2)), np.zeros((0, 2)))
+    for bad in (np.nan, np.inf, -np.inf):
+        poisoned = np.zeros((3, 2))
+        poisoned[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            rg.Dataset(poisoned, np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            rg.Dataset(np.zeros((3, 2)), poisoned)
     ds = random_dataset(5, 0)
     sub = ds.subset([0, 2])
     assert len(sub) == 2
@@ -56,6 +63,13 @@ def test_hyperparameter_validation():
         rg.Hyperparameters(sigma=1.0, lambda1=1e-3, lambda2=-1e-3)
     with pytest.raises(ValueError):
         rg.Hyperparameters(sigma=1.0, lambda1=1e-3, lambda2=1e-3, d=0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="sigma"):
+            rg.Hyperparameters(sigma=bad, lambda1=1e-3, lambda2=1e-3)
+        with pytest.raises(ValueError, match="lambda1"):
+            rg.Hyperparameters(sigma=1.0, lambda1=bad, lambda2=None)
+        with pytest.raises(ValueError, match="lambda2"):
+            rg.Hyperparameters(sigma=1.0, lambda1=1e-3, lambda2=bad)
 
 
 # ----------------------------------------------------------- design matrix

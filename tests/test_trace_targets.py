@@ -1,0 +1,35 @@
+"""The span tracer in perfbench/spans.py wraps package functions by name.
+
+A rename or a changed signature in the package would only surface when a
+traced benchmark run crashes; this test catches it with the regular suite.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_resolves_to_a_callable():
+    spans = load_spans()
+    assert spans.TARGETS
+    for module_name, attr, span, counter in spans.TARGETS:
+        assert module_name in spans.MODULES, span
+        target = importlib.import_module(module_name)
+        for part in attr.split("."):
+            assert hasattr(target, part), f"{module_name}.{attr} is traced but does not exist"
+            target = getattr(target, part)
+        assert callable(target), f"{module_name}.{attr} is not callable"
+        if counter is not None:
+            # the tracer calls the counter with the target's own arguments
+            positional = list(inspect.signature(target).parameters)
+            inspect.signature(counter).bind(*positional)
