@@ -12,6 +12,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -127,6 +128,11 @@ class ExperimentConfig:
 
     def make_system(self) -> sy.SystemSpec:
         return sy.SYSTEM_FACTORIES[self.system_name](**self.system_params)
+
+    @cached_property
+    def test_set(self) -> rg.Dataset:
+        """Noiseless samples along the test trajectory; the same for every seed, so built once."""
+        return ev.make_test_set(self.make_system(), self.test_x0, self.test_h, self.test_t_end)
 
     def search_space(self, baseline: bool) -> ev.SearchSpace:
         return ev.SearchSpace(
@@ -314,16 +320,14 @@ def run_protocol(config: ExperimentConfig, master: int, dataset: rg.Dataset | No
                         for fixed, baseline in fixed_or_tune)
     helm = rg.fit_helmholtz(dataset, hyper_h, seeds["helmholtz_fit"])
     base = rg.fit_baseline(dataset, hyper_g, seeds["gaussian_fit"])
-    test = ev.make_test_set(config.make_system(), config.test_x0, config.test_h, config.test_t_end)
     return {
         "seeds": seeds,
         "dataset": dataset,
-        "test": test,
         "helmholtz": helm,
         "gaussian": base,
-        "report_helmholtz": ev.evaluate_model(helm, dataset, test, config.system_name,
+        "report_helmholtz": ev.evaluate_model(helm, dataset, config.test_set, config.system_name,
                                               "helmholtz", master, NOTES),
-        "report_gaussian": ev.evaluate_model(base, dataset, test, config.system_name,
+        "report_gaussian": ev.evaluate_model(base, dataset, config.test_set, config.system_name,
                                              "gaussian", master, NOTES),
     }
 
@@ -337,11 +341,14 @@ def _comments(config: ExperimentConfig, seeds: dict) -> list[str]:
 
 def _load_dataset(path) -> rg.Dataset:
     path = Path(path)
-    if path.suffix == ".csv":
-        return sy.dataset_from_csv(path)
-    with open(path) as fh:
-        doc = json.load(fh)
-    return sy.dataset_from_json(doc.get("data", doc))
+    try:
+        if path.suffix == ".csv":
+            return sy.dataset_from_csv(path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        return sy.dataset_from_json(doc.get("data", doc))
+    except (OSError, ValueError, KeyError) as err:
+        raise ConfigError(f"--data: cannot load a dataset from {path}: {err}")
 
 
 def _summary_lines(rows: list[dict], title: str) -> list[str]:
@@ -354,6 +361,8 @@ def _summary_lines(rows: list[dict], title: str) -> list[str]:
 def _setup(args, path) -> tuple[ExperimentConfig, int, Path]:
     """Parse the config, resolve the master seed, and create the output directory."""
     config = parse_config(path)
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     master = config.seed if args.seed is None else args.seed
     out = Path(args.out or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -369,16 +378,16 @@ def cmd_simulate(args) -> int:
     sy.dataset_to_csv(dataset, out / "train.csv", comments)
     sy.json_dump({"config": config.resolved(), "seeds": seeds, "data": sy.dataset_to_json(dataset)},
                  out / "train.json")
-    system = config.make_system()
-    fine = [sy.integrate_rk4(system.field, ic, config.h / 25.0, config.t_end)
-            for ic in config.initial_conditions]
-    plot = [sy.Trajectory(tr.times[::5], tr.states[::5]) for tr in fine]
+    fine = sy.integrate_rk4(config.make_system().field, config.initial_conditions,
+                            config.h / sy.SIM_REFINE, config.t_end)
+    plot = [sy.Trajectory(fine.times[::5], states) for states in fine.states[::5].swapaxes(0, 1)]
     sy.trajectories_to_csv(plot, out / "trajectories.csv", comments)
     print(f"N = {len(dataset)}")
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
+    dataset = _load_dataset(args.data) if args.data else None
     config, master, out = _setup(args, args.config)
     if args.fixed_hypers:
         try:
@@ -390,7 +399,6 @@ def cmd_fit(args) -> int:
         _check_sigma_range("--fixed-hypers", sigma)
         config = dataclasses.replace(config, fixed_helmholtz=fixed_h,
                                      fixed_gaussian=dataclasses.replace(fixed_h, lambda2=None))
-    dataset = _load_dataset(args.data) if args.data else None
     result = run_protocol(config, master, dataset)
 
     base_doc = {"config": config.resolved(), "seeds": result["seeds"]}
@@ -403,16 +411,19 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config, master, out = _setup(args, args.config)
-    with open(args.model) as fh:
-        doc = json.load(fh)
     model_types = {"helmholtz": rg.HelmholtzModel, "gaussian": rg.BaselineModel}
-    if doc.get("model") not in model_types:
-        raise ConfigError(f"{args.model}: unknown model kind {doc.get('model')!r}")
-    model = model_types[doc["model"]].from_json(doc)
-    dataset = _load_dataset(args.data) if args.data else simulate_dataset(config, master)
-    test = ev.make_test_set(config.make_system(), config.test_x0, config.test_h, config.test_t_end)
-    report = ev.evaluate_model(model, dataset, test, config.system_name, doc["model"], master, NOTES)
+    try:
+        with open(args.model) as fh:
+            doc = json.load(fh)
+        model = model_types[doc["model"]].from_json(doc)
+    except (OSError, ValueError, KeyError) as err:
+        raise ConfigError(f"--model: cannot load a {'/'.join(model_types)} model from {args.model}: {err!r}")
+    dataset = _load_dataset(args.data) if args.data else None
+    config, master, out = _setup(args, args.config)
+    if dataset is None:
+        dataset = simulate_dataset(config, master)
+    report = ev.evaluate_model(model, dataset, config.test_set, config.system_name, doc["model"],
+                               master, NOTES)
     sy.json_dump({"config": config.resolved(), "seeds": _seed_map(master),
                   "reports": [report.to_json()]}, out / "eval_report.json")
     print("\n".join(_summary_lines([report.to_json()], f"system: {config.system_name}  seed: {master}")))
@@ -433,10 +444,14 @@ def _median_summary(reports: list[dict]) -> dict:
 def cmd_reproduce(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     config, base_seed, out = _setup(args, args.config or bundled_config_path(args.experiment))
     masters = [base_seed + i for i in range(args.seeds)]
 
-    # Per-seed runs are pure; gather in seed order so aggregation is stable.
+    # Per-seed runs are pure; gather in seed order so aggregation is stable.  The shared
+    # test set is built first: from Python 3.12 cached_property takes no lock.
+    config.test_set
     with ThreadPoolExecutor(max_workers=min(args.jobs, len(masters))) as pool:
         results = list(pool.map(lambda m: run_protocol(config, m), masters))
 

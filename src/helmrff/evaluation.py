@@ -92,11 +92,11 @@ def pointwise_residuals(model, dataset: Dataset) -> np.ndarray:
     return np.sum(resid**2, axis=1)
 
 
-def make_test_set(system: SystemSpec, x0, h: float, t_end: float, sim_refine: int = 25) -> Dataset:
+def make_test_set(system: SystemSpec, x0, h: float, t_end: float) -> Dataset:
     """Noiseless (state, true-field) samples along one long test trajectory."""
     if t_end < h:
         raise ValueError(f"test horizon shorter than the sampling step: t_end={t_end}, h={h}")
-    times, states, derivs = sample_flow(system, x0, h, t_end, sim_refine)
+    times, states, derivs = sample_flow(system, x0, h, t_end)
     return Dataset(states=states, derivatives=derivs, times=times,
                    traj_ids=np.zeros(len(times), dtype=int))
 
@@ -186,14 +186,15 @@ def _fold_mse(g_tt, g_vt, x_t, x_v, lams, n_train, n_val) -> np.ndarray:
 
 def rollout_model(model, x0, h: float, t_end: float) -> Trajectory:
     """Integrate the learned field with the same fixed-step RK4 scheme."""
-    return integrate_rk4(lambda x: model.predict(x), x0, h, t_end)
+    return integrate_rk4(model.predict, x0, h, t_end)
 
 
 def stream_grid(field_or_model, bounds, resolution) -> np.ndarray:
     """Sample a field on a regular phase-plane grid.
 
     Returns rows (q, p, qdot, pdot) in row-major order (first axis slowest).
-    Accepts either a fitted model or a bare callable field.
+    Accepts either a fitted model or a bare callable field; either one is
+    called once with the (B, 2) batch of grid points.
     """
     (q_lo, q_hi), (p_lo, p_hi) = bounds
     if np.isscalar(resolution):
@@ -205,10 +206,7 @@ def stream_grid(field_or_model, bounds, resolution) -> np.ndarray:
     ps = np.linspace(p_lo, p_hi, rp)
     Q, P = np.meshgrid(qs, ps, indexing="ij")
     points = np.column_stack([Q.reshape(-1), P.reshape(-1)])
-    if hasattr(field_or_model, "predict"):
-        values = field_or_model.predict(points)
-    else:
-        values = np.array([field_or_model(x) for x in points])
+    values = getattr(field_or_model, "predict", field_or_model)(points)
     return np.hstack([points, values])
 
 

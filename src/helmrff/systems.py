@@ -13,6 +13,9 @@ from .regression import Dataset
 
 CSV_HEADER = ["t", "q", "p", "qdot", "pdot", "traj_id"]
 
+# Samples are integrated at step h / SIM_REFINE and downsampled to step h.
+SIM_REFINE = 25
+
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -20,14 +23,14 @@ class SystemSpec:
 
     name: str
     parameters: dict
-    field: Callable[[np.ndarray], np.ndarray]
-    hamiltonian: Callable[[np.ndarray], float]
+    field: Callable[[np.ndarray], np.ndarray]        # states (..., n) -> derivatives (..., n)
+    hamiltonian: Callable[[np.ndarray], np.ndarray]  # states (..., n) -> energies (...)
 
 
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray   # (T,), uniform step
-    states: np.ndarray  # (T, n)
+    states: np.ndarray  # (T, n), or (T, B, n) for a batch of B initial conditions
 
 
 @dataclass(frozen=True)
@@ -42,14 +45,14 @@ class NoiseSpec:
 
 def msd_field(x, m: float, k: float, d: float) -> np.ndarray:
     """Mass-spring-damper dynamics: qdot = p/m, pdot = -k q - (d/m) p."""
-    q, p = np.asarray(x, dtype=float)
-    return np.array([p / m, -k * q - (d / m) * p])
+    q, p = np.asarray(x, dtype=float).T
+    return np.array([p / m, -k * q - (d / m) * p]).T
 
 
 def pendulum_field(x, m: float, l: float, d: float, g: float) -> np.ndarray:
     """Damped pendulum dynamics: qdot = p/(m l^2), pdot = -m g l sin q - (d/(m l^2)) p."""
-    q, p = np.asarray(x, dtype=float)
-    return np.array([p / (m * l**2), -m * g * l * np.sin(q) - (d / (m * l**2)) * p])
+    q, p = np.asarray(x, dtype=float).T
+    return np.array([p / (m * l**2), -m * g * l * np.sin(q) - (d / (m * l**2)) * p]).T
 
 
 def mass_spring_damper(m: float = 0.5, k: float = 1.0, d: float = 0.25) -> SystemSpec:
@@ -57,8 +60,8 @@ def mass_spring_damper(m: float = 0.5, k: float = 1.0, d: float = 0.25) -> Syste
         raise ValueError(f"need m, k > 0 and damping >= 0, got m={m}, k={k}, d={d}")
 
     def hamiltonian(x):
-        q, p = np.asarray(x, dtype=float)
-        return 0.5 * p**2 / m + 0.5 * k * q**2
+        q, p = np.asarray(x, dtype=float).T
+        return (0.5 * p**2 / m + 0.5 * k * q**2).T
 
     return SystemSpec(
         name="msd",
@@ -73,8 +76,8 @@ def damped_pendulum(m: float = 1.0, l: float = 1.0, d: float = 1.2, g: float = 9
         raise ValueError(f"need m, l, g > 0 and damping >= 0, got m={m}, l={l}, d={d}, g={g}")
 
     def hamiltonian(x):
-        q, p = np.asarray(x, dtype=float)
-        return 0.5 * p**2 / (m * l**2) + m * g * l * (1.0 - np.cos(q))
+        q, p = np.asarray(x, dtype=float).T
+        return (0.5 * p**2 / (m * l**2) + m * g * l * (1.0 - np.cos(q))).T
 
     return SystemSpec(
         name="pendulum",
@@ -90,13 +93,14 @@ SYSTEM_FACTORIES = {"msd": mass_spring_damper, "pendulum": damped_pendulum}
 def integrate_rk4(field, x0, h: float, t_end: float) -> Trajectory:
     """Classical fixed-step 4th-order Runge-Kutta from t = 0 to t_end.
 
-    States are stored at every step, including the initial condition.
+    `x0` is one state (n,) or a batch (B, n) stepped together; states (T, n)
+    or (T, B, n) are stored at every step, including the initial condition.
     """
     if h <= 0 or t_end <= 0 or h > t_end:
         raise ValueError(f"need 0 < h <= t_end, got h={h}, t_end={t_end}")
     steps = int(round(t_end / h))
     x = np.asarray(x0, dtype=float).copy()
-    states = np.empty((steps + 1, x.size))
+    states = np.empty((steps + 1,) + x.shape)
     states[0] = x
     for step in range(steps):
         k1 = field(x)
@@ -110,48 +114,41 @@ def integrate_rk4(field, x0, h: float, t_end: float) -> Trajectory:
     return Trajectory(times=h * np.arange(steps + 1), states=states)
 
 
-def sample_flow(system: SystemSpec, x0, h: float, t_end: float, sim_refine: int):
-    """Times, states and exact derivatives every h along one trajectory.
+def sample_flow(system: SystemSpec, x0, h: float, t_end: float):
+    """Times, states and exact derivatives every h from x0, one state (n,) or a batch (B, n).
 
-    The system is integrated at step h/sim_refine and downsampled, so the
+    The system is integrated at step h/SIM_REFINE and downsampled, so the
     samples track the continuous dynamics rather than coarse-step
     integrator error.
     """
-    fine = integrate_rk4(system.field, x0, h / sim_refine, t_end)
-    states = fine.states[::sim_refine]
-    return fine.times[::sim_refine], states, np.array([system.field(x) for x in states])
+    fine = integrate_rk4(system.field, x0, h / SIM_REFINE, t_end)
+    states = fine.states[::SIM_REFINE]
+    return fine.times[::SIM_REFINE], states, system.field(states)
 
 
 def generate_dataset(system: SystemSpec, ics, h: float, t_end: float, noise: NoiseSpec,
-                     include_t0: bool = True, sim_refine: int = 25) -> Dataset:
-    """Simulate each initial condition and sample a noisy training set.
+                     include_t0: bool = True) -> Dataset:
+    """Simulate all initial conditions as one batch and sample a noisy training set.
 
     Samples come from `sample_flow`: derivatives are the exact field at the
-    noiseless states; i.i.d. Gaussian noise is then added to states and
-    derivatives alike.  Each trajectory draws from its own child
-    seed, so the result is reproducible point for point.
+    noiseless states; i.i.d. Gaussian noise is then added to the states, then
+    to the derivatives, from one child seed per trajectory, so the result is
+    reproducible point for point.
     """
-    ics = [np.asarray(ic, dtype=float) for ic in ics]
-    if not ics:
-        raise ValueError("need at least one initial condition")
-    child_seeds = np.random.SeedSequence(noise.seed).spawn(len(ics))
-    states, derivs, times, traj_ids = [], [], [], []
-    for traj_id, (ic, child) in enumerate(zip(ics, child_seeds)):
-        grid_times, grid_states, grid_derivs = sample_flow(system, ic, h, t_end, sim_refine)
-        if not include_t0:
-            grid_times, grid_states, grid_derivs = grid_times[1:], grid_states[1:], grid_derivs[1:]
-        rng = np.random.default_rng(child)
-        grid_states = grid_states + rng.normal(0.0, noise.sigma_n, size=grid_states.shape)
-        grid_derivs = grid_derivs + rng.normal(0.0, noise.sigma_n, size=grid_derivs.shape)
-        states.append(grid_states)
-        derivs.append(grid_derivs)
-        times.append(grid_times)
-        traj_ids.append(np.full(len(grid_times), traj_id, dtype=int))
+    ics = np.asarray(ics, dtype=float)
+    if ics.ndim != 2 or len(ics) == 0:
+        raise ValueError(f"need a (B, n) array of at least one initial condition, got shape {ics.shape}")
+    times, states, derivs = sample_flow(system, ics, h, t_end)
+    if not include_t0:
+        times, states, derivs = times[1:], states[1:], derivs[1:]
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(noise.seed).spawn(len(ics))]
+    noisy = [[x[:, b] + rng.normal(0.0, noise.sigma_n, size=x[:, b].shape) for x in (states, derivs)]
+             for b, rng in enumerate(rngs)]
     return Dataset(
-        states=np.vstack(states),
-        derivatives=np.vstack(derivs),
-        times=np.concatenate(times),
-        traj_ids=np.concatenate(traj_ids),
+        states=np.vstack([s for s, _ in noisy]),
+        derivatives=np.vstack([d for _, d in noisy]),
+        times=np.tile(times, len(ics)),
+        traj_ids=np.repeat(np.arange(len(ics)), len(times)),
     )
 
 

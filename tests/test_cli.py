@@ -108,6 +108,25 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     assert "system.name" in capsys.readouterr().err
 
 
+def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
+    msd = str(cli.bundled_config_path("msd"))
+    bad_header = tmp_path / "bad.csv"
+    bad_header.write_text("t,x,y\n0,1,2\n")
+    out = tmp_path / "o"
+    cases = [
+        (["reproduce", "msd", "--jobs", "0"], "--jobs"),
+        (["simulate", "--config", msd, "--seed", "-1"], "--seed"),
+        (["fit", "--config", msd, "--data", str(tmp_path / "missing.csv")], "--data"),
+        (["fit", "--config", msd, "--data", str(bad_header)], "--data"),
+        (["eval", "--config", msd, "--model", str(tmp_path / "missing.json")], "--model"),
+    ]
+    for argv, flag in cases:
+        assert cli.main(argv + ["--out", str(out)]) == 1, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0], (argv, err)
+        assert not out.exists(), argv
+
+
 def test_simulate_counts_and_files(tmp_path, capsys):
     out = tmp_path / "msd"
     code = cli.main(["simulate", "--config", str(cli.bundled_config_path("msd")),
@@ -134,8 +153,7 @@ def test_simulate_without_noise_matches_true_field(tmp_path):
     doc = json.loads((out / "train.json").read_text())
     config = cli.parse_config(path)
     field = config.make_system().field
-    for x, xdot in zip(doc["data"]["states"], doc["data"]["derivatives"]):
-        assert_allclose(xdot, field(np.asarray(x)), atol=1e-12)
+    assert_allclose(doc["data"]["derivatives"], field(np.asarray(doc["data"]["states"])), atol=1e-12)
 
 
 def test_fit_with_fixed_hypers_and_determinism(tmp_path):
@@ -205,10 +223,14 @@ def test_eval_rejects_unknown_model_file(tmp_path, capsys):
     assert "spline" in capsys.readouterr().err
 
 
-def test_reproduce_artifacts_and_exit_code(tmp_path, capsys):
+def test_reproduce_artifacts_and_exit_code(tmp_path, capsys, monkeypatch):
+    built = []
+    make_test_set = cli.ev.make_test_set
+    monkeypatch.setattr(cli.ev, "make_test_set", lambda *a: built.append(a) or make_test_set(*a))
     out = tmp_path / "rep"
     code = cli.main(["reproduce", "msd", "--seeds", "2", "--out", str(out)])
     assert code == 0
+    assert len(built) == 1  # one test set per config, shared by the seeds
     printed = capsys.readouterr().out
     assert "PASS" in printed and "FAIL" not in printed
 

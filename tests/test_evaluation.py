@@ -56,8 +56,7 @@ def test_make_test_set_protocols():
     test = ev.make_test_set(msd, np.array([2.0, 0.0]), 0.25, 20.0)
     assert len(test) == 81  # includes t = 0
     assert_allclose(test.states[0], [2.0, 0.0])
-    for x, xdot in zip(test.states[:10], test.derivatives[:10]):
-        assert_allclose(xdot, msd.field(x), atol=1e-14)
+    assert_array_equal(test.derivatives, msd.field(test.states))
     with pytest.raises(ValueError):
         ev.make_test_set(msd, np.array([2.0, 0.0]), 0.25, 0.1)
 

@@ -1,0 +1,60 @@
+"""Property tests for the batch contract of the system layer.
+
+Fields and energies accept one state (n,) or any batch (..., n), and RK4
+steps a batch (B, n) of initial conditions together.  Batched results must
+equal per-state evaluation bit for bit, so artifacts do not depend on how
+states are grouped.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.testing import assert_array_equal
+
+import helmrff as hr
+
+SYSTEMS = {"msd": hr.mass_spring_damper(0.5, 1.0, 0.25),
+           "pendulum": hr.damped_pendulum(1.0, 1.0, 1.2, 9.81)}
+
+coords = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+batch_shapes = st.one_of(st.tuples(st.integers(1, 8), st.just(2)),
+                         st.tuples(st.integers(1, 5), st.integers(1, 6), st.just(2)))
+batches = batch_shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=coords))
+initial_conditions = st.integers(1, 8).flatmap(
+    lambda b: arrays(np.float64, (b, 2), elements=st.floats(-3.0, 3.0)))
+systems = st.sampled_from(sorted(SYSTEMS))
+properties = settings(deadline=None, max_examples=60)
+
+
+def per_state(fn, X):
+    out = np.array([fn(x) for x in X.reshape(-1, X.shape[-1])])
+    return out.reshape(X.shape[:-1] + out.shape[1:])
+
+
+@properties
+@given(systems, batches)
+def test_batched_field_and_energy_equal_per_state_evaluation(name, X):
+    system = SYSTEMS[name]
+    field, energy = system.field(X), system.hamiltonian(X)
+    assert field.shape == X.shape and energy.shape == X.shape[:-1]
+    assert_array_equal(field, per_state(system.field, X))
+    assert_array_equal(energy, per_state(system.hamiltonian, X))
+
+
+@properties
+@given(systems, batches)
+def test_fields_are_exactly_odd(name, X):
+    field = SYSTEMS[name].field
+    assert_array_equal(field(-X), -field(X))
+
+
+@properties
+@given(systems, initial_conditions)
+def test_batched_rk4_equals_single_runs(name, X0):
+    field = SYSTEMS[name].field
+    batch = hr.integrate_rk4(field, X0, 0.05, 0.5)
+    assert batch.states.shape == (11,) + X0.shape
+    for b, x0 in enumerate(X0):
+        single = hr.integrate_rk4(field, x0, 0.05, 0.5)
+        assert_array_equal(batch.times, single.times)
+        assert_array_equal(batch.states[:, b], single.states)

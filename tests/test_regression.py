@@ -210,6 +210,14 @@ def test_dual_solver_agrees_with_primal(monkeypatch):
     assert_allclose(dual.beta, primal.beta, rtol=0, atol=1e-9)
 
 
+def test_spd_solver_falls_back_to_least_squares():
+    """An indefinite matrix makes Cholesky fail; the fallback still solves exactly."""
+    A = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        rg.cho_factor(A, lower=True)
+    assert_allclose(rg._spd_solver(A)(np.array([1.0, -1.0])), [-1.0, 1.0], rtol=0, atol=1e-14)
+
+
 # ------------------------------------------------------ model predictions
 
 

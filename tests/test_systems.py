@@ -39,6 +39,8 @@ def test_system_parameter_validation():
         hr.damped_pendulum(1.0, 1.0, 1.2, 0.0)
     with pytest.raises(ValueError):
         sy.NoiseSpec(-0.1, 0)
+    with pytest.raises(ValueError, match="initial condition"):
+        hr.generate_dataset(hr.mass_spring_damper(), [1.0, 0.0], 0.25, 1.0, sy.NoiseSpec(0.1, 0))
 
 
 def test_rk4_trivial_fields():
@@ -54,17 +56,8 @@ def test_rk4_trivial_fields():
 def test_rk4_conserves_energy_without_damping():
     system = hr.mass_spring_damper(0.5, 1.0, 0.0)
     tr = hr.integrate_rk4(system.field, np.array([2.0, 0.0]), 0.001, 10.0)
-    H = np.array([system.hamiltonian(x) for x in tr.states])
+    H = system.hamiltonian(tr.states)
     assert np.abs(H - H[0]).max() / H[0] <= 1e-6
-
-
-def test_rk4_is_fourth_order():
-    system = hr.mass_spring_damper(0.5, 1.0, 0.25)
-    x0 = np.array([2.0, 0.0])
-    ref = hr.integrate_rk4(system.field, x0, 1e-5, 1.0).states[-1]
-    err_h = np.linalg.norm(hr.integrate_rk4(system.field, x0, 0.1, 1.0).states[-1] - ref)
-    err_h2 = np.linalg.norm(hr.integrate_rk4(system.field, x0, 0.05, 1.0).states[-1] - ref)
-    assert err_h / err_h2 >= 12.0
 
 
 def test_rk4_reports_divergence():
@@ -80,7 +73,7 @@ def test_damped_energy_is_monotone():
     for system in (hr.mass_spring_damper(0.5, 1.0, 0.25),
                    hr.damped_pendulum(1.0, 1.0, 1.2, 9.81)):
         tr = hr.integrate_rk4(system.field, np.array([1.5, 0.0]), 0.001, 5.0)
-        H = np.array([system.hamiltonian(x) for x in tr.states])
+        H = system.hamiltonian(tr.states)
         assert np.all(np.diff(H) <= 1e-9)
 
 
@@ -112,8 +105,7 @@ def test_noiseless_dataset_lies_on_the_flow():
                              include_t0=True)
     fine = hr.integrate_rk4(system.field, MSD_ICS[0], 0.25 / 25, 1.0)
     assert_allclose(ds.states, fine.states[::25], atol=1e-14)
-    for x, xdot in zip(ds.states, ds.derivatives):
-        assert_allclose(xdot, system.field(x), atol=1e-14)
+    assert_array_equal(ds.derivatives, system.field(ds.states))
 
 
 def test_dataset_generation_is_deterministic():
