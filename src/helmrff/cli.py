@@ -6,6 +6,8 @@ command with the same inputs rewrites identical files.
 """
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
 import inspect
 import json
@@ -52,6 +54,15 @@ THRESHOLDS = {
          lambda med: med["gaussian"]["test_mse"] >= 100.0 * med["helmholtz"]["test_mse"]),
     ),
 }
+
+
+# Thread-count getter and setter exported by each OpenBLAS build: numpy's wheel
+# (64-bit integers), scipy's wheel, and a system OpenBLAS.
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 class ConfigError(ValueError):
@@ -358,9 +369,12 @@ def _summary_lines(rows: list[dict], title: str) -> list[str]:
     return lines
 
 
-def _setup(args, path) -> tuple[ExperimentConfig, int, Path]:
-    """Parse the config, resolve the master seed, and create the output directory."""
+def _setup(args, path, adjust=None) -> tuple[ExperimentConfig, int, Path]:
+    """Parse the config and apply `adjust` to it, resolve the master seed, and
+    create the output directory once every flag has been checked."""
     config = parse_config(path)
+    if adjust is not None:
+        config = adjust(config)
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     master = config.seed if args.seed is None else args.seed
@@ -386,19 +400,23 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _fix_hypers(config: ExperimentConfig, text: str) -> ExperimentConfig:
+    """The config with both models fixed to the `--fixed-hypers` values, if given."""
+    if not text:
+        return config
+    try:
+        sigma, lam1, lam2 = (float(v) for v in text.split(","))
+        fixed_h = rg.Hyperparameters(sigma, lam1, lam2, config.d)
+    except ValueError as err:
+        raise ConfigError(f"--fixed-hypers expects 'sigma,lambda1,lambda2', got {text!r}: {err}")
+    _check_sigma_range("--fixed-hypers", sigma)
+    return dataclasses.replace(config, fixed_helmholtz=fixed_h,
+                               fixed_gaussian=dataclasses.replace(fixed_h, lambda2=None))
+
+
 def cmd_fit(args) -> int:
     dataset = _load_dataset(args.data) if args.data else None
-    config, master, out = _setup(args, args.config)
-    if args.fixed_hypers:
-        try:
-            sigma, lam1, lam2 = (float(v) for v in args.fixed_hypers.split(","))
-            fixed_h = rg.Hyperparameters(sigma, lam1, lam2, config.d)
-        except ValueError as err:
-            raise ConfigError(f"--fixed-hypers expects 'sigma,lambda1,lambda2', "
-                              f"got {args.fixed_hypers!r}: {err}")
-        _check_sigma_range("--fixed-hypers", sigma)
-        config = dataclasses.replace(config, fixed_helmholtz=fixed_h,
-                                     fixed_gaussian=dataclasses.replace(fixed_h, lambda2=None))
+    config, master, out = _setup(args, args.config, lambda c: _fix_hypers(c, args.fixed_hypers))
     result = run_protocol(config, master, dataset)
 
     base_doc = {"config": config.resolved(), "seeds": result["seeds"]}
@@ -537,10 +555,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _openblas_thread_controls() -> list:
+    """(get, set) thread-count functions of every OpenBLAS mapped into this process.
+
+    Reads /proc/self/maps, so elsewhere, or with another BLAS, the list is empty.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread, then restore the counts.
+
+    The solves and eigendecompositions of every command are small, so BLAS
+    threads only contend with `reproduce`'s worker threads; and a fixed count
+    makes the results independent of OPENBLAS_NUM_THREADS.
+    """
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, previous):
+            put(count)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -61,7 +61,7 @@ def mass_spring_damper(m: float = 0.5, k: float = 1.0, d: float = 0.25) -> Syste
 
     def hamiltonian(x):
         q, p = np.asarray(x, dtype=float).T
-        return (0.5 * p**2 / m + 0.5 * k * q**2).T
+        return (0.5 * (p * p) / m + 0.5 * k * (q * q)).T
 
     return SystemSpec(
         name="msd",
@@ -77,7 +77,7 @@ def damped_pendulum(m: float = 1.0, l: float = 1.0, d: float = 1.2, g: float = 9
 
     def hamiltonian(x):
         q, p = np.asarray(x, dtype=float).T
-        return (0.5 * p**2 / (m * l**2) + m * g * l * (1.0 - np.cos(q))).T
+        return (0.5 * (p * p) / (m * l**2) + m * g * l * (1.0 - np.cos(q))).T
 
     return SystemSpec(
         name="pendulum",

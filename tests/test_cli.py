@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +123,7 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
         (["fit", "--config", msd, "--data", str(tmp_path / "missing.csv")], "--data"),
         (["fit", "--config", msd, "--data", str(bad_header)], "--data"),
         (["eval", "--config", msd, "--model", str(tmp_path / "missing.json")], "--model"),
+        (["fit", "--config", msd, "--fixed-hypers", "1,2"], "--fixed-hypers"),
     ]
     for argv, flag in cases:
         assert cli.main(argv + ["--out", str(out)]) == 1, argv
@@ -268,3 +273,47 @@ def test_reproduce_flags_threshold_failures(tmp_path):
     assert code == 2
     report = json.loads((out / "report.json").read_text())
     assert not all(t["passed"] for t in report["thresholds"])
+
+
+def test_main_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
+    controls = cli._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    def counts():
+        return [get() for get, _ in controls]
+
+    found, seen = counts(), []
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: seen.append(counts()))
+    try:
+        for _, put in controls:
+            put(2)
+        cli.main(["simulate", "--config", str(cli.bundled_config_path("msd")),
+                  "--out", str(tmp_path / "o")])
+        assert seen == [[1] * len(controls)]
+        assert counts() == [2] * len(controls)
+        # a failing command restores the count too
+        assert cli.main(["fit", "--config", str(tmp_path / "missing.yaml")]) == 1
+        assert counts() == [2] * len(controls)
+    finally:
+        for (_, put), count in zip(controls, found):
+            put(count)
+
+
+def test_reproduce_is_byte_identical_across_blas_threads_and_jobs(tmp_path):
+    if not cli._openblas_thread_controls():
+        pytest.skip("no OpenBLAS loaded")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        for jobs in ("1", "2"):
+            out = tmp_path / f"t{threads}j{jobs}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run([sys.executable, "-m", "helmrff.cli", "reproduce", "msd", "--seeds", "2",
+                            "--jobs", jobs, "--out", str(out)], env=env, check=True,
+                           capture_output=True, timeout=300)
+            runs[out.name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    first = runs.pop("t1j1")
+    assert len(first) == 7
+    for name, files in runs.items():
+        assert files == first, name

@@ -135,6 +135,60 @@ def test_cross_validate_tie_breaks_toward_smoothing():
     assert pick.lambda2 == 1e-2
 
 
+def test_cross_validate_tie_tolerance_prefers_smoothing(monkeypatch):
+    # Every candidate scores 1 + gap except the weakest smoothing (smallest
+    # sigma, lambda1, lambda2), which scores 1.  A gap of 1e-7 is a tie within
+    # CV_TIE_RTOL, so the strongest smoothing wins; a gap of 1e-5 is not.
+    space = ev.SearchSpace(sigmas=np.array([0.5, 1.0, 2.0]),
+                           lambda1s=np.array([1e-4, 1e-1]),
+                           lambda2s=np.array([1e-5, 1e-2]), folds=3, d=8)
+    for gap, expected in ((1e-7, (2.0, 1e-1, 1e-2)), (1e-5, (0.5, 1e-4, 1e-5))):
+        calls = []
+
+        def fold_mse(g_tt, g_vt, x_t, x_v, lams, n_train, n_val):
+            calls.append(1)
+            out = np.full((lams[0].size, lams[1].size), 1.0 + gap)
+            if len(calls) > 2 * space.folds:  # sigmas run from largest to smallest
+                out[-1, -1] = 1.0
+            return out
+
+        monkeypatch.setattr(ev, "_fold_mse", fold_mse)
+        pick = ev.cross_validate(toy_dataset(2), space, seed=0)
+        assert (pick.sigma, pick.lambda1, pick.lambda2) == expected, gap
+
+
+def _lu_fold_mse(g_tt, g_vt, x_t, x_v, lams, n_train, n_val):
+    """Reference scorer: one LU solve of the dual system per ridge-weight combination."""
+    scores = np.empty(tuple(lam.size for lam in lams))
+    for idx in np.ndindex(scores.shape):
+        weights = [lam[i] for lam, i in zip(lams, idx)]
+        M = sum(g / w for g, w in zip(g_tt, weights)) + n_train * np.eye(len(x_t))
+        c = np.linalg.solve(M, x_t)
+        pred = sum(g @ c / w for g, w in zip(g_vt, weights))
+        scores[idx] = np.sum((pred - x_v) ** 2) / n_val
+    return scores
+
+
+@pytest.mark.parametrize("maps", [1, 2])
+def test_fold_mse_matches_lu_reference(maps):
+    # random PSD Grams G = Phi^T Phi with a spread of feature scales, over
+    # the default 17-value ridge grids, split like one fold of N = 24 samples
+    rng = np.random.default_rng(maps)
+    lams = [np.sort(ev.default_search_space().lambda1s)[::-1]] * maps
+    train, val = np.arange(19), np.arange(19, 24)
+    ct, cv = ev._sample_columns(train, 2), ev._sample_columns(val, 2)
+    grams = []
+    for _ in range(maps):
+        phi = rng.normal(size=(200, 48)) * np.logspace(0.0, -6.0, 200)[:, None]
+        grams.append(phi.T @ phi)
+    x = rng.normal(size=48)
+    args = ([g[np.ix_(ct, ct)] for g in grams], [g[np.ix_(cv, ct)] for g in grams],
+            x[ct], x[cv], lams, len(train), len(val))
+    got = ev._fold_mse(*args)
+    assert got.shape == (17,) * maps
+    assert_allclose(got, _lu_fold_mse(*args), rtol=1e-6)
+
+
 def test_cross_validate_is_deterministic():
     ds = pendulum_dataset()
     space = ev.SearchSpace(sigmas=np.array([0.7, 1.5]),

@@ -7,7 +7,7 @@ states are grouped.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
@@ -33,6 +33,10 @@ def per_state(fn, X):
 
 @properties
 @given(systems, batches)
+# Energies written with `**2` failed here: a scalar `np.float64 ** 2` goes through
+# `pow` and can round differently from the array square.
+@example("msd", np.array([[6.21539061583826, -7.253990778484905]]))
+@example("pendulum", np.array([[6.21539061583826, -7.253990778484905]]))
 def test_batched_field_and_energy_equal_per_state_evaluation(name, X):
     system = SYSTEMS[name]
     field, energy = system.field(X), system.hamiltonian(X)
