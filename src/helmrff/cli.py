@@ -11,6 +11,7 @@ import ctypes
 import dataclasses
 import inspect
 import json
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -54,15 +55,6 @@ THRESHOLDS = {
          lambda med: med["gaussian"]["test_mse"] >= 100.0 * med["helmholtz"]["test_mse"]),
     ),
 }
-
-
-# Thread-count getter and setter exported by each OpenBLAS build: numpy's wheel
-# (64-bit integers), scipy's wheel, and a system OpenBLAS.
-_OPENBLAS_THREAD_FUNCTIONS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
 
 
 class ConfigError(ValueError):
@@ -559,6 +551,9 @@ def _openblas_thread_controls() -> list:
     """(get, set) thread-count functions of every OpenBLAS mapped into this process.
 
     Reads /proc/self/maps, so elsewhere, or with another BLAS, the list is empty.
+    A file `lib<prefix>openblas...` exports `<prefix>openblas_get_num_threads`,
+    with a `64_` suffix in builds with 64-bit integers: numpy's wheel prefixes
+    its build and uses 64-bit integers, a system OpenBLAS usually does neither.
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -572,7 +567,10 @@ def _openblas_thread_controls() -> list:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
+        match = re.match(r"lib(.*?)openblas", Path(path).name)
+        prefix = match.group(1) if match else ""
+        for suffix in ("64_", ""):
+            get_name, set_name = (f"{prefix}openblas_{op}_num_threads{suffix}" for op in ("get", "set"))
             if hasattr(lib, get_name) and hasattr(lib, set_name):
                 get, put = getattr(lib, get_name), getattr(lib, set_name)
                 get.argtypes, get.restype = [], ctypes.c_int

@@ -2,23 +2,18 @@
 exact-kernel oracle, plus the fitted-model types.
 
 All fits minimize a regularized least-squares objective over feature
-coefficients; the solve is a symmetric positive-definite factorization with
-a least-squares fallback.  Models are immutable after fitting and safe to
-share across threads.
+coefficients with one linear solve on the smaller of the primal and dual
+systems.  Models are immutable after fitting and safe to share across
+threads.
 """
 
 from dataclasses import dataclass
 from functools import wraps
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from . import features as ft
 from .kernels import gram_matrix, kernel_blocks, symplectic_matrix
-
-# Above this coefficient count the primal normal matrix is formed no more;
-# the algebraically identical dual solve works on the (n N) x (n N) system.
-_PRIMAL_LIMIT = 2048
 
 _EXACT_N_LIMIT = 200
 
@@ -263,64 +258,42 @@ def assemble_design(dataset: Dataset, basis_c: ft.FeatureBasis, basis_s: ft.Feat
     ])
 
 
-def _spd_solver(A: np.ndarray):
-    """Solve function for a symmetric positive-definite matrix.
-
-    Factors A by Cholesky once; if rounding spoils a positive pivot, falls
-    back to least squares.
-    """
-    try:
-        factor = cho_factor(A, lower=True)
-    except LinAlgError:
-        return lambda b: np.linalg.lstsq(A, b, rcond=None)[0]
-    return lambda b: cho_solve(factor, b)
-
-
 def solve_ridge(design: np.ndarray, targets: np.ndarray, lam_diag: np.ndarray, n_samples: int) -> np.ndarray:
     """Minimize (1/N)||design^T xi - targets||^2 + xi^T diag(lam) xi.
 
-    Solves (design design^T + N diag(lam)) xi = design targets by Cholesky
-    factorization, falling back to least squares if rounding spoils the
-    positive pivots.  Above _PRIMAL_LIMIT coefficients the same minimizer
-    is computed through the dual (Woodbury) form, which only factors an
-    (nN x nN) matrix.  A few iterative-refinement sweeps keep the relative
-    residual of the primal normal equations within tolerance; failure to
-    get there raises rather than returning a bad solution.
+    Solves whichever system is smaller.  With at most nN coefficients that is
+    the primal (design design^T + N diag(lam)) xi = design targets; otherwise
+    the dual (design^T W design + N lam_min I) c = targets with
+    W = diag(lam_min / lam), whose solution gives xi = W design c.  Weighting
+    by lam_min / lam <= 1 rather than dividing by lam keeps tiny ridge weights
+    from overflowing.  A few iterative-refinement sweeps keep the relative
+    residual of the solved system within tolerance; failure to get there,
+    non-finite input included, raises rather than returning a bad solution.
     """
-    D, M = design.shape
-    rhs = design @ targets
-    nlam = n_samples * lam_diag
-
-    def apply_normal_eq(v):
-        return design @ (design.T @ v) + nlam * v
-
-    if D <= _PRIMAL_LIMIT:
+    primal = design.shape[0] <= design.shape[1]
+    if primal:
         A = design @ design.T
-        A[np.diag_indices_from(A)] += nlam
-        solve = _spd_solver(A)
+        A[np.diag_indices_from(A)] += n_samples * lam_diag
+        b = design @ targets
     else:
-        scaled = design / lam_diag[:, None]
-        B = design.T @ scaled
-        B[np.diag_indices_from(B)] += n_samples
-        inner = _spd_solver(B)
+        lam_min = lam_diag.min()
+        weighted = (lam_min / lam_diag)[:, None] * design
+        A = design.T @ weighted
+        A[np.diag_indices_from(A)] += n_samples * lam_min
+        b = targets
 
-        def solve(b):
-            # Woodbury inverse of (design design^T + N diag(lam)).
-            u = b / nlam
-            return u - scaled @ inner(design.T @ u)
-
-    xi = solve(rhs)
-    scale = np.linalg.norm(rhs)
+    x = np.linalg.solve(A, b)
+    scale = np.linalg.norm(b)
     rel = np.inf
     for _ in range(4):
-        residual = rhs - apply_normal_eq(xi)
+        residual = b - A @ x
         rel = np.linalg.norm(residual) / scale if scale > 0 else np.linalg.norm(residual)
         if rel <= 0.1 * _RESIDUAL_TOL:
             break
-        xi = xi + solve(residual)
-    if rel > _RESIDUAL_TOL:
+        x = x + np.linalg.solve(A, residual)
+    if not rel <= _RESIDUAL_TOL:
         raise RuntimeError(f"ridge solve left relative residual {rel:.3e} > {_RESIDUAL_TOL:g}")
-    return xi
+    return x if primal else weighted @ x
 
 
 def fit_helmholtz(dataset: Dataset, hyper: Hyperparameters, seed: int) -> HelmholtzModel:
@@ -376,7 +349,7 @@ def fit_exact_kernel(dataset: Dataset, kind: str, sigma: float, lam: float) -> E
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     G = gram_matrix(kind, dataset.states, sigma)
-    coeffs = _spd_solver(G + len(dataset) * lam * np.eye(G.shape[0]))(dataset.target_vector())
+    coeffs = np.linalg.solve(G + len(dataset) * lam * np.eye(G.shape[0]), dataset.target_vector())
     return ExactKernelModel(
         coefficients=coeffs.reshape(len(dataset), dataset.dim),
         anchors=dataset.states.copy(),

@@ -317,3 +317,14 @@ def test_reproduce_is_byte_identical_across_blas_threads_and_jobs(tmp_path):
     assert len(first) == 7
     for name, files in runs.items():
         assert files == first, name
+
+
+def test_runtime_imports_no_scipy():
+    """scipy is a test-only dependency: importing the package and its CLI never loads it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, helmrff, helmrff.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "[]"

@@ -199,23 +199,23 @@ def test_closed_form_is_a_local_minimum():
         assert rg.baseline_objective(bumped, ds) >= bbase
 
 
-def test_dual_solver_agrees_with_primal(monkeypatch):
-    """Large feature budgets take the dual route; both give the same model."""
+def test_non_finite_design_raises_naming_the_residual():
+    """An inf entry leaves a NaN residual in both forms, which must not pass the check."""
+    rng = np.random.default_rng(12)
+    for rows, cols in ((4, 8), (8, 4)):
+        design = rng.normal(size=(rows, cols))
+        design[0, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="residual"):
+            rg.solve_ridge(design, rng.normal(size=cols), np.full(rows, 1e-3), cols // 2)
+
+
+def test_tiny_ridge_weights_on_the_dual_side():
+    """The smallest ridge weight the config accepts neither overflows nor loses the fit."""
     ds = random_dataset(6, 10)
-    hyp = rg.Hyperparameters(1.0, 1e-3, 1e-4, d=48)
-    primal = hr.fit_helmholtz(ds, hyp, seed=5)
-    monkeypatch.setattr(rg, "_PRIMAL_LIMIT", 8)
-    dual = hr.fit_helmholtz(ds, hyp, seed=5)
-    assert_allclose(dual.alpha, primal.alpha, rtol=0, atol=1e-9)
-    assert_allclose(dual.beta, primal.beta, rtol=0, atol=1e-9)
-
-
-def test_spd_solver_falls_back_to_least_squares():
-    """An indefinite matrix makes Cholesky fail; the fallback still solves exactly."""
-    A = np.array([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(np.linalg.LinAlgError):
-        rg.cho_factor(A, lower=True)
-    assert_allclose(rg._spd_solver(A)(np.array([1.0, -1.0])), [-1.0, 1.0], rtol=0, atol=1e-14)
+    model = hr.fit_helmholtz(ds, rg.Hyperparameters(1.0, 1e-300, 1e-300, d=2000), seed=5)
+    assert np.all(np.isfinite(model.alpha)) and np.all(np.isfinite(model.beta))
+    # a vanishing ridge interpolates the training derivatives
+    assert_allclose(model.predict(ds.states), ds.derivatives, rtol=0, atol=1e-6)
 
 
 # ------------------------------------------------------ model predictions
