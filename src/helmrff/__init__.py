@@ -16,11 +16,8 @@ from .features import (
     split_seed,
 )
 from .kernels import (
-    curl_free_kernel,
-    gaussian_kernel,
     odd_curl_free_kernel,
     odd_symplectic_kernel,
-    symplectic_kernel,
     symplectic_matrix,
 )
 from .regression import (
@@ -73,13 +70,11 @@ __all__ = [
     "SystemSpec",
     "Trajectory",
     "cross_validate",
-    "curl_free_kernel",
     "damped_pendulum",
     "default_search_space",
     "fit_baseline",
     "fit_exact_kernel",
     "fit_helmholtz",
-    "gaussian_kernel",
     "generate_dataset",
     "integrate_rk4",
     "make_test_set",
@@ -90,7 +85,6 @@ __all__ = [
     "sample_basis",
     "split_seed",
     "stream_grid",
-    "symplectic_kernel",
     "symplectic_matrix",
     "vector_field_mse",
 ]

@@ -97,6 +97,15 @@ def _point(node, key: str) -> np.ndarray:
     return np.asarray(node, dtype=float)
 
 
+def _end_time(doc: dict, key: str, h: float) -> float:
+    t_end = _number(doc, key, minimum=h)
+    try:
+        sy.whole_steps(h, t_end)
+    except ValueError as err:
+        _fail(key, str(err))
+    return t_end
+
+
 def _check_sigma_range(key: str, values):
     lo, hi = SIGMA_RANGE
     for v in np.atleast_1d(values):
@@ -224,7 +233,7 @@ def parse_config(path) -> ExperimentConfig:
     ics = np.array([_point(ic, f"data.initial_conditions[{i}]") for i, ic in enumerate(ic_node)])
 
     h = _number(doc, "data.h", minimum=1e-12)
-    t_end = _number(doc, "data.t_end", minimum=h)
+    t_end = _end_time(doc, "data.t_end", h)
     include_t0 = _lookup(doc, "data.include_t0", True)
     if not isinstance(include_t0, bool):
         _fail("data.include_t0", f"expected a boolean, got {include_t0!r}")
@@ -232,7 +241,7 @@ def parse_config(path) -> ExperimentConfig:
 
     test_x0 = _point(_lookup(doc, "test.x0"), "test.x0")
     test_h = _number(doc, "test.h", minimum=1e-12, default=h)
-    test_t_end = _number(doc, "test.t_end", minimum=test_h)
+    test_t_end = _end_time(doc, "test.t_end", test_h)
 
     d = int(_number(doc, "model.d", minimum=1, default=200.0))
     if d % 2:
@@ -245,10 +254,9 @@ def parse_config(path) -> ExperimentConfig:
     _check_sigma_range("search.sigma_grid", sigma_grid)
 
     fixed = {}
-    hp = doc.get("hyperparameters") or {}
     for model, lambda_keys in (("helmholtz", ("lambda1", "lambda2")), ("gaussian", ("lambda",))):
         key = f"hyperparameters.{model}"
-        if model not in hp:
+        if _lookup(doc, key, None) is None:
             fixed[model] = None
             continue
         sigma = _number(doc, f"{key}.sigma", minimum=SIGMA_RANGE[0])

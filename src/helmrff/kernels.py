@@ -9,9 +9,7 @@ import numpy as np
 
 __all__ = [
     "symplectic_matrix",
-    "gaussian_kernel",
-    "curl_free_kernel",
-    "symplectic_kernel",
+    "kernel_blocks",
     "odd_curl_free_kernel",
     "odd_symplectic_kernel",
     "gram_matrix",
@@ -41,14 +39,6 @@ def _check_sigma(sigma: float) -> float:
     return float(sigma)
 
 
-def gaussian_kernel(x, z, sigma: float) -> float:
-    """Scalar Gaussian kernel exp(-||x - z||^2 / (2 sigma^2))."""
-    x, z = _check_pair(x, z)
-    sigma = _check_sigma(sigma)
-    u = x - z
-    return float(np.exp(-u @ u / (2.0 * sigma**2)))
-
-
 def _curl_free_blocks(U, sigma: float) -> np.ndarray:
     s2 = sigma**2
     scale = np.exp(-np.sum(U * U, axis=-1) / (2.0 * s2)) / s2
@@ -73,18 +63,19 @@ _ODD = {
 }
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in _EVEN and kind not in _ODD:
-        raise ValueError(f"unknown kernel kind {kind!r}; choose from {sorted(_EVEN) + sorted(_ODD)}")
-
-
 def kernel_blocks(kind: str, X, Z, sigma: float) -> np.ndarray:
     """All kernel blocks K(x_i, z_j) between two point sets, (M, N, n, n).
 
-    Even kinds evaluate at the differences x_i - z_j; an odd kind is
-    (K(x - z) - K(x + z)) / 2 summed over its even parts.
+    The even kinds evaluate at u = x - z:
+        curl-free   G_c(u) = (1/sigma^2) exp(-u.u / (2 sigma^2)) (I - u u^T / sigma^2),
+                    the negative Hessian of the scalar Gaussian, so its
+                    columns are gradient fields;
+        symplectic  G_s(u) = J G_c(u) J^T, divergence-free; needs an even n.
+    An odd kind is (G(x - z) - G(x + z)) / 2 summed over its even parts:
+    'odd-curl-free', 'odd-symplectic', and 'helmholtz' for both.
     """
-    _check_kind(kind)
+    if kind not in _EVEN and kind not in _ODD:
+        raise ValueError(f"unknown kernel kind {kind!r}; choose from {sorted(_EVEN) + sorted(_ODD)}")
     sigma = _check_sigma(sigma)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
@@ -96,43 +87,17 @@ def kernel_blocks(kind: str, X, Z, sigma: float) -> np.ndarray:
     return sum(parts[1:], parts[0])
 
 
-def curl_free_kernel(x, z, sigma: float) -> np.ndarray:
-    """Curl-free kernel: negative Hessian of the scalar Gaussian.
-
-    Returns the n x n matrix
-        (1/sigma^2) exp(-u.u / (2 sigma^2)) (I - u u^T / sigma^2),  u = x - z.
-    Every column is the gradient of a scalar field, so functions built from
-    this kernel are gradient fields.
-    """
-    return kernel_by_kind("curl-free")(x, z, sigma)
-
-
-def symplectic_kernel(x, z, sigma: float) -> np.ndarray:
-    """Divergence-free kernel J G_c(x - z) J^T; requires even dimension."""
-    return kernel_by_kind("symplectic")(x, z, sigma)
-
-
 def odd_curl_free_kernel(x, z, sigma: float) -> np.ndarray:
-    """Antisymmetrized curl-free kernel (G_c(x-z) - G_c(x+z)) / 2.
+    """Antisymmetrized curl-free kernel (G_c(x-z) - G_c(x+z)) / 2 at one pair of states.
 
     Functions in the induced space are odd gradient fields: f(-x) = -f(x).
     """
-    return kernel_by_kind("odd-curl-free")(x, z, sigma)
+    return kernel_blocks("odd-curl-free", *_check_pair(x, z), sigma)[0, 0]
 
 
 def odd_symplectic_kernel(x, z, sigma: float) -> np.ndarray:
-    """Antisymmetrized symplectic kernel (G_s(x-z) - G_s(x+z)) / 2."""
-    return kernel_by_kind("odd-symplectic")(x, z, sigma)
-
-
-def kernel_by_kind(kind: str):
-    """Look up a matrix kernel by name; 'helmholtz' is the two-kernel sum."""
-    _check_kind(kind)
-
-    def kernel(x, z, sigma: float) -> np.ndarray:
-        x, z = _check_pair(x, z)
-        return kernel_blocks(kind, x, z, sigma)[0, 0]
-    return kernel
+    """Antisymmetrized symplectic kernel (G_s(x-z) - G_s(x+z)) / 2 at one pair of states."""
+    return kernel_blocks("odd-symplectic", *_check_pair(x, z), sigma)[0, 0]
 
 
 def gram_matrix(kind: str, points, sigma: float) -> np.ndarray:

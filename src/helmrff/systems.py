@@ -90,15 +90,28 @@ def damped_pendulum(m: float = 1.0, l: float = 1.0, d: float = 1.2, g: float = 9
 SYSTEM_FACTORIES = {"msd": mass_spring_damper, "pendulum": damped_pendulum}
 
 
+def whole_steps(h: float, t_end: float) -> int:
+    """The number of steps h from t = 0 that end at t_end.
+
+    t_end / h must be a whole number to a relative 1e-9; any other span
+    would end before or past t_end, so it raises.
+    """
+    if h <= 0 or t_end <= 0 or h > t_end:
+        raise ValueError(f"need 0 < h <= t_end, got h={h}, t_end={t_end}")
+    ratio = t_end / h
+    if not (ratio < np.inf and abs(ratio - round(ratio)) <= 1e-9 * ratio):
+        raise ValueError(f"t_end={t_end} is not a whole number of steps h={h} (t_end / h = {ratio:.12g})")
+    return round(ratio)
+
+
 def integrate_rk4(field, x0, h: float, t_end: float) -> Trajectory:
     """Classical fixed-step 4th-order Runge-Kutta from t = 0 to t_end.
 
     `x0` is one state (n,) or a batch (B, n) stepped together; states (T, n)
     or (T, B, n) are stored at every step, including the initial condition.
+    t_end must be a whole number of steps h (see `whole_steps`).
     """
-    if h <= 0 or t_end <= 0 or h > t_end:
-        raise ValueError(f"need 0 < h <= t_end, got h={h}, t_end={t_end}")
-    steps = int(round(t_end / h))
+    steps = whole_steps(h, t_end)
     x = np.asarray(x0, dtype=float).copy()
     states = np.empty((steps + 1,) + x.shape)
     states[0] = x

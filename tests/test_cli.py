@@ -87,6 +87,29 @@ def test_parse_errors_name_the_offending_key(tmp_path):
         cli.parse_config(ridge)
 
 
+def test_end_times_must_be_whole_steps(tmp_path):
+    # msd samples every 0.25 to t = 1.0 and tests to t = 20.0 at the same step
+    for key, overrides in (("data.t_end", {"data.h": 0.35}),
+                           ("test.t_end", {"test.t_end": 20.1}),
+                           ("test.t_end", {"test.h": 0.3})):
+        path = write_config(tmp_path, "msd", **overrides)
+        with pytest.raises(cli.ConfigError, match=rf"'{key}': t_end=.* is not a whole number of steps"):
+            cli.parse_config(path)
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("msd", {}),
+    ("pendulum", {}),
+    ("msd", {"hyperparameters.helmholtz": {"sigma": 0.5, "lambda1": 1e-4, "lambda2": 1e-6}}),
+], ids=["msd", "pendulum", "msd-fixed-helmholtz"])
+def test_resolved_config_parses_back(tmp_path, name, overrides):
+    """The config echoed into every artifact is itself a valid config."""
+    config = cli.parse_config(write_config(tmp_path, name, **overrides))
+    echo = tmp_path / "echo.yaml"
+    echo.write_text(yaml.safe_dump(config.resolved()))
+    assert cli.parse_config(echo).resolved() == config.resolved()
+
+
 def test_kernel_width_range_is_enforced(tmp_path):
     path = write_config(tmp_path, "msd", **{"search.sigma_grid": [1e-7, 1.0]})
     with pytest.raises(cli.ConfigError, match="sigma_grid"):

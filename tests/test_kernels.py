@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import helmrff
 from helmrff import kernels as kn
 
 
@@ -28,20 +29,14 @@ def test_symplectic_matrix_structure():
     assert_allclose(J2 @ J2, -np.eye(4))
 
 
-def test_gaussian_kernel_values():
-    x = np.array([1.0, 0.0])
-    z = np.zeros(2)
-    assert kn.gaussian_kernel(x, x, 1.0) == 1.0
-    assert_allclose(kn.gaussian_kernel(x, z, 1.0), np.exp(-0.5))
-    # symmetric in its arguments
-    assert kn.gaussian_kernel(x, z, 0.3) == kn.gaussian_kernel(z, x, 0.3)
-    # wider kernel decays slower
-    assert kn.gaussian_kernel(x, z, 2.0) > kn.gaussian_kernel(x, z, 0.5)
+def pair(kind, x, z, sigma):
+    """The single block K(x, z) of the vectorised routine."""
+    return kn.kernel_blocks(kind, x, z, sigma)[0, 0]
 
 
 def test_curl_free_kernel_example():
     # at u = (1, 0), sigma = 1: e^{-1/2} (I - u u^T)
-    G = kn.curl_free_kernel(np.array([1.0, 0.0]), np.zeros(2), 1.0)
+    G = pair("curl-free", np.array([1.0, 0.0]), np.zeros(2), 1.0)
     assert_allclose(G, np.exp(-0.5) * np.diag([0.0, 1.0]), atol=1e-15)
 
 
@@ -55,26 +50,26 @@ def test_curl_free_is_negative_hessian_of_gaussian():
         return np.exp(-(u @ u) / (2 * sigma**2))
 
     H = fd_hessian(g, x - z)
-    assert_allclose(kn.curl_free_kernel(x, z, sigma), -H, atol=1e-5)
+    assert_allclose(pair("curl-free", x, z, sigma), -H, atol=1e-5)
 
 
 def test_symplectic_kernel_is_conjugated_curl_free():
     x = np.array([0.7, 0.1])
     z = np.array([-0.4, 0.9])
     J = kn.symplectic_matrix(1)
-    Gc = kn.curl_free_kernel(x, z, 1.3)
-    assert_allclose(kn.symplectic_kernel(x, z, 1.3), J @ Gc @ J.T, atol=1e-15)
+    Gc = pair("curl-free", x, z, 1.3)
+    assert_allclose(pair("symplectic", x, z, 1.3), J @ Gc @ J.T, atol=1e-15)
     # the worked example: conjugation swaps the diagonal at u = (1, 0)
-    Gs = kn.symplectic_kernel(np.array([1.0, 0.0]), np.zeros(2), 1.0)
+    Gs = pair("symplectic", np.array([1.0, 0.0]), np.zeros(2), 1.0)
     assert_allclose(Gs, np.exp(-0.5) * np.diag([1.0, 0.0]), atol=1e-15)
 
 
 def test_odd_kernels_antisymmetrize():
     x = np.array([0.3, -0.8])
     z = np.array([0.5, 0.2])
-    for odd, even in ((kn.odd_curl_free_kernel, kn.curl_free_kernel),
-                      (kn.odd_symplectic_kernel, kn.symplectic_kernel)):
-        expected = 0.5 * (even(x, z, 1.1) - even(x, -z, 1.1))
+    for odd, even in ((kn.odd_curl_free_kernel, "curl-free"),
+                      (kn.odd_symplectic_kernel, "symplectic")):
+        expected = 0.5 * (pair(even, x, z, 1.1) - pair(even, x, -z, 1.1))
         assert_allclose(odd(x, z, 1.1), expected, atol=1e-15)
         # odd in each argument
         assert_allclose(odd(-x, z, 1.1), -odd(x, z, 1.1), atol=1e-15)
@@ -110,11 +105,15 @@ def test_gram_matrix_blocks_and_psd():
         G = kn.gram_matrix(kind, pts, 0.9)
         assert G.shape == (12, 12)
         assert_array_equal(G, G.T)
-        # spot-check blocks against the closed form
-        for i, j in ((4, 1), (0, 5), (2, 2)):
-            expected = closed_form_kernel(kind, pts[i], pts[j], 0.9)
-            assert_allclose(G[2 * i:2 * i + 2, 2 * j:2 * j + 2], expected, atol=1e-14)
-            assert_allclose(kn.kernel_by_kind(kind)(pts[i], pts[j], 0.9), expected, atol=1e-14)
+        # every block, of the Gram matrix and between two point sets, against the closed form
+        cross = kn.kernel_blocks(kind, pts[:4], pts[1:], 0.9)
+        assert cross.shape == (4, 5, 2, 2)
+        for i in range(6):
+            for j in range(6):
+                expected = closed_form_kernel(kind, pts[i], pts[j], 0.9)
+                assert_allclose(G[2 * i:2 * i + 2, 2 * j:2 * j + 2], expected, atol=1e-14)
+                if i < 4 and j > 0:
+                    assert_allclose(cross[i, j - 1], expected, atol=1e-14)
         eigs = np.linalg.eigvalsh(G)
         assert eigs.min() >= -1e-10 * max(eigs.max(), 1.0)
 
@@ -129,16 +128,27 @@ def test_gram_matrix_helmholtz_kind_sums_both_odd_kernels():
 
 
 def test_dimension_and_sigma_validation():
-    with pytest.raises(ValueError):
-        kn.gaussian_kernel(np.zeros(2), np.zeros(3), 1.0)
-    with pytest.raises(ValueError):
-        kn.curl_free_kernel(np.zeros(2), np.zeros(2), 0.0)
-    with pytest.raises(ValueError):
-        kn.curl_free_kernel(np.zeros(2), np.zeros(2), -1.0)
+    # the per-pair helpers take two vectors of equal length, never point sets
+    for x, z in ((np.zeros(2), np.zeros(3)), (np.zeros((2, 2)), np.zeros((2, 2)))):
+        with pytest.raises(ValueError, match="two vectors"):
+            kn.odd_curl_free_kernel(x, z, 1.0)
+        with pytest.raises(ValueError, match="two vectors"):
+            kn.odd_symplectic_kernel(x, z, 1.0)
+    for sigma in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="kernel width"):
+            kn.kernel_blocks("curl-free", np.zeros(2), np.zeros(2), sigma)
     with pytest.raises(ValueError):
         # symplectic structure needs an even state dimension
         kn.odd_symplectic_kernel(np.zeros(3), np.zeros(3), 1.0)
     with pytest.raises(ValueError):
         kn.gram_matrix("no-such-kernel", np.zeros((2, 2)), 1.0)
-    with pytest.raises(ValueError):
-        kn.kernel_by_kind("no-such-kernel")
+    with pytest.raises(ValueError, match="unknown kernel kind"):
+        kn.kernel_blocks("no-such-kernel", np.zeros(2), np.zeros(2), 1.0)
+
+
+@pytest.mark.parametrize("module", [helmrff, kn], ids=["helmrff", "helmrff.kernels"])
+def test_every_export_resolves(module):
+    """A name still listed in __all__ after its definition is gone fails here."""
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing
+    assert len(set(module.__all__)) == len(module.__all__)

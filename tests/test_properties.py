@@ -1,11 +1,16 @@
-"""Property tests for the batch contract of the system layer and the ridge solve.
+"""Property tests for the batch contract of the system layer, the ridge
+solve, and the structure of the kernels and fitted models.
 
 Fields and energies accept one state (n,) or any batch (..., n), and RK4
 steps a batch (B, n) of initial conditions together.  Batched results must
 equal per-state evaluation bit for bit, so artifacts do not depend on how
 states are grouped.  The ridge solve must give the least-squares minimizer
-on either side of its primal/dual switch.
+on either side of its primal/dual switch.  Oddness, evenness and symmetry
+hold exactly, not to a tolerance: each follows from IEEE negation and
+commutativity, and the fitted models inherit them from sin and cos.
 """
+
+import json
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
 import helmrff as hr
+from helmrff import kernels as kn
 from helmrff import regression as rg
 
 SYSTEMS = {"msd": hr.mass_spring_damper(0.5, 1.0, 0.25),
@@ -92,3 +98,50 @@ def test_solve_ridge_matches_stacked_least_squares(problem):
     # the objective at xi = 0 bounds ||xi|| by ||targets|| / sqrt(N lam_min)
     scale = np.linalg.norm(targets) / np.sqrt(n_samples * lam.min())
     assert np.linalg.norm(xi - reference) <= 1e-9 * scale
+
+
+def point_sets(max_points):
+    return st.integers(1, max_points).flatmap(
+        lambda m: arrays(np.float64, (m, 2), elements=st.floats(-5.0, 5.0)))
+
+
+widths = st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e)
+ODD_KINDS = ("odd-curl-free", "odd-symplectic", "helmholtz")
+
+
+@properties
+@given(st.sampled_from(ODD_KINDS), point_sets(5), point_sets(5), widths)
+def test_odd_kernels_are_exactly_odd_in_each_argument(kind, X, Z, sigma):
+    K = kn.kernel_blocks(kind, X, Z, sigma)
+    assert_array_equal(kn.kernel_blocks(kind, -X, Z, sigma), -K)
+    assert_array_equal(kn.kernel_blocks(kind, X, -Z, sigma), -K)
+
+
+@properties
+@given(st.sampled_from(("curl-free", "symplectic") + ODD_KINDS), point_sets(6), widths)
+def test_gram_matrix_is_exactly_symmetric(kind, X, sigma):
+    G = kn.gram_matrix(kind, X, sigma)
+    assert G.shape == (2 * len(X), 2 * len(X))
+    assert_array_equal(G, G.T)
+
+
+fitted_models = st.builds(
+    lambda data, sigma, log_lam, d, seed: rg.fit_helmholtz(
+        rg.Dataset(data[:, :2], data[:, 2:]),
+        rg.Hyperparameters(sigma, 10.0 ** log_lam[0], 10.0 ** log_lam[1], d), seed),
+    st.integers(1, 6).flatmap(lambda N: arrays(np.float64, (N, 4), elements=st.floats(-3.0, 3.0))),
+    widths,
+    st.tuples(st.floats(-8.0, 0.0), st.floats(-8.0, 0.0)),
+    st.integers(1, 24),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@properties
+@given(fitted_models, point_sets(8))
+def test_fitted_helmholtz_model_structure(model, Q):
+    assert_array_equal(model.predict(-Q), -model.predict(Q))
+    assert_array_equal(model.hamiltonian(-Q), model.hamiltonian(Q))
+    reloaded = rg.HelmholtzModel.from_json(json.loads(json.dumps(model.to_json())))
+    assert_array_equal(reloaded.predict(Q), model.predict(Q))
+    assert_array_equal(reloaded.hamiltonian(Q), model.hamiltonian(Q))

@@ -53,6 +53,18 @@ def test_rk4_trivial_fields():
     assert_allclose(drift.states, drift.times[:, None] * np.ones(2), atol=1e-15)
 
 
+def test_rk4_takes_whole_steps_only():
+    zero = lambda x: np.zeros(2)
+    tr = hr.integrate_rk4(zero, np.zeros(2), 0.1, 0.7)
+    assert len(tr.times) == 8 and abs(tr.times[-1] - 0.7) < 1e-15
+    # 1.0 / 0.35 would end at 1.05 and 1.0 / 0.45 at 0.9
+    for h in (0.35, 0.45):
+        with pytest.raises(ValueError, match=rf"t_end=1.0 is not a whole number of steps h={h}"):
+            hr.integrate_rk4(zero, np.zeros(2), h, 1.0)
+    with pytest.raises(ValueError, match="h <= t_end"):
+        hr.integrate_rk4(zero, np.zeros(2), 2.0, 1.0)
+
+
 def test_rk4_conserves_energy_without_damping():
     system = hr.mass_spring_damper(0.5, 1.0, 0.0)
     tr = hr.integrate_rk4(system.field, np.array([2.0, 0.0]), 0.001, 10.0)
