@@ -106,11 +106,24 @@ def _end_time(doc: dict, key: str, h: float) -> float:
     return t_end
 
 
+def _reject_unknown(doc: dict, known: dict, prefix: str = ""):
+    """Fail on the first key of `doc` missing from `known`, at every level where both are mappings."""
+    for key, node in doc.items():
+        if key not in known:
+            _fail(f"{prefix}{key}", f"unknown key; expected one of {sorted(known)}")
+        if isinstance(node, dict) and isinstance(known[key], dict):
+            _reject_unknown(node, known[key], f"{prefix}{key}.")
+
+
 def _check_sigma_range(key: str, values):
     lo, hi = SIGMA_RANGE
     for v in np.atleast_1d(values):
         if not (lo <= v <= hi):
             _fail(key, f"kernel width {v:g} outside the supported range [{lo:g}, {hi:g}]")
+
+
+# The ridge-weight keys of a fixed hyperparameter block, by model.
+FIXED_LAMBDAS = {"helmholtz": ("lambda1", "lambda2"), "gaussian": ("lambda",)}
 
 
 @dataclass(frozen=True)
@@ -173,9 +186,11 @@ class ExperimentConfig:
                 "sigma_grid": self.sigma_grid.tolist(),
                 "lambda_grid": self.lambda_grid.tolist(),
             },
+            # A fixed block in the keys the reader takes; a tuned one as null.
             "hyperparameters": {
-                "helmholtz": None if self.fixed_helmholtz is None else self.fixed_helmholtz.to_json(),
-                "gaussian": None if self.fixed_gaussian is None else self.fixed_gaussian.to_json(),
+                model: None if hyper is None else
+                dict(zip(("sigma",) + keys, (hyper.sigma, hyper.lambda1, hyper.lambda2)))
+                for (model, keys), hyper in zip(FIXED_LAMBDAS.items(), (self.fixed_helmholtz, self.fixed_gaussian))
             },
             "seed": self.seed,
             "output_dir": self.output_dir,
@@ -197,6 +212,7 @@ def _log_grid(doc: dict, key: str, default) -> np.ndarray:
         return grid
     if not isinstance(node, dict):
         _fail(key, f"expected a list or a log-grid mapping, got {node!r}")
+    _reject_unknown(node, dict.fromkeys(("log10_start", "log10_stop", "count")), f"{key}.")
     count = int(_number(doc, f"{key}.count", minimum=1))
     return np.logspace(_number(doc, f"{key}.log10_start"), _number(doc, f"{key}.log10_stop"), count)
 
@@ -254,7 +270,7 @@ def parse_config(path) -> ExperimentConfig:
     _check_sigma_range("search.sigma_grid", sigma_grid)
 
     fixed = {}
-    for model, lambda_keys in (("helmholtz", ("lambda1", "lambda2")), ("gaussian", ("lambda",))):
+    for model, lambda_keys in FIXED_LAMBDAS.items():
         key = f"hyperparameters.{model}"
         if _lookup(doc, key, None) is None:
             fixed[model] = None
@@ -278,7 +294,7 @@ def parse_config(path) -> ExperimentConfig:
         _fail("figure.bounds", "lower bounds must be below upper bounds")
     resolution = int(_number(doc, "figure.resolution", minimum=2, default=25.0))
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         system_name=name,
         system_params=params,
         initial_conditions=ics,
@@ -300,6 +316,9 @@ def parse_config(path) -> ExperimentConfig:
         figure_bounds=((q_lo, q_hi), (p_lo, p_hi)),
         figure_resolution=resolution,
     )
+    # The echo holds every key the reader takes, defaults included.
+    _reject_unknown(doc, config.resolved())
+    return config
 
 
 def bundled_config_path(experiment: str) -> Path:

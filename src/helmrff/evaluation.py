@@ -2,15 +2,14 @@
 k-fold grid-search tuning, rollouts, and phase-plane field grids.
 
 The grid search scores every (sigma, lambda) candidate with the exact
-closed-form minimizer in dual form, on (nN x nN) Gram blocks.  Per kernel
-width and fold it takes one eigendecomposition of the first map's Gram
-block, and with two maps one more per first-map ridge weight; every ridge
-weight of the last map is then a diagonal rescaling, not a new solve.
-Scores that differ by less than a relative CV_TIE_RTOL count as tied, so
-last-digit rounding cannot change the pick.
+closed-form minimizer in dual form, and every fold from one decomposition of
+the Gram on all samples per training-fold size (see `_cv_mse`).  Scores that
+differ by less than a relative CV_TIE_RTOL count as tied, so last-digit
+rounding cannot change the pick.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -76,18 +75,9 @@ class EvalReport:
     notes: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "system": self.system,
-            "model": self.model_kind,
-            "train_mse": self.train_mse,
-            "test_mse": self.test_mse,
-            "train_residuals": self.train_residuals,
-            "test_residuals": self.test_residuals,
-            "hyper": self.hyper.to_json(),
-            "seed": self.seed,
-            "d": self.hyper.d,
-            "notes": self.notes,
-        }
+        doc = asdict(self)
+        doc["model"] = doc.pop("model_kind")
+        return {**doc, "d": self.hyper.d}
 
 
 def vector_field_mse(model, dataset: Dataset) -> float:
@@ -102,8 +92,6 @@ def pointwise_residuals(model, dataset: Dataset) -> np.ndarray:
 
 def make_test_set(system: SystemSpec, x0, h: float, t_end: float) -> Dataset:
     """Noiseless (state, true-field) samples along one long test trajectory."""
-    if t_end < h:
-        raise ValueError(f"test horizon shorter than the sampling step: t_end={t_end}, h={h}")
     times, states, derivs = sample_flow(system, x0, h, t_end)
     return Dataset(states=states, derivatives=derivs, times=times,
                    traj_ids=np.zeros(len(times), dtype=int))
@@ -115,16 +103,8 @@ def fold_indices(n_samples: int, folds: int, seed: int) -> list[tuple[np.ndarray
         raise ValueError(f"need at least one sample per fold: N={n_samples}, folds={folds}")
     perm = np.random.default_rng(seed).permutation(n_samples)
     parts = np.array_split(perm, folds)
-    out = []
-    for i, val in enumerate(parts):
-        train = np.concatenate([p for j, p in enumerate(parts) if j != i])
-        out.append((np.sort(train), np.sort(val)))
-    return out
-
-
-def _sample_columns(idx: np.ndarray, n: int) -> np.ndarray:
-    """Design-matrix column indices covering the given sample indices."""
-    return (idx[:, None] * n + np.arange(n)).reshape(-1)
+    return [(np.sort(np.concatenate(parts[:i] + parts[i + 1:])), np.sort(val))
+            for i, val in enumerate(parts)]
 
 
 def cross_validate(dataset: Dataset, space: SearchSpace, seed: int) -> Hyperparameters:
@@ -142,31 +122,22 @@ def cross_validate(dataset: Dataset, space: SearchSpace, seed: int) -> Hyperpara
     n = dataset.dim
     # Descending grids make the first minimum the preferred tie-break winner.
     sigmas = np.sort(space.sigmas)[::-1]
-    if space.lambda2s is None:
-        maps = [(ft.GAUSSIAN_SEPARABLE, seed_a)]
-        lams = [np.sort(space.lambda1s)[::-1]]
-    else:
-        maps = [(ft.ODD_CURL_FREE, seed_a), (ft.ODD_SYMPLECTIC, seed_b)]
-        lams = [np.sort(space.lambda1s)[::-1], np.sort(space.lambda2s)[::-1]]
+    lams = [np.sort(grid)[::-1] for grid in (space.lambda1s, space.lambda2s) if grid is not None]
+    maps = ([(ft.GAUSSIAN_SEPARABLE, seed_a)] if len(lams) == 1 else
+            [(ft.ODD_CURL_FREE, seed_a), (ft.ODD_SYMPLECTIC, seed_b)])
 
     scores = np.zeros(tuple(lam.size for lam in lams) + (sigmas.size,))
     for si, sigma in enumerate(sigmas):
-        grams = [_design_gram(ft.sample_basis(kind, space.d, n, sigma, map_seed), dataset)
-                 for kind, map_seed in maps]
+        designs = (ft.feature_design(ft.sample_basis(kind, space.d, n, sigma, map_seed), dataset.states)
+                   for kind, map_seed in maps)
         not_finite = ValueError(f"cross-validation score is not finite at sigma={sigma:g}; "
                                 "check the data and the ridge-weight grids")
-        for train, val in folds:
-            ct, cv = _sample_columns(train, n), _sample_columns(val, n)
-            # A ridge weight so small that G / lambda overflows has no usable score.
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    scores[..., si] += _fold_mse([g[np.ix_(ct, ct)] for g in grams],
-                                                 [g[np.ix_(cv, ct)] for g in grams],
-                                                 dataset.derivatives[train].reshape(-1),
-                                                 dataset.derivatives[val].reshape(-1),
-                                                 lams, len(train), len(val))
-            except (FloatingPointError, np.linalg.LinAlgError) as err:
-                raise not_finite from err
+        # A ridge weight so small that G / lambda overflows has no usable score.
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                scores[..., si] = _cv_mse([p.T @ p for p in designs], dataset.derivatives, folds, lams)
+        except (FloatingPointError, np.linalg.LinAlgError) as err:
+            raise not_finite from err
         if not np.all(np.isfinite(scores[..., si])):
             raise not_finite
     scores /= space.folds
@@ -180,37 +151,43 @@ def cross_validate(dataset: Dataset, space: SearchSpace, seed: int) -> Hyperpara
                            lambda2=lambda2[0] if lambda2 else None, d=space.d)
 
 
-def _design_gram(basis: ft.FeatureBasis, dataset: Dataset) -> np.ndarray:
-    design = ft.feature_design(basis, dataset.states)
-    return design.T @ design
+def _cv_mse(grams, targets, folds, lams) -> np.ndarray:
+    """Validation MSE summed over the folds, for every ridge-weight combination.
 
-
-def _fold_mse(g_tt, g_vt, x_t, x_v, lams, n_train, n_val) -> np.ndarray:
-    """Validation MSE of the ridge fit for every ridge-weight combination.
-
-    Feature map k has Gram blocks G_k = Phi_k^T Phi_k and ridge weights
-    lams[k] along axis k of the result.  In dual form the training
-    coefficients solve (sum_k G_k,tt / lambda_k + N I) c = x_t and the
-    validation predictions are sum_k (G_k,vt / lambda_k) c.
-
-    With G_1,tt = U diag(s) U^T the first map's system matrix is
-    U diag(e) U^T with e = s / lambda_1 + N, so one map gives
-    c = U diag(1 / e) U^T x_t.  For two maps let P = U diag(e^(-1/2)) U^T and
-    P G_2,tt P = Q diag(mu) Q^T; then c = P Q diag(1 / (1 + mu / lambda_2)) Q^T P x_t,
-    so one eigendecomposition per lambda_1 covers every lambda_2.
+    Map k has the Gram G_k = Phi_k^T Phi_k on all nN rows and ridge weights
+    lams[k] along axis k of the result; `targets` holds the (N, n) derivatives.
+    A fold that trains on N_t samples solves (sum_k G_k,tt / lambda_k + N_t I) c = x_t.
+    With B = (sum_k G_k / lambda_k + N_t I)^-1 on all rows, its residual on the
+    held-out rows v is -(B_vv)^-1 (B x)_v, as B_vv inverts the Schur complement
+    of the training block (An, Liu & Venkatesh, Pattern Recognit. 40(8), 2007).
+    With G_1 = U diag(s) U^T, r = (s / lambda_1 + N_t)^(-1/2) and
+    diag(r) U^T G_2 U diag(r) = Q diag(mu) Q^T, B = W diag(w) W^T for
+    W = U diag(r) Q and w = 1 / (1 + mu / lambda_2), so one eigendecomposition
+    per lambda_1 covers every lambda_2.  A single map is Q = I and w = 1.
     """
-    s, U = np.linalg.eigh(g_tt[0])
-    e = s / lams[0][:, None] + n_train
-    if len(lams) == 1:
-        c = (x_t @ U / e) @ U.T
-    else:
-        P = (U * e[:, None, :] ** -0.5) @ U.T
-        mu, Q = np.linalg.eigh(P @ g_tt[1] @ P)
-        PQ = P @ Q
-        shrink = 1.0 / (1.0 + mu[:, None, :] / lams[1][:, None])
-        c = (shrink * (x_t @ PQ)[:, None, :]) @ PQ.transpose(0, 2, 1)
-    preds = [c @ g.T / lam[..., None] for g, lam in zip(g_vt, np.ix_(*lams))]
-    return np.sum((sum(preds[1:], preds[0]) - x_v) ** 2, axis=-1) / n_val
+    s, U = np.linalg.eigh(grams[0])
+    H = U.T @ grams[1] @ U if len(grams) > 1 else None
+    rows = U.reshape(targets.shape + (-1,))  # rows of U by sample
+    xU = targets.reshape(-1) @ U
+    total = 0.0
+    for n_train, group in groupby(folds, key=lambda fold: len(fold[0])):
+        r = (s / lams[0][:, None] + n_train) ** -0.5
+        if H is None:
+            Q, w = np.eye(s.size), np.ones((r.shape[0], 1, s.size))
+        else:
+            mu, Q = np.linalg.eigh(H * r[:, :, None] * r[:, None, :])
+            w = 1.0 / (1.0 + mu[:, None, :] / lams[1][:, None])
+        wWx = w * ((xU * r)[:, None, :] @ Q)  # diag(w) W^T x
+        m = rows.shape[1] * (len(rows) - n_train)
+        Bvv = np.empty(w.shape[:2] + (m, m))  # every fold of the group holds m rows
+        for _, val in group:
+            WvT = ((rows[val].reshape(m, -1) * r[:, None, :]) @ Q).transpose(0, 2, 1)  # (lambda1, nN, m)
+            for i in range(m):  # row by row, so no temporary outgrows W_v
+                np.matmul(w, WvT * WvT[:, :, i, None], out=Bvv[:, :, i])
+            resid = np.linalg.solve(Bvv, (wWx @ WvT)[..., None])
+            total = total + np.sum(resid**2, axis=(-2, -1)) / len(val)
+        del Q, w, wWx, Bvv, WvT, resid  # free this size's arrays before the next size's
+    return total.reshape([lam.size for lam in lams])
 
 
 def rollout_model(model, x0, h: float, t_end: float) -> Trajectory:

@@ -111,8 +111,9 @@ def _batched(method):
 
 
 def _sine_sum(X, basis: ft.FeatureBasis, coef, rows) -> np.ndarray:
-    """sum_i coef_i sin(w_i . x) rows_i / sqrt(d) at each state of X."""
-    return (np.sin(X @ basis.weights.T) * coef) @ rows / np.sqrt(basis.d)
+    """sum_i coef_i sin(w_i . x) rows_i / sqrt(d) at each state of X, in place on one (B, d) array."""
+    phase = X @ basis.weights.T
+    return np.multiply(np.sin(phase, out=phase), coef, out=phase) @ rows / np.sqrt(basis.d)
 
 
 def _cosine_potential(X, basis: ft.FeatureBasis, coef) -> np.ndarray:

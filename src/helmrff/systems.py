@@ -132,8 +132,9 @@ def sample_flow(system: SystemSpec, x0, h: float, t_end: float):
 
     The system is integrated at step h/SIM_REFINE and downsampled, so the
     samples track the continuous dynamics rather than coarse-step
-    integrator error.
+    integrator error.  t_end must be a whole number of steps h (see `whole_steps`).
     """
+    whole_steps(h, t_end)  # the fine grid alone would pass a t_end off the sampling grid
     fine = integrate_rk4(system.field, x0, h / SIM_REFINE, t_end)
     states = fine.states[::SIM_REFINE]
     return fine.times[::SIM_REFINE], states, system.field(states)

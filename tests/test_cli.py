@@ -97,17 +97,52 @@ def test_end_times_must_be_whole_steps(tmp_path):
             cli.parse_config(path)
 
 
+FIXED_HELMHOLTZ = {"sigma": 0.5, "lambda1": 1e-4, "lambda2": 1e-6}
+FIXED_GAUSSIAN = {"sigma": 2.0, "lambda": 1e-3}
+
+
 @pytest.mark.parametrize("name, overrides", [
     ("msd", {}),
     ("pendulum", {}),
-    ("msd", {"hyperparameters.helmholtz": {"sigma": 0.5, "lambda1": 1e-4, "lambda2": 1e-6}}),
-], ids=["msd", "pendulum", "msd-fixed-helmholtz"])
+    ("msd", {"hyperparameters.helmholtz": FIXED_HELMHOLTZ}),
+    ("msd", {"hyperparameters.gaussian": FIXED_GAUSSIAN}),
+    ("pendulum", {"hyperparameters.helmholtz": FIXED_HELMHOLTZ, "hyperparameters.gaussian": FIXED_GAUSSIAN}),
+], ids=["msd", "pendulum", "msd-fixed-helmholtz", "msd-fixed-gaussian", "pendulum-both-fixed"])
 def test_resolved_config_parses_back(tmp_path, name, overrides):
     """The config echoed into every artifact is itself a valid config."""
     config = cli.parse_config(write_config(tmp_path, name, **overrides))
     echo = tmp_path / "echo.yaml"
     echo.write_text(yaml.safe_dump(config.resolved()))
     assert cli.parse_config(echo).resolved() == config.resolved()
+    # a fixed block is echoed in the keys the reader takes
+    for model in ("helmholtz", "gaussian"):
+        assert config.resolved()["hyperparameters"][model] == overrides.get(f"hyperparameters.{model}")
+
+
+def test_fixed_hypers_flag_echo_parses_back(tmp_path):
+    config = cli._fix_hypers(cli.parse_config(cli.bundled_config_path("msd")), "0.5,1e-4,1e-6")
+    assert config.resolved()["hyperparameters"] == {"helmholtz": FIXED_HELMHOLTZ,
+                                                   "gaussian": {"sigma": 0.5, "lambda": 1e-4}}
+    echo = tmp_path / "echo.yaml"
+    echo.write_text(yaml.safe_dump(config.resolved()))
+    assert cli.parse_config(echo).resolved() == config.resolved()
+
+
+@pytest.mark.parametrize("key, overrides", [
+    ("search.fold", {"search.fold": 3}),
+    ("fold", {"fold": 3}),
+    ("system.g", {"system.g": 9.81}),
+    ("figure.resoluton", {"figure.resoluton": 50}),
+    ("hyperparameters.helmholtz.d", {"hyperparameters.helmholtz": {**FIXED_HELMHOLTZ, "d": 200}}),
+    ("hyperparameters.gaussian.lambda1", {"hyperparameters.gaussian": {**FIXED_GAUSSIAN, "lambda1": 1e-3}}),
+    ("search.sigma_grid.base", {"search.sigma_grid": {"log10_start": -1, "log10_stop": 1, "count": 5,
+                                                      "base": 2}}),
+])
+def test_unknown_keys_are_rejected(tmp_path, key, overrides):
+    # a misspelled optional key would otherwise fall back to its default unseen
+    path = write_config(tmp_path, "msd", **overrides)
+    with pytest.raises(cli.ConfigError, match=rf"config key '{key}': unknown key; expected one of \["):
+        cli.parse_config(path)
 
 
 def test_kernel_width_range_is_enforced(tmp_path):

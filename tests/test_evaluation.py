@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 import helmrff as hr
@@ -145,15 +149,16 @@ def test_cross_validate_tie_tolerance_prefers_smoothing(monkeypatch):
     for gap, expected in ((1e-7, (2.0, 1e-1, 1e-2)), (1e-5, (0.5, 1e-4, 1e-5))):
         calls = []
 
-        def fold_mse(g_tt, g_vt, x_t, x_v, lams, n_train, n_val):
+        def cv_mse(grams, targets, folds, lams):
             calls.append(1)
-            out = np.full((lams[0].size, lams[1].size), 1.0 + gap)
-            if len(calls) > 2 * space.folds:  # sigmas run from largest to smallest
-                out[-1, -1] = 1.0
+            out = np.full((lams[0].size, lams[1].size), (1.0 + gap) * len(folds))
+            if len(calls) == 3:  # one call per sigma, from largest to smallest
+                out[-1, -1] = len(folds)
             return out
 
-        monkeypatch.setattr(ev, "_fold_mse", fold_mse)
+        monkeypatch.setattr(ev, "_cv_mse", cv_mse)
         pick = ev.cross_validate(toy_dataset(2), space, seed=0)
+        assert len(calls) == 3
         assert (pick.sigma, pick.lambda1, pick.lambda2) == expected, gap
 
 
@@ -169,24 +174,79 @@ def _lu_fold_mse(g_tt, g_vt, x_t, x_v, lams, n_train, n_val):
     return scores
 
 
+def _lu_cv_mse(grams, targets, folds, lams):
+    """`_lu_fold_mse` summed over the folds, each refitted on Gram blocks sliced from the full Gram."""
+    n = targets.shape[1]
+    total = 0.0
+    for train, val in folds:
+        rt, rv = ((idx[:, None] * n + np.arange(n)).reshape(-1) for idx in (train, val))
+        total = total + _lu_fold_mse([g[np.ix_(rt, rt)] for g in grams], [g[np.ix_(rv, rt)] for g in grams],
+                                     targets[train].reshape(-1), targets[val].reshape(-1),
+                                     lams, len(train), len(val))
+    return total
+
+
 @pytest.mark.parametrize("maps", [1, 2])
 def test_fold_mse_matches_lu_reference(maps):
-    # random PSD Grams G = Phi^T Phi with a spread of feature scales, over
-    # the default 17-value ridge grids, split like one fold of N = 24 samples
+    # random PSD Grams G = Phi^T Phi with a spread of feature scales, over the
+    # default 17-value ridge grids; N = 24 splits into folds of 5, 5, 5, 5 and 4
+    # samples, so both training sizes, 19 and 20, are scored
     rng = np.random.default_rng(maps)
     lams = [np.sort(ev.default_search_space().lambda1s)[::-1]] * maps
-    train, val = np.arange(19), np.arange(19, 24)
-    ct, cv = ev._sample_columns(train, 2), ev._sample_columns(val, 2)
+    folds = ev.fold_indices(24, 5, seed=maps)
+    assert sorted({len(train) for train, _ in folds}) == [19, 20]
     grams = []
     for _ in range(maps):
         phi = rng.normal(size=(200, 48)) * np.logspace(0.0, -6.0, 200)[:, None]
         grams.append(phi.T @ phi)
-    x = rng.normal(size=48)
-    args = ([g[np.ix_(ct, ct)] for g in grams], [g[np.ix_(cv, ct)] for g in grams],
-            x[ct], x[cv], lams, len(train), len(val))
-    got = ev._fold_mse(*args)
+    targets = rng.normal(size=(24, 2))
+    got = ev._cv_mse(grams, targets, folds, lams)
     assert got.shape == (17,) * maps
-    assert_allclose(got, _lu_fold_mse(*args), rtol=1e-6)
+    assert_allclose(got, _lu_cv_mse(grams, targets, folds, lams), rtol=1e-6)
+
+
+@st.composite
+def cv_problems(draw):
+    """Grams, targets, folds and ridge grids of one or two maps on a few random samples."""
+    maps, n_samples, dim = draw(st.integers(1, 2)), draw(st.integers(2, 9)), draw(st.integers(1, 3))
+    unit = st.floats(-1.0, 1.0)
+    phis = [draw(arrays(np.float64, (draw(st.integers(1, 12)), n_samples * dim), elements=unit))
+            for _ in range(maps)]
+    targets = draw(arrays(np.float64, (n_samples, dim), elements=unit))
+    folds = ev.fold_indices(n_samples, draw(st.integers(2, n_samples)), draw(st.integers(0, 2**32 - 1)))
+    lams = [10.0 ** np.array(draw(st.lists(st.floats(-4.0, 1.0), min_size=1, max_size=3)))
+            for _ in range(maps)]
+    return [phi.T @ phi for phi in phis], targets, folds, lams
+
+
+@settings(deadline=None, max_examples=60)
+@given(cv_problems())
+def test_fold_mse_matches_lu_reference_on_random_problems(problem):
+    grams, targets, folds, lams = problem
+    want = _lu_cv_mse(grams, targets, folds, lams)
+    got = ev._cv_mse(grams, targets, folds, lams)
+    assert got.shape == want.shape
+    assert_allclose(got, want, rtol=1e-7, atol=1e-10 * np.sum(targets**2))
+
+
+def test_cross_validate_peak_memory():
+    """One pendulum Helmholtz search allocates at most 1.75 MiB at its peak.
+
+    The scorer peaks at 1.13 MiB here, and the per-fold scorer it replaced at
+    1.02 MiB.  The bound keeps its temporaries from quietly growing toward the
+    benchmark's peak-RSS bound: each `reproduce` worker runs one search at a time.
+    """
+    from helmrff import cli
+    config = cli.parse_config(cli.bundled_config_path("pendulum"))
+    dataset = cli.simulate_dataset(config, 0)
+    space, seed = config.search_space(baseline=False), cli._seed_map(0)["cv_shuffle"]
+    tracemalloc.start()
+    try:
+        ev.cross_validate(dataset, space, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_cross_validate_is_deterministic():

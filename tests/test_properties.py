@@ -137,6 +137,20 @@ fitted_models = st.builds(
 )
 
 
+def closed_form_jacobians(model, x):
+    """Jacobians of the (symplectic, dissipative) parts at one state x.
+
+    Each part is sum_i coef_i sin(w_i . x) rows_i / sqrt(d), with rows_i = J w_i
+    for the symplectic part and w_i for the dissipative one, so its Jacobian
+    is sum_i coef_i cos(w_i . x) rows_i w_i^T / sqrt(d).
+    """
+    J = kn.symplectic_matrix(model.dim // 2)
+    parts = ((model.basis_s, model.beta, model.basis_s.weights @ J.T),
+             (model.basis_c, model.alpha, model.basis_c.weights))
+    return [(rows * (coef * np.cos(basis.weights @ x) / np.sqrt(basis.d))[:, None]).T @ basis.weights
+            for basis, coef, rows in parts]
+
+
 @properties
 @given(fitted_models, point_sets(8))
 def test_fitted_helmholtz_model_structure(model, Q):
@@ -145,3 +159,18 @@ def test_fitted_helmholtz_model_structure(model, Q):
     reloaded = rg.HelmholtzModel.from_json(json.loads(json.dumps(model.to_json())))
     assert_array_equal(reloaded.predict(Q), model.predict(Q))
     assert_array_equal(reloaded.hamiltonian(Q), model.hamiltonian(Q))
+
+    # The symplectic part is divergence-free and the dissipative part is a gradient.
+    # The sum of |terms| bounds both Jacobians and their rounding; the floor
+    # covers subnormal coefficients, whose rounding is absolute.
+    scale = max(np.sum(np.abs(c) * np.sum(b.weights**2, axis=1)) / np.sqrt(b.d)
+                for b, c in ((model.basis_s, model.beta), (model.basis_c, model.alpha)))
+    eps = 1e-6
+    for x in Q:
+        jac_s, jac_d = closed_form_jacobians(model, x)
+        assert abs(np.trace(jac_s)) <= 1e-13 * scale + 1e-300
+        assert np.max(np.abs(jac_d - jac_d.T)) <= 1e-13 * scale + 1e-300
+        # the closed forms are the model's own Jacobians: central differences agree
+        for part, jac in ((model.symplectic_part, jac_s), (model.dissipative_part, jac_d)):
+            diff = np.column_stack([(part(x + eps * e) - part(x - eps * e)) / (2 * eps) for e in np.eye(2)])
+            assert np.max(np.abs(diff - jac)) <= 1e-6 * (scale + np.max(np.abs(part(x)))) + 1e-300

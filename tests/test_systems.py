@@ -65,6 +65,18 @@ def test_rk4_takes_whole_steps_only():
         hr.integrate_rk4(zero, np.zeros(2), 2.0, 1.0)
 
 
+def test_sampling_ends_at_t_end():
+    # 1.1 is 110 fine steps of 0.25 / 25 but no whole number of samples every 0.25,
+    # so sampling would stop at t = 1.0, short of t_end
+    msd = hr.mass_spring_damper(0.5, 1.0, 0.25)
+    off_grid = "t_end=1.1 is not a whole number of steps h=0.25"
+    with pytest.raises(ValueError, match=off_grid):
+        hr.generate_dataset(msd, MSD_ICS, 0.25, 1.1, hr.NoiseSpec(0.0, 0))
+    with pytest.raises(ValueError, match=off_grid):
+        hr.make_test_set(msd, np.array([2.0, 0.0]), 0.25, 1.1)
+    assert hr.make_test_set(msd, np.array([2.0, 0.0]), 0.25, 1.0).times[-1] == 1.0
+
+
 def test_rk4_conserves_energy_without_damping():
     system = hr.mass_spring_damper(0.5, 1.0, 0.0)
     tr = hr.integrate_rk4(system.field, np.array([2.0, 0.0]), 0.001, 10.0)
