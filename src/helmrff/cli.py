@@ -7,8 +7,8 @@ command with the same inputs rewrites identical files.
 
 import argparse
 import contextlib
+import copy
 import ctypes
-import dataclasses
 import inspect
 import json
 import re
@@ -126,33 +126,49 @@ def _check_sigma_range(key: str, values):
 FIXED_LAMBDAS = {"helmholtz": ("lambda1", "lambda2"), "gaussian": ("lambda",)}
 
 
+def _key(dotted: str, convert=lambda node: node) -> property:
+    """A read-only attribute holding one dotted key of the resolved document."""
+    return property(lambda self: convert(_lookup(self.doc, dotted)))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated experiment description."""
+    """Fully validated experiment description.
 
-    system_name: str
-    system_params: dict
-    initial_conditions: np.ndarray
-    h: float
-    t_end: float
-    include_t0: bool
-    noise_sigma: float
-    test_x0: np.ndarray
-    test_h: float
-    test_t_end: float
-    d: int
-    folds: int
-    sigma_grid: np.ndarray
-    lambda_grid: np.ndarray
-    fixed_helmholtz: rg.Hyperparameters | None
-    fixed_gaussian: rg.Hyperparameters | None
-    seed: int
-    output_dir: str
-    figure_bounds: tuple
-    figure_resolution: int
+    `doc` is the resolved document, every default filled in: the config echoed
+    into every artifact, which parses back to itself.
+    """
+
+    doc: dict
+
+    system_name = _key("system.name")
+    initial_conditions = _key("data.initial_conditions", np.array)
+    h = _key("data.h")
+    t_end = _key("data.t_end")
+    include_t0 = _key("data.include_t0")
+    noise_sigma = _key("data.noise_sigma")
+    test_x0 = _key("test.x0", np.array)
+    test_h = _key("test.h")
+    test_t_end = _key("test.t_end")
+    d = _key("model.d")
+    folds = _key("search.folds")
+    sigma_grid = _key("search.sigma_grid", np.array)
+    lambda_grid = _key("search.lambda_grid", np.array)
+    seed = _key("seed")
+    output_dir = _key("output_dir")
+    figure_bounds = _key("figure.bounds", lambda bounds: tuple(map(tuple, bounds)))
+    figure_resolution = _key("figure.resolution")
 
     def make_system(self) -> sy.SystemSpec:
-        return sy.SYSTEM_FACTORIES[self.system_name](**self.system_params)
+        params = dict(self.doc["system"])
+        return sy.SYSTEM_FACTORIES[params.pop("name")](**params)
+
+    def fixed(self, model: str) -> rg.Hyperparameters | None:
+        """The fixed hyperparameters of 'helmholtz' or 'gaussian', or None if they are tuned."""
+        block = self.doc["hyperparameters"][model]
+        if block is None:
+            return None
+        return rg.Hyperparameters(block["sigma"], *(block[k] for k in FIXED_LAMBDAS[model]), d=self.d)
 
     @cached_property
     def test_set(self) -> rg.Dataset:
@@ -170,35 +186,7 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         """Plain-data echo of the configuration for embedding in artifacts."""
-        return {
-            "system": {"name": self.system_name, **self.system_params},
-            "data": {
-                "initial_conditions": self.initial_conditions.tolist(),
-                "h": self.h,
-                "t_end": self.t_end,
-                "include_t0": self.include_t0,
-                "noise_sigma": self.noise_sigma,
-            },
-            "test": {"x0": self.test_x0.tolist(), "h": self.test_h, "t_end": self.test_t_end},
-            "model": {"d": self.d},
-            "search": {
-                "folds": self.folds,
-                "sigma_grid": self.sigma_grid.tolist(),
-                "lambda_grid": self.lambda_grid.tolist(),
-            },
-            # A fixed block in the keys the reader takes; a tuned one as null.
-            "hyperparameters": {
-                model: None if hyper is None else
-                dict(zip(("sigma",) + keys, (hyper.sigma, hyper.lambda1, hyper.lambda2)))
-                for (model, keys), hyper in zip(FIXED_LAMBDAS.items(), (self.fixed_helmholtz, self.fixed_gaussian))
-            },
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "figure": {
-                "bounds": [list(b) for b in self.figure_bounds],
-                "resolution": self.figure_resolution,
-            },
-        }
+        return copy.deepcopy(self.doc)
 
 
 def _log_grid(doc: dict, key: str, default) -> np.ndarray:
@@ -232,7 +220,11 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read {path}: {err}")
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
+    return _resolve(doc)
 
+
+def _resolve(doc: dict) -> ExperimentConfig:
+    """Check every key of a config document and fill in the defaults."""
     name = _lookup(doc, "system.name")
     if name not in sy.SYSTEM_FACTORIES:
         _fail("system.name", f"unknown system {name!r}; choose from {sorted(sy.SYSTEM_FACTORIES)}")
@@ -269,16 +261,13 @@ def parse_config(path) -> ExperimentConfig:
     lambda_grid = _log_grid(doc, "search.lambda_grid", defaults.lambda1s)
     _check_sigma_range("search.sigma_grid", sigma_grid)
 
-    fixed = {}
+    fixed = dict.fromkeys(FIXED_LAMBDAS)
     for model, lambda_keys in FIXED_LAMBDAS.items():
         key = f"hyperparameters.{model}"
-        if _lookup(doc, key, None) is None:
-            fixed[model] = None
-            continue
-        sigma = _number(doc, f"{key}.sigma", minimum=SIGMA_RANGE[0])
-        _check_sigma_range(f"{key}.sigma", sigma)
-        lambda1, *lambda2 = (_number(doc, f"{key}.{k}", minimum=1e-300) for k in lambda_keys)
-        fixed[model] = rg.Hyperparameters(sigma, lambda1, lambda2[0] if lambda2 else None, d)
+        if _lookup(doc, key, None) is not None:
+            sigma = _number(doc, f"{key}.sigma", minimum=SIGMA_RANGE[0])
+            _check_sigma_range(f"{key}.sigma", sigma)
+            fixed[model] = {"sigma": sigma, **{k: _number(doc, f"{key}.{k}", minimum=1e-300) for k in lambda_keys}}
 
     seed = int(_number(doc, "seed", minimum=0.0, default=0.0))
     output_dir = doc.get("output_dir", "out")
@@ -294,31 +283,22 @@ def parse_config(path) -> ExperimentConfig:
         _fail("figure.bounds", "lower bounds must be below upper bounds")
     resolution = int(_number(doc, "figure.resolution", minimum=2, default=25.0))
 
-    config = ExperimentConfig(
-        system_name=name,
-        system_params=params,
-        initial_conditions=ics,
-        h=h,
-        t_end=t_end,
-        include_t0=include_t0,
-        noise_sigma=noise_sigma,
-        test_x0=test_x0,
-        test_h=test_h,
-        test_t_end=test_t_end,
-        d=d,
-        folds=folds,
-        sigma_grid=sigma_grid,
-        lambda_grid=lambda_grid,
-        fixed_helmholtz=fixed["helmholtz"],
-        fixed_gaussian=fixed["gaussian"],
-        seed=seed,
-        output_dir=output_dir,
-        figure_bounds=((q_lo, q_hi), (p_lo, p_hi)),
-        figure_resolution=resolution,
-    )
+    resolved = {
+        "system": {"name": name, **params},
+        "data": {"initial_conditions": ics.tolist(), "h": h, "t_end": t_end,
+                 "include_t0": include_t0, "noise_sigma": noise_sigma},
+        "test": {"x0": test_x0.tolist(), "h": test_h, "t_end": test_t_end},
+        "model": {"d": d},
+        "search": {"folds": folds, "sigma_grid": sigma_grid.tolist(), "lambda_grid": lambda_grid.tolist()},
+        # A fixed block in the keys the reader takes; a tuned one as null.
+        "hyperparameters": fixed,
+        "seed": seed,
+        "output_dir": output_dir,
+        "figure": {"bounds": [[q_lo, q_hi], [p_lo, p_hi]], "resolution": resolution},
+    }
     # The echo holds every key the reader takes, defaults included.
-    _reject_unknown(doc, config.resolved())
-    return config
+    _reject_unknown(doc, resolved)
+    return ExperimentConfig(resolved)
 
 
 def bundled_config_path(experiment: str) -> Path:
@@ -344,10 +324,9 @@ def run_protocol(config: ExperimentConfig, master: int, dataset: rg.Dataset | No
     seeds = _seed_map(master)
     if dataset is None:
         dataset = simulate_dataset(config, master)
-    fixed_or_tune = ((config.fixed_helmholtz, False), (config.fixed_gaussian, True))
-    hyper_h, hyper_g = (fixed if fixed is not None else
-                        ev.cross_validate(dataset, config.search_space(baseline), seeds["cv_shuffle"])
-                        for fixed, baseline in fixed_or_tune)
+    hyper_h, hyper_g = (config.fixed(model) or
+                        ev.cross_validate(dataset, config.search_space(model == "gaussian"), seeds["cv_shuffle"])
+                        for model in FIXED_LAMBDAS)
     helm = rg.fit_helmholtz(dataset, hyper_h, seeds["helmholtz_fit"])
     base = rg.fit_baseline(dataset, hyper_g, seeds["gaussian_fit"])
     return {
@@ -420,17 +399,17 @@ def cmd_simulate(args) -> int:
 
 
 def _fix_hypers(config: ExperimentConfig, text: str) -> ExperimentConfig:
-    """The config with both models fixed to the `--fixed-hypers` values, if given."""
+    """The config with both models fixed to the `--fixed-hypers` values, if given, read back by `_resolve`."""
     if not text:
         return config
+    doc = config.resolved()
     try:
         sigma, lam1, lam2 = (float(v) for v in text.split(","))
-        fixed_h = rg.Hyperparameters(sigma, lam1, lam2, config.d)
+        doc["hyperparameters"] = {"helmholtz": {"sigma": sigma, "lambda1": lam1, "lambda2": lam2},
+                                  "gaussian": {"sigma": sigma, "lambda": lam1}}
+        return _resolve(doc)
     except ValueError as err:
         raise ConfigError(f"--fixed-hypers expects 'sigma,lambda1,lambda2', got {text!r}: {err}")
-    _check_sigma_range("--fixed-hypers", sigma)
-    return dataclasses.replace(config, fixed_helmholtz=fixed_h,
-                               fixed_gaussian=dataclasses.replace(fixed_h, lambda2=None))
 
 
 def cmd_fit(args) -> int:
@@ -468,14 +447,9 @@ def cmd_eval(args) -> int:
 
 
 def _median_summary(reports: list[dict]) -> dict:
-    out = {}
-    for kind in ("helmholtz", "gaussian"):
-        rows = [r for r in reports if r["model"] == kind]
-        out[kind] = {
-            "train_mse": float(np.median([r["train_mse"] for r in rows])),
-            "test_mse": float(np.median([r["test_mse"] for r in rows])),
-        }
-    return out
+    return {kind: {mse: float(np.median([r[mse] for r in reports if r["model"] == kind]))
+                   for mse in ("train_mse", "test_mse")}
+            for kind in ("helmholtz", "gaussian")}
 
 
 def cmd_reproduce(args) -> int:
@@ -483,7 +457,12 @@ def cmd_reproduce(args) -> int:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    config, base_seed, out = _setup(args, args.config or bundled_config_path(args.experiment))
+
+    def agree(config):
+        if config.system_name != args.experiment:
+            raise ConfigError(f"--config is for system {config.system_name!r}, not {args.experiment!r}")
+        return config
+    config, base_seed, out = _setup(args, args.config or bundled_config_path(args.experiment), agree)
     masters = [base_seed + i for i in range(args.seeds)]
 
     # Per-seed runs are pure; gather in seed order so aggregation is stable.  The shared

@@ -19,6 +19,10 @@ _EXACT_N_LIMIT = 200
 
 _RESIDUAL_TOL = 1e-8
 
+# The largest (states, features) array a fitted model forms: 1 MiB.  OpenBLAS
+# multiplies a block this small on one thread, so its workers do not wake and spin per block.
+_BLOCK_ENTRIES = 2**17
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -110,15 +114,24 @@ def _batched(method):
     return call
 
 
+def _over_phases(X, basis: ft.FeatureBasis, reduce) -> np.ndarray:
+    """reduce(phase) / sqrt(d) for the (B, d) phases w_i . x of consecutive blocks of states of X.
+
+    A block holds at most _BLOCK_ENTRIES phases, and `reduce` may overwrite them.
+    """
+    step = max(1, _BLOCK_ENTRIES // basis.d)
+    return np.concatenate([reduce(X[i:i + step] @ basis.weights.T)
+                           for i in range(0, len(X), step)]) / np.sqrt(basis.d)
+
+
 def _sine_sum(X, basis: ft.FeatureBasis, coef, rows) -> np.ndarray:
-    """sum_i coef_i sin(w_i . x) rows_i / sqrt(d) at each state of X, in place on one (B, d) array."""
-    phase = X @ basis.weights.T
-    return np.multiply(np.sin(phase, out=phase), coef, out=phase) @ rows / np.sqrt(basis.d)
+    """sum_i coef_i sin(w_i . x) rows_i / sqrt(d) at each state of X, in place on the phases."""
+    return _over_phases(X, basis, lambda phase: np.multiply(np.sin(phase, out=phase), coef, out=phase) @ rows)
 
 
 def _cosine_potential(X, basis: ft.FeatureBasis, coef) -> np.ndarray:
     """-sum_i coef_i cos(w_i . x) / sqrt(d): the potential whose gradient is the sine sum."""
-    return -np.cos(X @ basis.weights.T) @ coef / np.sqrt(basis.d)
+    return _over_phases(X, basis, lambda phase: -(np.cos(phase, out=phase) @ coef))
 
 
 @dataclass(frozen=True)
@@ -267,9 +280,10 @@ def solve_ridge(design: np.ndarray, targets: np.ndarray, lam_diag: np.ndarray, n
     the dual (design^T W design + N lam_min I) c = targets with
     W = diag(lam_min / lam), whose solution gives xi = W design c.  Weighting
     by lam_min / lam <= 1 rather than dividing by lam keeps tiny ridge weights
-    from overflowing.  A few iterative-refinement sweeps keep the relative
-    residual of the solved system within tolerance; failure to get there,
-    non-finite input included, raises rather than returning a bad solution.
+    from overflowing.  The solve is accepted when its normwise backward error
+    ||b - A x|| / (||A|| ||x|| + ||b||) (Frobenius ||A||) is within tolerance
+    and x is finite; anything else, non-finite input included, raises rather
+    than returning a bad solution.
     """
     primal = design.shape[0] <= design.shape[1]
     if primal:
@@ -284,16 +298,12 @@ def solve_ridge(design: np.ndarray, targets: np.ndarray, lam_diag: np.ndarray, n
         b = targets
 
     x = np.linalg.solve(A, b)
-    scale = np.linalg.norm(b)
-    rel = np.inf
-    for _ in range(4):
-        residual = b - A @ x
-        rel = np.linalg.norm(residual) / scale if scale > 0 else np.linalg.norm(residual)
-        if rel <= 0.1 * _RESIDUAL_TOL:
-            break
-        x = x + np.linalg.solve(A, residual)
-    if not rel <= _RESIDUAL_TOL:
-        raise RuntimeError(f"ridge solve left relative residual {rel:.3e} > {_RESIDUAL_TOL:g}")
+    residual = np.linalg.norm(b - A @ x)
+    scale = np.linalg.norm(A) * np.linalg.norm(x) + np.linalg.norm(b)
+    # A zero scale means b = 0 and A x = 0, so the residual is 0 too.
+    rel = residual / scale if scale > 0 else residual
+    if not (rel <= _RESIDUAL_TOL and np.all(np.isfinite(x))):
+        raise RuntimeError(f"ridge solve left backward-error residual {rel:.3e} > {_RESIDUAL_TOL:g}")
     return x if primal else weighted @ x
 
 

@@ -10,6 +10,7 @@ import yaml
 from numpy.testing import assert_allclose
 
 from helmrff import cli
+from helmrff import regression as rg
 
 
 def write_config(tmp_path, name="msd", **overrides):
@@ -128,6 +129,22 @@ def test_fixed_hypers_flag_echo_parses_back(tmp_path):
     assert cli.parse_config(echo).resolved() == config.resolved()
 
 
+@pytest.mark.parametrize("name, fixed_hypers", [("msd", None), ("pendulum", None), ("msd", "0.5,1e-4,1e-6")])
+def test_every_config_attribute_reads(name, fixed_hypers):
+    """Each attribute reads one dotted key of the resolved document, so a mistyped key fails here."""
+    config = cli._fix_hypers(cli.parse_config(cli.bundled_config_path(name)), fixed_hypers)
+    attrs = [a for a, v in vars(cli.ExperimentConfig).items() if isinstance(v, property)]
+    assert {"system_name", "h", "sigma_grid", "figure_bounds", "figure_resolution"} <= set(attrs)
+    for attr in attrs:
+        assert getattr(config, attr) is not None, attr
+    assert config.make_system().name == config.system_name == name
+    fixed = [config.fixed(model) for model in cli.FIXED_LAMBDAS]
+    if fixed_hypers is None:
+        assert fixed == [None, None]
+    else:
+        assert fixed == [rg.Hyperparameters(0.5, 1e-4, 1e-6, 200), rg.Hyperparameters(0.5, 1e-4, None, 200)]
+
+
 @pytest.mark.parametrize("key, overrides", [
     ("search.fold", {"search.fold": 3}),
     ("fold", {"fold": 3}),
@@ -182,6 +199,8 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
         (["fit", "--config", msd, "--data", str(bad_header)], "--data"),
         (["eval", "--config", msd, "--model", str(tmp_path / "missing.json")], "--model"),
         (["fit", "--config", msd, "--fixed-hypers", "1,2"], "--fixed-hypers"),
+        (["fit", "--config", msd, "--fixed-hypers", "1e-9,1e-4,1e-4"], "--fixed-hypers"),
+        (["reproduce", "msd", "--config", str(cli.bundled_config_path("pendulum"))], "--config"),
     ]
     for argv, flag in cases:
         assert cli.main(argv + ["--out", str(out)]) == 1, argv

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,15 @@ def test_tiny_ridge_weights_on_the_dual_side():
     assert_allclose(model.predict(ds.states), ds.derivatives, rtol=0, atol=1e-6)
 
 
+def test_repeated_state_fit_passes_the_backward_error_check():
+    """Six samples at one state make the dual system nearly singular: the unscaled
+    relative residual is 1.6e-8, yet the solve is backward stable and must be accepted."""
+    derivatives = np.array([[-1.2, -0.5], [-2.8, -2.3], [1.0, 0.9], [0.7, -0.7], [3.0, 2.9], [1.1, 0.9]])
+    ds = rg.Dataset(np.full((6, 2), -1.25), derivatives)
+    model = hr.fit_helmholtz(ds, rg.Hyperparameters(0.298, 10**-7.92, 10**-3.91, d=14), seed=27)
+    assert np.all(np.isfinite(model.alpha)) and np.all(np.isfinite(model.beta))
+
+
 # ------------------------------------------------------ model predictions
 
 
@@ -241,6 +251,30 @@ def test_predict_is_odd():
     rng = np.random.default_rng(13)
     X = rng.uniform(-1, 1, size=(50, 2))
     assert np.abs(model.predict(-X) + model.predict(X)).max() <= 1e-12
+
+
+def test_large_budget_predict_is_evaluated_in_bounded_blocks():
+    """At d = 20000 the 625-point figure grid would need a 100 MB (states, features) array."""
+    d = 20000
+    basis_c = ft.sample_basis(ft.ODD_CURL_FREE, d, 2, 1.0, 1)
+    basis_s = ft.sample_basis(ft.ODD_SYMPLECTIC, d, 2, 1.0, 2)
+    rng = np.random.default_rng(15)
+    model = rg.HelmholtzModel(alpha=rng.normal(size=d), beta=rng.normal(size=d), basis_c=basis_c,
+                              basis_s=basis_s, hyper=rg.Hyperparameters(1.0, 1e-3, 1e-3, d=d))
+    Q, P = np.meshgrid(np.linspace(-4, 4, 25), np.linspace(-4, 4, 25), indexing="ij")
+    grid = np.column_stack([Q.ravel(), P.ravel()])
+    tracemalloc.start()
+    try:
+        field = model.predict(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    # blocks split the states only, so each state's value is the one-state value
+    energy = model.hamiltonian(grid)
+    for i in (0, 5, 6, 624):
+        assert_allclose(field[i], model.predict(grid[i]), rtol=1e-12, atol=1e-12)
+        assert_allclose(energy[i], model.hamiltonian(grid[i]), rtol=1e-12, atol=1e-12)
 
 
 def test_predict_dimension_mismatch():
