@@ -196,20 +196,17 @@ def rollout_model(model, x0, h: float, t_end: float) -> Trajectory:
 
 
 def stream_grid(field_or_model, bounds, resolution) -> np.ndarray:
-    """Sample a field on a regular phase-plane grid.
+    """Sample a field on a regular resolution x resolution phase-plane grid.
 
     Returns rows (q, p, qdot, pdot) in row-major order (first axis slowest).
     Accepts either a fitted model or a bare callable field; either one is
     called once with the (B, 2) batch of grid points.
     """
     (q_lo, q_hi), (p_lo, p_hi) = bounds
-    if np.isscalar(resolution):
-        resolution = (int(resolution), int(resolution))
-    rq, rp = resolution
-    if rq < 2 or rp < 2:
-        raise ValueError(f"grid resolution must be >= 2 per axis, got {resolution}")
-    qs = np.linspace(q_lo, q_hi, rq)
-    ps = np.linspace(p_lo, p_hi, rp)
+    if resolution < 2:
+        raise ValueError(f"grid resolution must be >= 2, got {resolution}")
+    qs = np.linspace(q_lo, q_hi, resolution)
+    ps = np.linspace(p_lo, p_hi, resolution)
     Q, P = np.meshgrid(qs, ps, indexing="ij")
     points = np.column_stack([Q.reshape(-1), P.reshape(-1)])
     values = getattr(field_or_model, "predict", field_or_model)(points)

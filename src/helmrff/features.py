@@ -45,6 +45,23 @@ class FeatureBasis:
     def n(self) -> int:
         return self.weights.shape[1]
 
+    def values(self, X) -> np.ndarray:
+        """Scalar design entries at the (B, n) states X, shape (B, d), computed in place on the
+        phases: sin(w_i . x) / sqrt(d), or sqrt(2/m) cos(w_i . x + b_i), m = d/n, for the baseline."""
+        phase = X @ self.weights.T
+        if self.kind != GAUSSIAN_SEPARABLE:
+            return np.divide(np.sin(phase, out=phase), np.sqrt(self.d), out=phase)
+        phase += self.phases
+        return np.multiply(np.cos(phase, out=phase), np.sqrt(2.0 / (self.d // self.n)), out=phase)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Output row of each feature, shape (d, n): w_i, J w_i, or the unit vector of
+        the output whose block of d/n features holds baseline feature i."""
+        if self.kind == GAUSSIAN_SEPARABLE:
+            return np.repeat(np.eye(self.n), self.d // self.n, axis=0)
+        return self.weights if self.kind == ODD_CURL_FREE else self.weights @ symplectic_matrix(self.n // 2).T
+
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
@@ -103,27 +120,20 @@ def feature_matrix(x, basis: FeatureBasis) -> np.ndarray:
 def feature_design(basis: FeatureBasis, states) -> np.ndarray:
     """Stack feature matrices for N states into a d x (n N) design block.
 
-    Column block i holds the feature matrix at states[i].  Its rows are
-    sin(w_i . x) w_i^T / sqrt(d) for the odd curl-free map and
-    sin(w_i . x) (J w_i)^T / sqrt(d) for the odd symplectic map.  The
-    Gaussian-separable map splits the d frequencies into n blocks of m = d/n;
-    block j fills column j with sqrt(2/m) cos(w_i . x + b_i), so cross-output
-    products vanish exactly and each diagonal estimates the scalar Gaussian
-    kernel k_sigma(x, z).
+    Column block i holds the feature matrix at states[i]; its row j is entry j
+    of basis.values times basis.rows[j]: sin(w_j . x) w_j^T / sqrt(d) for the
+    odd curl-free map and sin(w_j . x) (J w_j)^T / sqrt(d) for the odd
+    symplectic map.  The Gaussian-separable map splits the d frequencies into
+    n blocks of m = d/n; block k fills column k with sqrt(2/m) cos(w_j . x + b_j),
+    so cross-output products vanish exactly and each diagonal estimates the
+    scalar Gaussian kernel k_sigma(x, z).
     """
     X = np.atleast_2d(np.asarray(states, dtype=float))
     N, n = X.shape
     if n != basis.n:
         raise ValueError(f"state dimension {n} does not match basis dimension {basis.n}")
-    d = basis.d
-    if basis.kind == GAUSSIAN_SEPARABLE:
-        m = d // n
-        c = np.sqrt(2.0 / m) * np.cos(X @ basis.weights.T + basis.phases)  # (N, d)
-        design = np.zeros((d, N, n))
-        for j in range(n):
-            design[j * m:(j + 1) * m, :, j] = c[:, j * m:(j + 1) * m].T
-        return design.reshape(d, N * n)
-    rows = basis.weights if basis.kind == ODD_CURL_FREE else basis.weights @ symplectic_matrix(n // 2).T
-    s = np.sin(X @ basis.weights.T).T / np.sqrt(d)  # (d, N)
-    return (s[:, :, None] * rows[:, None, :]).reshape(d, N * n)
-
+    rows = basis.rows[:, :, None]
+    # The states run innermost, numpy's long inner loop; entries a row does not touch stay +0.0.
+    design = np.zeros((basis.d, n, N))
+    np.multiply(rows, basis.values(X).T[:, None, :], out=design, where=rows != 0)
+    return design.transpose(0, 2, 1).reshape(basis.d, N * n)

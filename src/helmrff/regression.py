@@ -114,24 +114,29 @@ def _batched(method):
     return call
 
 
-def _over_phases(X, basis: ft.FeatureBasis, reduce) -> np.ndarray:
-    """reduce(phase) / sqrt(d) for the (B, d) phases w_i . x of consecutive blocks of states of X.
-
-    A block holds at most _BLOCK_ENTRIES phases, and `reduce` may overwrite them.
-    """
-    step = max(1, _BLOCK_ENTRIES // basis.d)
-    return np.concatenate([reduce(X[i:i + step] @ basis.weights.T)
-                           for i in range(0, len(X), step)]) / np.sqrt(basis.d)
+def _over_blocks(X, d: int, reduce) -> np.ndarray:
+    """reduce(block) over consecutive blocks of at most _BLOCK_ENTRIES // d states of X, concatenated."""
+    step = max(1, _BLOCK_ENTRIES // d)
+    return np.concatenate([reduce(X[i:i + step]) for i in range(0, len(X), step)])
 
 
-def _sine_sum(X, basis: ft.FeatureBasis, coef, rows) -> np.ndarray:
-    """sum_i coef_i sin(w_i . x) rows_i / sqrt(d) at each state of X, in place on the phases."""
-    return _over_phases(X, basis, lambda phase: np.multiply(np.sin(phase, out=phase), coef, out=phase) @ rows)
+def _field(X, basis: ft.FeatureBasis, coef) -> np.ndarray:
+    """Phi(x)^T coef = sum_i coef_i values_i(x) rows_i at each state of X, in place on the values."""
+    rows = basis.rows
+
+    def reduce(B):
+        v = basis.values(B)
+        v *= coef
+        return v @ rows
+    return _over_blocks(X, basis.d, reduce)
 
 
 def _cosine_potential(X, basis: ft.FeatureBasis, coef) -> np.ndarray:
-    """-sum_i coef_i cos(w_i . x) / sqrt(d): the potential whose gradient is the sine sum."""
-    return _over_phases(X, basis, lambda phase: -(np.cos(phase, out=phase) @ coef))
+    """-sum_i coef_i cos(w_i . x) / sqrt(d): the potential whose gradient is the odd map's field."""
+    def reduce(B):
+        phase = B @ basis.weights.T
+        return -(np.cos(phase, out=phase) @ coef)
+    return _over_blocks(X, basis.d, reduce) / np.sqrt(basis.d)
 
 
 @dataclass(frozen=True)
@@ -150,12 +155,11 @@ class HelmholtzModel:
 
     @_batched
     def dissipative_part(self, X) -> np.ndarray:
-        return _sine_sum(X, self.basis_c, self.alpha, self.basis_c.weights)
+        return _field(X, self.basis_c, self.alpha)
 
     @_batched
     def symplectic_part(self, X) -> np.ndarray:
-        J = symplectic_matrix(self.dim // 2)
-        return _sine_sum(X, self.basis_s, self.beta, self.basis_s.weights @ J.T)
+        return _field(X, self.basis_s, self.beta)
 
     def decompose(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Return (symplectic, dissipative) parts of the learned field."""
@@ -172,10 +176,9 @@ class HelmholtzModel:
         """
         return _cosine_potential(X, self.basis_s, self.beta)
 
-    @_batched
-    def hamiltonian_gradient(self, X) -> np.ndarray:
-        """Closed-form gradient of the energy estimate."""
-        return _sine_sum(X, self.basis_s, self.beta, self.basis_s.weights)
+    def hamiltonian_gradient(self, x) -> np.ndarray:
+        """Closed-form gradient of the energy estimate: (J grad H)^T J, exact as J is a signed permutation."""
+        return self.symplectic_part(x) @ symplectic_matrix(self.dim // 2)
 
     @_batched
     def dissipation_potential(self, X) -> float | np.ndarray:
@@ -217,10 +220,7 @@ class BaselineModel:
 
     @_batched
     def predict(self, X) -> np.ndarray:
-        n = self.dim
-        m = self.basis.d // n
-        c = np.sqrt(2.0 / m) * np.cos(X @ self.basis.weights.T + self.basis.phases)
-        return np.einsum("bjm,jm->bj", c.reshape(len(X), n, m), self.alpha.reshape(n, m))
+        return _field(X, self.basis, self.alpha)
 
     def to_json(self) -> dict:
         return {
@@ -258,32 +258,34 @@ class ExactKernelModel:
         return np.einsum("bnij,nj->bi", blocks, self.coefficients)
 
 
-def assemble_design(dataset: Dataset, basis_c: ft.FeatureBasis, basis_s: ft.FeatureBasis) -> np.ndarray:
-    """Stack both feature maps over all samples into a 2d x nN design matrix.
+def assemble_design(dataset: Dataset, *bases: ft.FeatureBasis) -> np.ndarray:
+    """Stack the feature designs of the bases, in order, over all samples (sum of d) x nN."""
+    return np.vstack([ft.feature_design(basis, dataset.states) for basis in bases])
 
-    Column block i is the curl-free feature matrix at x_i stacked over the
-    symplectic one.
-    """
-    if basis_c.n != dataset.dim or basis_s.n != dataset.dim:
-        raise ValueError("feature bases do not match the dataset dimension")
-    return np.vstack([
-        ft.feature_design(basis_c, dataset.states),
-        ft.feature_design(basis_s, dataset.states),
-    ])
+
+def _checked_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(A, b), accepted when x is finite and its normwise backward error
+    ||b - A x|| / (||A||_F ||x|| + ||b||) is within tolerance; anything else,
+    non-finite input included, raises rather than returning a bad solution."""
+    x = np.linalg.solve(A, b)
+    residual = np.linalg.norm(b - A @ x)
+    scale = np.linalg.norm(A) * np.linalg.norm(x) + np.linalg.norm(b)
+    # A zero scale means b = 0 and A x = 0, so the residual is 0 too.
+    rel = residual / scale if scale > 0 else residual
+    if not (rel <= _RESIDUAL_TOL and np.all(np.isfinite(x))):
+        raise RuntimeError(f"linear solve left backward-error residual {rel:.3e} > {_RESIDUAL_TOL:g}")
+    return x
 
 
 def solve_ridge(design: np.ndarray, targets: np.ndarray, lam_diag: np.ndarray, n_samples: int) -> np.ndarray:
     """Minimize (1/N)||design^T xi - targets||^2 + xi^T diag(lam) xi.
 
-    Solves whichever system is smaller.  With at most nN coefficients that is
-    the primal (design design^T + N diag(lam)) xi = design targets; otherwise
-    the dual (design^T W design + N lam_min I) c = targets with
-    W = diag(lam_min / lam), whose solution gives xi = W design c.  Weighting
-    by lam_min / lam <= 1 rather than dividing by lam keeps tiny ridge weights
-    from overflowing.  The solve is accepted when its normwise backward error
-    ||b - A x|| / (||A|| ||x|| + ||b||) (Frobenius ||A||) is within tolerance
-    and x is finite; anything else, non-finite input included, raises rather
-    than returning a bad solution.
+    Solves whichever system is smaller, with _checked_solve.  With at most nN
+    coefficients that is the primal (design design^T + N diag(lam)) xi =
+    design targets; otherwise the dual (design^T W design + N lam_min I) c =
+    targets with W = diag(lam_min / lam), whose solution gives xi = W design c.
+    Weighting by lam_min / lam <= 1 rather than dividing by lam keeps tiny
+    ridge weights from overflowing.
     """
     primal = design.shape[0] <= design.shape[1]
     if primal:
@@ -296,42 +298,32 @@ def solve_ridge(design: np.ndarray, targets: np.ndarray, lam_diag: np.ndarray, n
         A = design.T @ weighted
         A[np.diag_indices_from(A)] += n_samples * lam_min
         b = targets
-
-    x = np.linalg.solve(A, b)
-    residual = np.linalg.norm(b - A @ x)
-    scale = np.linalg.norm(A) * np.linalg.norm(x) + np.linalg.norm(b)
-    # A zero scale means b = 0 and A x = 0, so the residual is 0 too.
-    rel = residual / scale if scale > 0 else residual
-    if not (rel <= _RESIDUAL_TOL and np.all(np.isfinite(x))):
-        raise RuntimeError(f"ridge solve left backward-error residual {rel:.3e} > {_RESIDUAL_TOL:g}")
+    x = _checked_solve(A, b)
     return x if primal else weighted @ x
 
 
-def fit_helmholtz(dataset: Dataset, hyper: Hyperparameters, seed: int) -> HelmholtzModel:
-    """Closed-form fit of the two-part model; deterministic given the seed.
+def _fit(dataset: Dataset, hyper: Hyperparameters, seed: int, lams: dict) -> tuple[list, list]:
+    """Fit one basis per kind of `lams` (kind -> ridge weight), each from its own child seed."""
+    seeds = ft.split_seed(seed, len(lams))
+    bases = [ft.sample_basis(kind, hyper.d, dataset.dim, hyper.sigma, basis_seed)
+             for kind, basis_seed in zip(lams, seeds)]
+    lam = np.repeat(list(lams.values()), hyper.d)
+    xi = solve_ridge(assemble_design(dataset, *bases), dataset.target_vector(), lam, len(dataset))
+    return bases, np.split(xi, len(bases))
 
-    The two bases are drawn from independent child seeds so the curl-free
-    and symplectic feature blocks are uncoupled.
-    """
+
+def fit_helmholtz(dataset: Dataset, hyper: Hyperparameters, seed: int) -> HelmholtzModel:
+    """Closed-form fit of the two-part model; deterministic given the seed."""
     if hyper.lambda2 is None:
         raise ValueError("the Helmholtz fit needs both ridge weights; lambda2 is None")
-    seed_c, seed_s = ft.split_seed(seed, 2)
-    basis_c = ft.sample_basis(ft.ODD_CURL_FREE, hyper.d, dataset.dim, hyper.sigma, seed_c)
-    basis_s = ft.sample_basis(ft.ODD_SYMPLECTIC, hyper.d, dataset.dim, hyper.sigma, seed_s)
-    design = assemble_design(dataset, basis_c, basis_s)
-    lam = np.concatenate([np.full(hyper.d, hyper.lambda1), np.full(hyper.d, hyper.lambda2)])
-    xi = solve_ridge(design, dataset.target_vector(), lam, len(dataset))
-    return HelmholtzModel(alpha=xi[:hyper.d], beta=xi[hyper.d:], basis_c=basis_c,
-                          basis_s=basis_s, hyper=hyper)
+    (basis_c, basis_s), (alpha, beta) = _fit(
+        dataset, hyper, seed, {ft.ODD_CURL_FREE: hyper.lambda1, ft.ODD_SYMPLECTIC: hyper.lambda2})
+    return HelmholtzModel(alpha=alpha, beta=beta, basis_c=basis_c, basis_s=basis_s, hyper=hyper)
 
 
 def fit_baseline(dataset: Dataset, hyper: Hyperparameters, seed: int) -> BaselineModel:
     """Closed-form fit of the Gaussian-separable baseline (single ridge weight)."""
-    basis_seed = ft.split_seed(seed, 1)[0]
-    basis = ft.sample_basis(ft.GAUSSIAN_SEPARABLE, hyper.d, dataset.dim, hyper.sigma, basis_seed)
-    design = ft.feature_design(basis, dataset.states)
-    lam = np.full(hyper.d, hyper.lambda1)
-    alpha = solve_ridge(design, dataset.target_vector(), lam, len(dataset))
+    (basis,), (alpha,) = _fit(dataset, hyper, seed, {ft.GAUSSIAN_SEPARABLE: hyper.lambda1})
     return BaselineModel(alpha=alpha, basis=basis, hyper=hyper)
 
 
@@ -357,10 +349,10 @@ def fit_exact_kernel(dataset: Dataset, kind: str, sigma: float, lam: float) -> E
     if len(dataset) > _EXACT_N_LIMIT:
         raise ValueError(
             f"exact-kernel fit is dense in nN; N={len(dataset)} exceeds the guard {_EXACT_N_LIMIT}")
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     G = gram_matrix(kind, dataset.states, sigma)
-    coeffs = np.linalg.solve(G + len(dataset) * lam * np.eye(G.shape[0]), dataset.target_vector())
+    coeffs = _checked_solve(G + len(dataset) * lam * np.eye(G.shape[0]), dataset.target_vector())
     return ExactKernelModel(
         coefficients=coeffs.reshape(len(dataset), dataset.dim),
         anchors=dataset.states.copy(),

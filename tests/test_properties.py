@@ -4,10 +4,12 @@ solve, and the structure of the kernels and fitted models.
 Fields and energies accept one state (n,) or any batch (..., n), and RK4
 steps a batch (B, n) of initial conditions together.  Batched results must
 equal per-state evaluation bit for bit, so artifacts do not depend on how
-states are grouped.  The ridge solve must give the least-squares minimizer
-on either side of its primal/dual switch.  Oddness, evenness and symmetry
-hold exactly, not to a tolerance: each follows from IEEE negation and
-commutativity, and the fitted models inherit them from sin and cos.
+states are grouped.  A fitted model's field is its design contracted with
+its coefficients, whatever the block size.  The ridge solve must give the
+least-squares minimizer on either side of its primal/dual switch.  Oddness,
+evenness and symmetry hold exactly, not to a tolerance: each follows from
+IEEE negation and commutativity, and the fitted models inherit them from sin
+and cos.
 """
 
 import json
@@ -18,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
 import helmrff as hr
+from helmrff import features as ft
 from helmrff import kernels as kn
 from helmrff import regression as rg
 
@@ -123,6 +126,33 @@ def test_gram_matrix_is_exactly_symmetric(kind, X, sigma):
     G = kn.gram_matrix(kind, X, sigma)
     assert G.shape == (2 * len(X), 2 * len(X))
     assert_array_equal(G, G.T)
+
+
+# m features per output; a budget d = m n above 2**17 / 8 = 16,384 splits
+# a batch of 8 states into several evaluation blocks.
+feature_bases = st.builds(
+    lambda kind, n, m, sigma, seed: ft.sample_basis(kind, m * n, n, sigma, seed),
+    st.sampled_from(ft.KINDS), st.sampled_from((2, 4)),
+    st.one_of(st.integers(1, 32), st.integers(2**12, 2**14)), widths, st.integers(0, 2**32 - 1))
+
+
+@properties
+@given(feature_bases, st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_model_field_is_the_design_contracted_with_the_coefficients(basis, B, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-5.0, 5.0, size=(B, basis.n))
+    coef = rng.normal(size=basis.d)
+    hyper = rg.Hyperparameters(basis.sigma, 1.0, 1.0, basis.d)
+    if basis.kind == ft.GAUSSIAN_SEPARABLE:
+        field = rg.BaselineModel(coef, basis, hyper).predict
+    else:
+        model = rg.HelmholtzModel(coef, coef, basis, basis, hyper)
+        field = model.dissipative_part if basis.kind == ft.ODD_CURL_FREE else model.symplectic_part
+    design = ft.feature_design(basis, X)
+    expected = (design.T @ coef).reshape(B, basis.n)
+    # Both sides sum the same d rounded products in different orders.
+    bound = 2 * (basis.d + 2) * np.finfo(float).eps * (np.abs(design).T @ np.abs(coef)).reshape(B, basis.n)
+    assert np.all(np.abs(field(X) - expected) <= bound)
 
 
 fitted_models = st.builds(

@@ -259,22 +259,27 @@ def test_large_budget_predict_is_evaluated_in_bounded_blocks():
     basis_c = ft.sample_basis(ft.ODD_CURL_FREE, d, 2, 1.0, 1)
     basis_s = ft.sample_basis(ft.ODD_SYMPLECTIC, d, 2, 1.0, 2)
     rng = np.random.default_rng(15)
-    model = rg.HelmholtzModel(alpha=rng.normal(size=d), beta=rng.normal(size=d), basis_c=basis_c,
-                              basis_s=basis_s, hyper=rg.Hyperparameters(1.0, 1e-3, 1e-3, d=d))
+    helmholtz = rg.HelmholtzModel(alpha=rng.normal(size=d), beta=rng.normal(size=d), basis_c=basis_c,
+                                  basis_s=basis_s, hyper=rg.Hyperparameters(1.0, 1e-3, 1e-3, d=d))
+    baseline = rg.BaselineModel(alpha=rng.normal(size=d),
+                                basis=ft.sample_basis(ft.GAUSSIAN_SEPARABLE, d, 2, 1.0, 3),
+                                hyper=rg.Hyperparameters(1.0, 1e-3, None, d=d))
     Q, P = np.meshgrid(np.linspace(-4, 4, 25), np.linspace(-4, 4, 25), indexing="ij")
     grid = np.column_stack([Q.ravel(), P.ravel()])
-    tracemalloc.start()
-    try:
-        field = model.predict(grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-    # blocks split the states only, so each state's value is the one-state value
-    energy = model.hamiltonian(grid)
+    for model in (helmholtz, baseline):
+        tracemalloc.start()
+        try:
+            field = model.predict(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, f"{type(model).__name__}: peak {peak / 2**20:.1f} MiB"
+        # blocks split the states only, so each state's value is the one-state value
+        for i in (0, 5, 6, 624):
+            assert_allclose(field[i], model.predict(grid[i]), rtol=1e-12, atol=1e-12)
+    energy = helmholtz.hamiltonian(grid)
     for i in (0, 5, 6, 624):
-        assert_allclose(field[i], model.predict(grid[i]), rtol=1e-12, atol=1e-12)
-        assert_allclose(energy[i], model.hamiltonian(grid[i]), rtol=1e-12, atol=1e-12)
+        assert_allclose(energy[i], helmholtz.hamiltonian(grid[i]), rtol=1e-12, atol=1e-12)
 
 
 def test_predict_dimension_mismatch():
@@ -389,6 +394,16 @@ def test_exact_kernel_guard():
     ds = random_dataset(201, 18)
     with pytest.raises(ValueError):
         hr.fit_exact_kernel(ds, "helmholtz", sigma=1.0, lam=1e-3)
+
+
+def test_exact_kernel_refuses_a_ridge_weight_without_a_finite_solve():
+    """Both once returned a model whose coefficients and predictions were all NaN."""
+    ds = random_dataset(4, 20)
+    with pytest.raises(ValueError, match="lambda"):
+        hr.fit_exact_kernel(ds, "helmholtz", sigma=1.0, lam=np.inf)
+    # finite, but N lambda overflows, so the system holds inf and NaN
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="residual"):
+        hr.fit_exact_kernel(ds, "helmholtz", sigma=1.0, lam=1e308)
 
 
 def test_exact_kernel_solves_the_block_system():
