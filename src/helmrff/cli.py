@@ -216,7 +216,7 @@ def parse_config(path) -> ExperimentConfig:
             doc = yaml.safe_load(fh)
     except yaml.YAMLError as err:
         raise ConfigError(f"cannot parse {path}: {err}")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read {path}: {err}")
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
@@ -327,18 +327,11 @@ def run_protocol(config: ExperimentConfig, master: int, dataset: rg.Dataset | No
     hyper_h, hyper_g = (config.fixed(model) or
                         ev.cross_validate(dataset, config.search_space(model == "gaussian"), seeds["cv_shuffle"])
                         for model in FIXED_LAMBDAS)
-    helm = rg.fit_helmholtz(dataset, hyper_h, seeds["helmholtz_fit"])
-    base = rg.fit_baseline(dataset, hyper_g, seeds["gaussian_fit"])
-    return {
-        "seeds": seeds,
-        "dataset": dataset,
-        "helmholtz": helm,
-        "gaussian": base,
-        "report_helmholtz": ev.evaluate_model(helm, dataset, config.test_set, config.system_name,
-                                              "helmholtz", master, NOTES),
-        "report_gaussian": ev.evaluate_model(base, dataset, config.test_set, config.system_name,
-                                             "gaussian", master, NOTES),
-    }
+    models = {"helmholtz": rg.fit_helmholtz(dataset, hyper_h, seeds["helmholtz_fit"]),
+              "gaussian": rg.fit_baseline(dataset, hyper_g, seeds["gaussian_fit"])}
+    reports = {f"report_{kind}": ev.evaluate_model(model, dataset, config.test_set, config.system_name, kind,
+                                                   master, NOTES) for kind, model in models.items()}
+    return {"seeds": seeds, "dataset": dataset, **models, **reports}
 
 
 def _comments(config: ExperimentConfig, seeds: dict) -> list[str]:
@@ -348,16 +341,27 @@ def _comments(config: ExperimentConfig, seeds: dict) -> list[str]:
     ]
 
 
-def _load_dataset(path) -> rg.Dataset:
-    path = Path(path)
+def _read(flag: str, path, load):
+    """load(path), with any failure to read, parse or check the file raised as one ConfigError naming `flag`."""
     try:
-        if path.suffix == ".csv":
-            return sy.dataset_from_csv(path)
-        with open(path) as fh:
-            doc = json.load(fh)
-        return sy.dataset_from_json(doc.get("data", doc))
-    except (OSError, ValueError, KeyError) as err:
-        raise ConfigError(f"--data: cannot load a dataset from {path}: {err}")
+        return load(path)
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        raise ConfigError(f"{flag}: cannot load {path}: {type(err).__name__}: {err}")
+
+
+def _load_dataset(path) -> rg.Dataset:
+    if Path(path).suffix == ".csv":
+        return sy.dataset_from_csv(path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    return sy.dataset_from_json(doc["data"] if "data" in doc else doc)
+
+
+def _load_model(path) -> tuple[str, rg.HelmholtzModel | rg.BaselineModel]:
+    with open(path) as fh:
+        doc = json.load(fh)
+    kind = doc["model"]
+    return kind, {"helmholtz": rg.HelmholtzModel, "gaussian": rg.BaselineModel}[kind].from_json(doc)
 
 
 def _summary_lines(rows: list[dict], title: str) -> list[str]:
@@ -367,22 +371,27 @@ def _summary_lines(rows: list[dict], title: str) -> list[str]:
     return lines
 
 
-def _setup(args, path, adjust=None) -> tuple[ExperimentConfig, int, Path]:
-    """Parse the config and apply `adjust` to it, resolve the master seed, and
-    create the output directory once every flag has been checked."""
-    config = parse_config(path)
-    if adjust is not None:
-        config = adjust(config)
+def _setup(args, config: ExperimentConfig) -> tuple[int, Path]:
+    """Resolve the master seed and create the output directory, once every flag has been checked."""
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     master = config.seed if args.seed is None else args.seed
     out = Path(args.out or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return config, master, out
+    return master, out
+
+
+def _write_reports(config: ExperimentConfig, master: int, reports: list[dict], out: Path) -> int:
+    """Write eval_report.json and print the summary table, for `fit` and `eval`."""
+    sy.json_dump({"config": config.resolved(), "seeds": _seed_map(master), "reports": reports},
+                 out / "eval_report.json")
+    print("\n".join(_summary_lines(reports, f"system: {config.system_name}  seed: {master}")))
+    return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    config, master, out = _setup(args, args.config)
+    config = parse_config(args.config)
+    master, out = _setup(args, config)
     seeds = _seed_map(master)
     dataset = simulate_dataset(config, master)
     comments = _comments(config, seeds)
@@ -413,37 +422,26 @@ def _fix_hypers(config: ExperimentConfig, text: str) -> ExperimentConfig:
 
 
 def cmd_fit(args) -> int:
-    dataset = _load_dataset(args.data) if args.data else None
-    config, master, out = _setup(args, args.config, lambda c: _fix_hypers(c, args.fixed_hypers))
+    dataset = _read("--data", args.data, _load_dataset) if args.data else None
+    config = _fix_hypers(parse_config(args.config), args.fixed_hypers)
+    master, out = _setup(args, config)
     result = run_protocol(config, master, dataset)
 
     base_doc = {"config": config.resolved(), "seeds": result["seeds"]}
     sy.json_dump({**base_doc, **result["helmholtz"].to_json()}, out / "model_helmholtz.json")
     sy.json_dump({**base_doc, **result["gaussian"].to_json()}, out / "model_gaussian.json")
-    reports = [result["report_helmholtz"].to_json(), result["report_gaussian"].to_json()]
-    sy.json_dump({**base_doc, "reports": reports}, out / "eval_report.json")
-    print("\n".join(_summary_lines(reports, f"system: {config.system_name}  seed: {master}")))
-    return EXIT_OK
+    return _write_reports(config, master, [result[f"report_{kind}"].to_json() for kind in FIXED_LAMBDAS], out)
 
 
 def cmd_eval(args) -> int:
-    model_types = {"helmholtz": rg.HelmholtzModel, "gaussian": rg.BaselineModel}
-    try:
-        with open(args.model) as fh:
-            doc = json.load(fh)
-        model = model_types[doc["model"]].from_json(doc)
-    except (OSError, ValueError, KeyError) as err:
-        raise ConfigError(f"--model: cannot load a {'/'.join(model_types)} model from {args.model}: {err!r}")
-    dataset = _load_dataset(args.data) if args.data else None
-    config, master, out = _setup(args, args.config)
+    kind, model = _read("--model", args.model, _load_model)
+    dataset = _read("--data", args.data, _load_dataset) if args.data else None
+    config = parse_config(args.config)
+    master, out = _setup(args, config)
     if dataset is None:
         dataset = simulate_dataset(config, master)
-    report = ev.evaluate_model(model, dataset, config.test_set, config.system_name, doc["model"],
-                               master, NOTES)
-    sy.json_dump({"config": config.resolved(), "seeds": _seed_map(master),
-                  "reports": [report.to_json()]}, out / "eval_report.json")
-    print("\n".join(_summary_lines([report.to_json()], f"system: {config.system_name}  seed: {master}")))
-    return EXIT_OK
+    report = ev.evaluate_model(model, dataset, config.test_set, config.system_name, kind, master, NOTES)
+    return _write_reports(config, master, [report.to_json()], out)
 
 
 def _median_summary(reports: list[dict]) -> dict:
@@ -453,16 +451,13 @@ def _median_summary(reports: list[dict]) -> dict:
 
 
 def cmd_reproduce(args) -> int:
-    if args.seeds < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-
-    def agree(config):
-        if config.system_name != args.experiment:
-            raise ConfigError(f"--config is for system {config.system_name!r}, not {args.experiment!r}")
-        return config
-    config, base_seed, out = _setup(args, args.config or bundled_config_path(args.experiment), agree)
+    for flag, value in (("--seeds", args.seeds), ("--jobs", args.jobs)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    config = parse_config(args.config or bundled_config_path(args.experiment))
+    if config.system_name != args.experiment:
+        raise ConfigError(f"--config is for system {config.system_name!r}, not {args.experiment!r}")
+    base_seed, out = _setup(args, config)
     masters = [base_seed + i for i in range(args.seeds)]
 
     # Per-seed runs are pure; gather in seed order so aggregation is stable.  The shared
@@ -471,13 +466,11 @@ def cmd_reproduce(args) -> int:
     with ThreadPoolExecutor(max_workers=min(args.jobs, len(masters))) as pool:
         results = list(pool.map(lambda m: run_protocol(config, m), masters))
 
-    reports = []
-    for result in results:
-        reports.extend([result["report_helmholtz"].to_json(), result["report_gaussian"].to_json()])
+    reports = [result[f"report_{kind}"].to_json() for result in results for kind in FIXED_LAMBDAS]
     medians = _median_summary(reports)
 
-    seeds0 = results[0]["seeds"]
-    comments = _comments(config, seeds0)
+    first = results[0]
+    comments = _comments(config, first["seeds"])
     with open(out / "summary.csv", "w") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
@@ -494,7 +487,6 @@ def cmd_reproduce(args) -> int:
     check_lines = [f"{'PASS' if ok else 'FAIL'}: {desc}" for desc, ok in checks]
     (out / "summary.txt").write_text("\n".join(comments + summary_text + check_lines) + "\n")
 
-    first = results[0]
     for label, field in (("true", config.make_system().field), ("gaussian", first["gaussian"]),
                          ("helmholtz", first["helmholtz"])):
         grid = ev.stream_grid(field, config.figure_bounds, config.figure_resolution)
@@ -518,37 +510,31 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Learn dissipative Hamiltonian vector fields "
                                                  "and reproduce the benchmark experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
+    every = argparse.ArgumentParser(add_help=False)
+    every.add_argument("--seed", type=int, default=None, help="master seed; the first one for reproduce")
+    every.add_argument("--out", default=None)
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--config", required=True)
+    inputs.add_argument("--data", default=None, help="training CSV/JSON; simulated from config if omitted")
 
-    sim = sub.add_parser("simulate", help="generate and save a noisy training set")
+    sim = sub.add_parser("simulate", parents=[every], help="generate and save a noisy training set")
     sim.add_argument("--config", required=True)
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--out", default=None)
     sim.set_defaults(func=cmd_simulate)
 
-    fit = sub.add_parser("fit", help="tune, fit, and evaluate both models")
-    fit.add_argument("--config", required=True)
-    fit.add_argument("--data", default=None, help="training CSV/JSON; simulated from config if omitted")
-    fit.add_argument("--seed", type=int, default=None)
-    fit.add_argument("--out", default=None)
+    fit = sub.add_parser("fit", parents=[inputs, every], help="tune, fit, and evaluate both models")
     fit.add_argument("--fixed-hypers", default=None, metavar="SIGMA,L1,L2",
                      help="skip the grid search and use these hyperparameters")
     fit.set_defaults(func=cmd_fit)
 
-    ev_cmd = sub.add_parser("eval", help="re-evaluate a saved model")
-    ev_cmd.add_argument("--config", required=True)
+    ev_cmd = sub.add_parser("eval", parents=[inputs, every], help="re-evaluate a saved model")
     ev_cmd.add_argument("--model", required=True)
-    ev_cmd.add_argument("--data", default=None)
-    ev_cmd.add_argument("--seed", type=int, default=None)
-    ev_cmd.add_argument("--out", default=None)
     ev_cmd.set_defaults(func=cmd_eval)
 
-    rep = sub.add_parser("reproduce", help="run a full benchmark over many seeds")
+    rep = sub.add_parser("reproduce", parents=[every], help="run a full benchmark over many seeds")
     rep.add_argument("experiment", choices=sorted(THRESHOLDS))
     rep.add_argument("--config", default=None, help="override the bundled experiment config")
     rep.add_argument("--seeds", type=int, default=10, help="number of master seeds")
-    rep.add_argument("--seed", type=int, default=None, help="first master seed")
     rep.add_argument("--jobs", type=int, default=4)
-    rep.add_argument("--out", default=None)
     rep.set_defaults(func=cmd_reproduce)
     return parser
 

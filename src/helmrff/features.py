@@ -5,6 +5,7 @@ state yields a d x n matrix whose products approximate the matching exact
 kernel from :mod:`helmrff.kernels`.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,29 @@ class FeatureBasis:
     sigma: float
     seed: int
     phases: np.ndarray | None = field(default=None)
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown feature kind {self.kind!r}; choose from {KINDS}")
+        if not (isinstance(self.sigma, numbers.Real) and self.sigma > 0):
+            raise ValueError(f"kernel width must be positive, got {self.sigma!r}")
+        weights = np.asarray(self.weights, dtype=float)
+        if weights.ndim != 2 or 0 in weights.shape or not np.all(np.isfinite(weights)):
+            raise ValueError(f"weights must be a finite (d, n) array, d, n >= 1, got shape {weights.shape}")
+        d, n = weights.shape
+        if self.kind == ODD_SYMPLECTIC and n % 2:
+            raise ValueError(f"odd-symplectic basis needs an even state dimension, got {n}")
+        if self.kind == GAUSSIAN_SEPARABLE:
+            phases = np.asarray(self.phases, dtype=float)
+            if d % n or phases.shape != (d,) or not np.all(np.isfinite(phases)):
+                raise ValueError(f"baseline basis needs d divisible by n and finite (d,) phases, "
+                                 f"got d={d}, n={n} and phases of shape {phases.shape}")
+            object.__setattr__(self, "phases", phases)
+        elif self.phases is not None:
+            raise ValueError(f"{self.kind} basis takes no phases")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def d(self) -> int:
@@ -75,14 +99,7 @@ class FeatureBasis:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FeatureBasis":
-        phases = doc.get("phases")
-        return cls(
-            kind=doc["kind"],
-            weights=np.asarray(doc["weights"], dtype=float),
-            sigma=float(doc["sigma"]),
-            seed=int(doc["seed"]),
-            phases=None if phases is None else np.asarray(phases, dtype=float),
-        )
+        return cls(doc["kind"], doc["weights"], doc["sigma"], doc["seed"], doc["phases"])
 
 
 def sample_basis(kind: str, d: int, n: int, sigma: float, seed: int) -> FeatureBasis:
@@ -91,22 +108,10 @@ def sample_basis(kind: str, d: int, n: int, sigma: float, seed: int) -> FeatureB
     Weights are sigma^-1 times standard-normal draws, so bases sampled with
     the same seed but different widths share the same underlying draws.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown feature kind {kind!r}; choose from {KINDS}")
-    if d < 1:
-        raise ValueError(f"feature count must be >= 1, got {d}")
-    if n < 1:
-        raise ValueError(f"state dimension must be >= 1, got {n}")
-    if not sigma > 0:
-        raise ValueError(f"kernel width must be positive, got {sigma}")
-    if kind == ODD_SYMPLECTIC and n % 2:
-        raise ValueError(f"odd-symplectic basis needs an even state dimension, got {n}")
-    if kind == GAUSSIAN_SEPARABLE and d % n:
-        raise ValueError(f"baseline basis needs d divisible by n, got d={d}, n={n}")
     rng = np.random.default_rng(seed)
     weights = rng.standard_normal((d, n)) / sigma
     phases = rng.uniform(0.0, 2.0 * np.pi, size=d) if kind == GAUSSIAN_SEPARABLE else None
-    return FeatureBasis(kind=kind, weights=weights, sigma=float(sigma), seed=int(seed), phases=phases)
+    return FeatureBasis(kind, weights, sigma, seed, phases)
 
 
 def feature_matrix(x, basis: FeatureBasis) -> np.ndarray:

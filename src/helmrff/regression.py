@@ -7,6 +7,7 @@ systems.  Models are immutable after fitting and safe to share across
 threads.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import wraps
 
@@ -38,16 +39,23 @@ class Dataset:
     traj_ids: np.ndarray | None = None
 
     def __post_init__(self):
-        states = np.atleast_2d(np.asarray(self.states, dtype=float))
-        derivs = np.atleast_2d(np.asarray(self.derivatives, dtype=float))
+        states = np.asarray(self.states, dtype=float)
+        derivs = np.asarray(self.derivatives, dtype=float)
+        if states.ndim != 2 or 0 in states.shape:
+            raise ValueError(f"states must be an (N, n) array, N, n >= 1, got shape {states.shape}")
         if states.shape != derivs.shape:
             raise ValueError(f"states {states.shape} and derivatives {derivs.shape} must match")
-        if states.shape[0] < 1:
-            raise ValueError("dataset needs at least one sample")
         if not (np.all(np.isfinite(states)) and np.all(np.isfinite(derivs))):
             raise ValueError("states and derivatives must be finite (found NaN or inf)")
+        times = None if self.times is None else np.asarray(self.times, dtype=float)
+        ids = None if self.traj_ids is None else np.asarray(self.traj_ids)
+        for name, column, kinds, what in (("times", times, "f", "number"), ("traj_ids", ids, "iu", "integer")):
+            if column is not None and (column.shape != states.shape[:1] or column.dtype.kind not in kinds):
+                raise ValueError(f"{name} must be one {what} per sample, got {column.dtype} {column.shape}")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "derivatives", derivs)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "traj_ids", ids)
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -58,12 +66,8 @@ class Dataset:
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
-        return Dataset(
-            self.states[idx],
-            self.derivatives[idx],
-            None if self.times is None else self.times[idx],
-            None if self.traj_ids is None else self.traj_ids[idx],
-        )
+        return Dataset(*(None if column is None else column[idx]
+                         for column in (self.states, self.derivatives, self.times, self.traj_ids)))
 
     def target_vector(self) -> np.ndarray:
         """Derivatives stacked sample-by-sample into one length-nN vector."""
@@ -83,12 +87,12 @@ class Hyperparameters:
     d: int = 200
 
     def __post_init__(self):
-        for name in ("sigma", "lambda1", "lambda2"):
+        for name in ("sigma", "lambda1") + (() if self.lambda2 is None else ("lambda2",)):
             value = getattr(self, name)
-            if name == "lambda2" and value is None:
-                continue
-            if not 0 < value < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            if not (isinstance(value, numbers.Real) and 0 < value < np.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        object.__setattr__(self, "d", int(self.d))
         if self.d < 1:
             raise ValueError(f"feature budget must be >= 1, got {self.d}")
 
@@ -97,9 +101,7 @@ class Hyperparameters:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Hyperparameters":
-        lam2 = doc.get("lambda2")
-        return cls(float(doc["sigma"]), float(doc["lambda1"]),
-                   None if lam2 is None else float(lam2), int(doc["d"]))
+        return cls(doc["sigma"], doc["lambda1"], doc["lambda2"], doc["d"])
 
 
 def _batched(method):
@@ -139,6 +141,20 @@ def _cosine_potential(X, basis: ft.FeatureBasis, coef) -> np.ndarray:
     return _over_blocks(X, basis.d, reduce) / np.sqrt(basis.d)
 
 
+def _check_parts(model, parts: dict) -> None:
+    """Check, for each coefficient name -> (basis slot, kind) of `parts`, hyper.d finite coefficients
+    and a basis of that kind with hyper's d and sigma and the model's n; store them as float arrays."""
+    for name, (slot, kind) in parts.items():
+        basis = getattr(model, slot)
+        for attr, want in (("kind", kind), ("d", model.hyper.d), ("sigma", model.hyper.sigma), ("n", model.dim)):
+            if getattr(basis, attr) != want:
+                raise ValueError(f"{slot}.{attr} is {getattr(basis, attr)!r}, but the model needs {want!r}")
+        coef = np.asarray(getattr(model, name), dtype=float)
+        if coef.shape != (model.hyper.d,) or not np.all(np.isfinite(coef)):
+            raise ValueError(f"{name} must hold d = {model.hyper.d} finite coefficients, got shape {coef.shape}")
+        object.__setattr__(model, name, coef)
+
+
 @dataclass(frozen=True)
 class HelmholtzModel:
     """Learned vector field as a symplectic part plus a gradient part."""
@@ -148,6 +164,11 @@ class HelmholtzModel:
     basis_c: ft.FeatureBasis
     basis_s: ft.FeatureBasis
     hyper: Hyperparameters
+
+    def __post_init__(self):
+        if self.hyper.lambda2 is None:
+            raise ValueError("a Helmholtz model needs both ridge weights; hyper.lambda2 is None")
+        _check_parts(self, {"alpha": ("basis_c", ft.ODD_CURL_FREE), "beta": ("basis_s", ft.ODD_SYMPLECTIC)})
 
     @property
     def dim(self) -> int:
@@ -197,13 +218,8 @@ class HelmholtzModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "HelmholtzModel":
-        return cls(
-            alpha=np.asarray(doc["alpha"], dtype=float),
-            beta=np.asarray(doc["beta"], dtype=float),
-            basis_c=ft.FeatureBasis.from_json(doc["basis_c"]),
-            basis_s=ft.FeatureBasis.from_json(doc["basis_s"]),
-            hyper=Hyperparameters.from_json(doc["hyper"]),
-        )
+        return cls(doc["alpha"], doc["beta"], ft.FeatureBasis.from_json(doc["basis_c"]),
+                   ft.FeatureBasis.from_json(doc["basis_s"]), Hyperparameters.from_json(doc["hyper"]))
 
 
 @dataclass(frozen=True)
@@ -213,6 +229,9 @@ class BaselineModel:
     alpha: np.ndarray
     basis: ft.FeatureBasis
     hyper: Hyperparameters
+
+    def __post_init__(self):
+        _check_parts(self, {"alpha": ("basis", ft.GAUSSIAN_SEPARABLE)})
 
     @property
     def dim(self) -> int:
@@ -232,11 +251,7 @@ class BaselineModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "BaselineModel":
-        return cls(
-            alpha=np.asarray(doc["alpha"], dtype=float),
-            basis=ft.FeatureBasis.from_json(doc["basis"]),
-            hyper=Hyperparameters.from_json(doc["hyper"]),
-        )
+        return cls(doc["alpha"], ft.FeatureBasis.from_json(doc["basis"]), Hyperparameters.from_json(doc["hyper"]))
 
 
 @dataclass(frozen=True)

@@ -197,13 +197,12 @@ def dataset_from_csv(path) -> Dataset:
         rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
     if not rows or rows[0] != CSV_HEADER:
         raise ValueError(f"expected header {','.join(CSV_HEADER)} in {path}")
-    for row in rows[1:]:
-        t, q, p, qdot, pdot, tid = row
+    for t, q, p, qdot, pdot, tid in rows[1:]:
         times.append(float(t))
         states.append([float(q), float(p)])
         derivs.append([float(qdot), float(pdot)])
         ids.append(int(tid))
-    return Dataset(np.array(states), np.array(derivs), np.array(times), np.array(ids))
+    return Dataset(states, derivs, times, ids)
 
 
 def dataset_to_json(dataset: Dataset) -> dict:
@@ -216,12 +215,7 @@ def dataset_to_json(dataset: Dataset) -> dict:
 
 
 def dataset_from_json(doc: dict) -> Dataset:
-    return Dataset(
-        states=np.asarray(doc["states"], dtype=float),
-        derivatives=np.asarray(doc["derivatives"], dtype=float),
-        times=None if doc.get("times") is None else np.asarray(doc["times"], dtype=float),
-        traj_ids=None if doc.get("traj_ids") is None else np.asarray(doc["traj_ids"], dtype=int),
-    )
+    return Dataset(doc["states"], doc["derivatives"], doc.get("times"), doc.get("traj_ids"))
 
 
 def trajectories_to_csv(trajectories: list[Trajectory], path, comments: list[str] | None = None) -> None:

@@ -1,16 +1,25 @@
+import contextlib
+import copy
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
-from numpy.testing import assert_allclose
+from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from helmrff import cli
+from helmrff import features as ft
 from helmrff import regression as rg
+from helmrff import systems as sy
 
 
 def write_config(tmp_path, name="msd", **overrides):
@@ -178,6 +187,10 @@ def test_yaml_syntax_errors_carry_location(tmp_path):
     path.write_text("system:\n  name: msd\n   m: 0.5\n")
     with pytest.raises(cli.ConfigError, match="line"):
         cli.parse_config(path)
+    # a file that is not text fails as unreadable, not with a traceback
+    path.write_bytes(b"system:\n  name: \xff\xfe\n")
+    with pytest.raises(cli.ConfigError, match="cannot read"):
+        cli.parse_config(path)
 
 
 def test_invalid_config_exits_1(tmp_path, capsys):
@@ -207,6 +220,157 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0], (argv, err)
         assert not out.exists(), argv
+
+
+# The flags of each subcommand; the argparse parents that define the shared ones must keep them all.
+FLAGS = {
+    "simulate": {"--config", "--seed", "--out"},
+    "fit": {"--config", "--data", "--seed", "--out", "--fixed-hypers"},
+    "eval": {"--config", "--model", "--data", "--seed", "--out"},
+    "reproduce": {"--config", "--seeds", "--seed", "--jobs", "--out"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_each_subcommand_lists_its_flags(command, capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.main([command, "--help"])
+    assert done.value.code == 0
+    assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == FLAGS[command] | {"--help"}
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A fitted msd model pair and its training set as files, with the objects they hold."""
+    root = tmp_path_factory.mktemp("saved")
+    msd = str(cli.bundled_config_path("msd"))
+    assert cli.main(["fit", "--config", msd, "--fixed-hypers", "0.5,1e-4,1e-6", "--out", str(root)]) == 0
+    docs = {kind: json.loads((root / f"model_{kind}.json").read_text()) for kind in cli.FIXED_LAMBDAS}
+    dataset = cli.simulate_dataset(cli.parse_config(msd), 0)
+    sy.dataset_to_csv(dataset, root / "train.csv", ["a comment line"])
+    lines = (root / "train.csv").read_text().splitlines()
+    return SimpleNamespace(root=root, msd=msd, docs=docs, dataset=dataset, lines=lines,
+                           states=np.random.default_rng(0).uniform(-3.0, 3.0, size=(16, 2)))
+
+
+def rejected_at_the_boundary(saved, argv, flag):
+    """`main(argv)` exits 1 with one `error:` line naming `flag`, before any output directory exists."""
+    out, stderr = saved.root / "mutant_out", io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli.main(argv + ["--config", saved.msd, "--out", str(out)])
+    err = stderr.getvalue().splitlines()
+    return code == 1 and len(err) == 1 and err[0].startswith(f"error: {flag}: ") and not out.exists()
+
+
+def mutated_model(saved, kind, mutate):
+    doc = copy.deepcopy(saved.docs[kind])
+    mutate(doc)
+    path = saved.root / "mutant.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: doc.update(alpha=doc["alpha"][:-3]),
+    lambda doc: doc["basis_s"].update(weights=[w[:1] for w in doc["basis_s"]["weights"]]),
+    lambda doc: doc["hyper"].update(d=7),
+    lambda doc: doc["hyper"].update(sigma=None),
+    lambda doc: doc["basis_c"].update(kind=ft.ODD_SYMPLECTIC),
+    lambda doc: doc["basis_c"].update(sigma=2 * doc["basis_c"]["sigma"]),
+], ids=["alpha-cut", "basis_s-one-column", "hyper-d", "hyper-sigma-null", "basis_c-kind", "basis_c-sigma"])
+def test_eval_rejects_a_model_whose_parts_do_not_fit(saved, mutate):
+    path = mutated_model(saved, "helmholtz", mutate)
+    assert rejected_at_the_boundary(saved, ["eval", "--model", str(path)], "--model")
+
+
+def json_locations(node, path=()):
+    """The path to every node below the root of a JSON document."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from json_locations(child, path + (key,))
+
+
+def retyped(value):
+    """A JSON value of another type than `value`."""
+    if isinstance(value, str):
+        return 3
+    return {"x": 1} if isinstance(value, list) else ["x"] if isinstance(value, dict) else "x"
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.sampled_from(sorted(cli.FIXED_LAMBDAS)), st.sampled_from(("drop", "truncate", "retype", "null", "kind")),
+       st.data())
+def test_model_file_mutants_load_exactly_or_fail_at_the_boundary(saved, kind, op, data):
+    """Drop a key or list entry, truncate a list, change a type, set a field to null, or swap a basis kind:
+    the file loads to a model with bit-identical parts, or `eval` fails at the boundary."""
+    original = saved.docs[kind]
+    if op == "kind":
+        slot = data.draw(st.sampled_from([key for key in original if key.startswith("basis")]))
+        path = (slot, "kind")
+        new = data.draw(st.sampled_from([k for k in ft.KINDS if k != original[slot]["kind"]]))
+    else:
+        nodes = {path: reduce(lambda n, k: n[k], path, original) for path in json_locations(original)}
+        path = data.draw(st.sampled_from([path for path, node in nodes.items()
+                                          if op != "truncate" or isinstance(node, list) and node]))
+
+    def mutate(doc):
+        *above, key = path
+        parent = reduce(lambda n, k: n[k], above, doc)
+        if op == "drop":
+            del parent[key]
+        elif op == "truncate":
+            parent[key] = parent[key][:data.draw(st.integers(0, len(parent[key]) - 1))]
+        else:
+            parent[key] = new if op == "kind" else None if op == "null" else retyped(parent[key])
+    mutant = mutated_model(saved, kind, mutate)
+
+    types = {"helmholtz": rg.HelmholtzModel, "gaussian": rg.BaselineModel}
+    try:
+        doc = json.loads(mutant.read_text())
+        model = types[doc["model"]].from_json(doc)
+    except Exception:
+        assert rejected_at_the_boundary(saved, ["eval", "--model", str(mutant)], "--model")
+    else:
+        reference = types[kind].from_json(original)
+        assert model.to_json() == reference.to_json()
+        assert_array_equal(model.predict(saved.states), reference.predict(saved.states))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(("header", "columns", "cell", "traj_id", "no rows")), st.data())
+def test_data_file_mutants_load_exactly_or_fail_at_the_boundary(saved, op, data):
+    """Break the header, change a row's column count, put text in a cell, make a trajectory id
+    fractional, or keep no rows: the file loads to the same samples, or `fit` fails at the boundary."""
+    lines = list(saved.lines)
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    row = data.draw(st.integers(header + 1, len(lines) - 1))
+    cells = lines[row].split(",")
+    if op == "header":
+        names = lines[header].split(",")
+        names[data.draw(st.integers(0, len(names) - 1))] = data.draw(st.sampled_from(("", "x", "Q")))
+        lines[header] = ",".join(names)
+    elif op == "columns":
+        at = data.draw(st.integers(0, len(cells)))
+        cells = cells[:at] + ["0.0"] + cells[at:] if data.draw(st.booleans()) else cells[:at] + cells[at + 1:]
+    elif op == "cell":
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(st.sampled_from(("", "x", "1,5", "0x1")))
+    elif op == "traj_id":
+        cells[-1] = data.draw(st.sampled_from(("0.5", "1e0", "1.0", "-0.25")))
+    else:
+        lines = lines[:header + 1]
+    if op in ("columns", "cell", "traj_id"):
+        lines[row] = ",".join(cells)
+    path = saved.root / "mutant.csv"
+    path.write_text("\n".join(lines) + "\n")
+
+    try:
+        loaded = sy.dataset_from_csv(path)
+    except Exception:
+        assert rejected_at_the_boundary(saved, ["fit", "--data", str(path)], "--data")
+    else:
+        for column in ("states", "derivatives", "times", "traj_ids"):
+            assert_array_equal(getattr(loaded, column), getattr(saved.dataset, column))
 
 
 def test_simulate_counts_and_files(tmp_path, capsys):

@@ -39,18 +39,43 @@ def test_weights_scale_inversely_with_sigma():
 
 
 def test_sample_basis_validation():
-    with pytest.raises(ValueError):
-        ft.sample_basis("unknown-kind", 8, 2, 1.0, seed=0)
-    with pytest.raises(ValueError):
-        ft.sample_basis(ft.ODD_CURL_FREE, 0, 2, 1.0, seed=0)
-    with pytest.raises(ValueError):
-        ft.sample_basis(ft.ODD_CURL_FREE, 8, 2, -1.0, seed=0)
-    with pytest.raises(ValueError):
+    """A basis drawn, built or read from JSON goes through one check, with one message."""
+    cases = [
+        (("unknown-kind", 8, 2, 1.0), "kind"),
+        ((ft.ODD_CURL_FREE, 0, 2, 1.0), "weights"),
+        ((ft.ODD_CURL_FREE, 8, 0, 1.0), "weights"),
         # baseline splits the budget across outputs
-        ft.sample_basis(ft.GAUSSIAN_SEPARABLE, 9, 2, 1.0, seed=0)
-    with pytest.raises(ValueError):
+        ((ft.GAUSSIAN_SEPARABLE, 9, 2, 1.0), "divisible"),
         # symplectic map needs even state dimension
-        ft.sample_basis(ft.ODD_SYMPLECTIC, 8, 3, 1.0, seed=0)
+        ((ft.ODD_SYMPLECTIC, 8, 3, 1.0), "even"),
+        # a bad width is reported as the width, not as the weights it makes
+        *(((ft.ODD_CURL_FREE, 8, 2, sigma), "width") for sigma in (0.0, -1.0, np.nan, None)),
+    ]
+    for (kind, d, n, sigma), message in cases:
+        if sigma is not None:
+            with np.errstate(divide="ignore"), pytest.raises(ValueError, match=message):
+                ft.sample_basis(kind, d, n, sigma, seed=0)
+        weights = np.ones((d, n))
+        phases = np.zeros(d) if kind == ft.GAUSSIAN_SEPARABLE else None
+        with pytest.raises(ValueError, match=message):
+            ft.FeatureBasis(kind, weights, sigma, 0, phases)
+        doc = {"kind": kind, "weights": weights.tolist(), "sigma": sigma, "seed": 0,
+               "phases": None if phases is None else phases.tolist()}
+        with pytest.raises(ValueError, match=message):
+            ft.FeatureBasis.from_json(json.loads(json.dumps(doc)))
+
+
+def test_basis_from_json_checks_shapes():
+    odd = ft.sample_basis(ft.ODD_CURL_FREE, 8, 2, 1.0, seed=0).to_json()
+    base = ft.sample_basis(ft.GAUSSIAN_SEPARABLE, 8, 2, 1.0, seed=0).to_json()
+    for doc, key, value in ((odd, "weights", [1.0, 2.0]),        # not (d, n)
+                            (odd, "weights", [[1.0, None]] * 8),  # not finite
+                            (odd, "phases", [0.0] * 8),           # phases on an odd map
+                            (base, "phases", None),               # baseline without phases
+                            (base, "phases", [0.0] * 7),          # not (d,)
+                            (base, "phases", [float("inf")] * 8)):
+        with pytest.raises(ValueError, match=key):
+            ft.FeatureBasis.from_json({**doc, key: value})
 
 
 def test_odd_maps_are_exactly_odd_and_vanish_at_origin():

@@ -146,7 +146,10 @@ def test_model_field_is_the_design_contracted_with_the_coefficients(basis, B, se
     if basis.kind == ft.GAUSSIAN_SEPARABLE:
         field = rg.BaselineModel(coef, basis, hyper).predict
     else:
-        model = rg.HelmholtzModel(coef, coef, basis, basis, hyper)
+        # The other slot holds a basis of the other odd kind with the same d, n and sigma.
+        basis_c, basis_s = (basis if kind == basis.kind else ft.sample_basis(kind, basis.d, basis.n, basis.sigma, seed)
+                            for kind in (ft.ODD_CURL_FREE, ft.ODD_SYMPLECTIC))
+        model = rg.HelmholtzModel(coef, coef, basis_c, basis_s, hyper)
         field = model.dissipative_part if basis.kind == ft.ODD_CURL_FREE else model.symplectic_part
     design = ft.feature_design(basis, X)
     expected = (design.T @ coef).reshape(B, basis.n)

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,12 +48,43 @@ def test_dataset_validation():
             rg.Dataset(poisoned, np.zeros((3, 2)))
         with pytest.raises(ValueError, match="finite"):
             rg.Dataset(np.zeros((3, 2)), poisoned)
+    # states are an (N, n) array with N, n >= 1; a header-only CSV reads as np.array([])
+    for states in (np.array([]), np.zeros((3, 0)), np.zeros(2)):
+        with pytest.raises(ValueError, match="states"):
+            rg.Dataset(states, states)
+    zeros = np.zeros((3, 2))
+    for times, ids, name in ((np.zeros(2), None, "times"), (None, [0, 0], "traj_ids"),
+                             (None, [0, 0.5, 1], "traj_ids"), (None, [[0, 0, 1]], "traj_ids")):
+        with pytest.raises(ValueError, match=name):
+            rg.Dataset(zeros, zeros, times, ids)
+    listed = rg.Dataset(zeros.tolist(), zeros.tolist(), [0, 1, 2], [0, 0, 1])
+    assert listed.times.dtype == float and listed.traj_ids.dtype.kind == "i"
     ds = random_dataset(5, 0)
     sub = ds.subset([0, 2])
     assert len(sub) == 2
     assert_array_equal(sub.states, ds.states[[0, 2]])
     # target vector interleaves the coordinates point by point
     assert_array_equal(ds.target_vector(), ds.derivatives.reshape(-1))
+
+
+def test_models_check_that_their_parts_fit():
+    ds = random_dataset(6, 3)
+    model = hr.fit_helmholtz(ds, rg.Hyperparameters(1.0, 1e-3, 1e-3, d=8), seed=0)
+    base = hr.fit_baseline(ds, rg.Hyperparameters(1.0, 1e-3, None, d=8), seed=0)
+    for change, message in (({"alpha": model.alpha[:-3]}, "alpha"),
+                            ({"beta": np.r_[model.beta[:-1], np.nan]}, "beta"),
+                            ({"basis_c": model.basis_s}, "basis_c.kind"),
+                            ({"basis_s": model.basis_c}, "basis_s.kind"),
+                            ({"hyper": replace(model.hyper, d=7)}, "basis_c.d"),
+                            ({"hyper": replace(model.hyper, sigma=2.0)}, "basis_c.sigma"),
+                            ({"hyper": replace(model.hyper, lambda2=None)}, "lambda2"),
+                            ({"basis_s": ft.sample_basis(ft.ODD_SYMPLECTIC, 8, 4, 1.0, 0)}, "basis_s.n")):
+        with pytest.raises(ValueError, match=message):
+            replace(model, **change)
+    with pytest.raises(ValueError, match="basis.kind"):
+        replace(base, basis=ft.sample_basis(ft.ODD_CURL_FREE, 8, 2, 1.0, 0))
+    with pytest.raises(ValueError, match="alpha"):
+        replace(base, alpha=base.alpha[:4])
 
 
 def test_hyperparameter_validation():
