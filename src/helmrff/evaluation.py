@@ -8,6 +8,7 @@ differ by less than a relative CV_TIE_RTOL count as tied, so last-digit
 rounding cannot change the pick.
 """
 
+import numbers
 from dataclasses import asdict, dataclass, field
 from itertools import groupby
 
@@ -198,18 +199,25 @@ def rollout_model(model, x0, h: float, t_end: float) -> Trajectory:
 def stream_grid(field_or_model, bounds, resolution) -> np.ndarray:
     """Sample a field on a regular resolution x resolution phase-plane grid.
 
-    Returns rows (q, p, qdot, pdot) in row-major order (first axis slowest).
-    Accepts either a fitted model or a bare callable field; either one is
-    called once with the (B, 2) batch of grid points.
+    `bounds` is ((q_lo, q_hi), (p_lo, p_hi)), finite with each lower bound
+    below its upper one.  Returns rows (q, p, qdot, pdot) in row-major order
+    (first axis slowest).  A fitted feature model (one with `predict_grid`)
+    is evaluated separably over the two axes, and agrees with its `predict`
+    at the grid points to rounding.  Any other model, and a bare callable
+    field, is called once with the (B, 2) batch of grid points.
     """
-    (q_lo, q_hi), (p_lo, p_hi) = bounds
-    if resolution < 2:
-        raise ValueError(f"grid resolution must be >= 2, got {resolution}")
-    qs = np.linspace(q_lo, q_hi, resolution)
-    ps = np.linspace(p_lo, p_hi, resolution)
+    limits = np.asarray(bounds, dtype=float)
+    if limits.shape != (2, 2) or not np.all(np.isfinite(limits)) or np.any(limits[:, 0] >= limits[:, 1]):
+        raise ValueError(f"bounds must be finite ((q_lo, q_hi), (p_lo, p_hi)) with lo < hi, got {bounds!r}")
+    if not isinstance(resolution, numbers.Integral) or resolution < 2:
+        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
+    qs, ps = (np.linspace(lo, hi, resolution) for lo, hi in limits)
     Q, P = np.meshgrid(qs, ps, indexing="ij")
     points = np.column_stack([Q.reshape(-1), P.reshape(-1)])
-    values = getattr(field_or_model, "predict", field_or_model)(points)
+    if hasattr(field_or_model, "predict_grid"):
+        values = field_or_model.predict_grid(qs, ps).reshape(-1, 2)
+    else:
+        values = getattr(field_or_model, "predict", field_or_model)(points)
     return np.hstack([points, values])
 
 

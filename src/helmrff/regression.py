@@ -20,8 +20,9 @@ _EXACT_N_LIMIT = 200
 
 _RESIDUAL_TOL = 1e-8
 
-# The largest (states, features) array a fitted model forms: 1 MiB.  OpenBLAS
-# multiplies a block this small on one thread, so its workers do not wake and spin per block.
+# The most entries of any (states, features) or (grid axis, features) array a fitted model
+# forms: 1 MiB of float64, 2 MiB of complex.  OpenBLAS multiplies a block this small on one
+# thread, so its workers do not wake and spin per block.
 _BLOCK_ENTRIES = 2**17
 
 
@@ -133,12 +134,44 @@ def _field(X, basis: ft.FeatureBasis, coef) -> np.ndarray:
     return _over_blocks(X, basis.d, reduce)
 
 
+def _waves(phase) -> np.ndarray:
+    """e^{i phase}, from cos and sin written into one complex array: faster than np.exp(1j * phase)."""
+    wave = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=wave.real)
+    np.sin(phase, out=wave.imag)
+    return wave
+
+
+def _grid_field(qs, ps, basis: ft.FeatureBasis, coef) -> np.ndarray:
+    """_field at every point (q, p) of the product grid qs x ps, shape (len(qs), len(ps), 2).
+
+    Each feature is a plane wave that factors over the two axes: sin(w_q q + w_p p) is
+    Im e^{i w_q q} e^{i w_p p} and cos(w_q q + w_p p + b) is Re e^{i (w_q q + b)} e^{i w_p p}.
+    So output c is ((E_q * g_c) @ E_p^T).imag, or .real for the baseline, with
+    g_c = coef rows[:, c] scale, summed over blocks of features; values at the grid points
+    are never formed.  Agrees with _field at the grid points to rounding.
+    """
+    if basis.n != 2:
+        raise ValueError(f"state dimension 2 does not match model dimension {basis.n}")
+    g = (coef[:, None] * basis.rows) * basis.scale
+    offset = basis.phases if basis.kind == ft.GAUSSIAN_SEPARABLE else np.zeros(basis.d)
+    total = np.zeros((2, len(qs), len(ps)), dtype=complex)
+    step = max(1, _BLOCK_ENTRIES // max(len(qs), len(ps)))
+    for block in (slice(i, i + step) for i in range(0, basis.d, step)):
+        E_q = _waves(np.outer(qs, basis.weights[block, 0]) + offset[block])
+        E_p = _waves(np.outer(ps, basis.weights[block, 1]))
+        for c in range(2):
+            total[c] += (E_q * g[block, c]) @ E_p.T
+    part = total.real if basis.kind == ft.GAUSSIAN_SEPARABLE else total.imag
+    return np.moveaxis(part, 0, -1)
+
+
 def _cosine_potential(X, basis: ft.FeatureBasis, coef) -> np.ndarray:
-    """-sum_i coef_i cos(w_i . x) / sqrt(d): the potential whose gradient is the odd map's field."""
+    """-sum_i coef_i cos(w_i . x) scale: the potential whose gradient is the odd map's field."""
     def reduce(B):
         phase = B @ basis.weights.T
         return -(np.cos(phase, out=phase) @ coef)
-    return _over_blocks(X, basis.d, reduce) / np.sqrt(basis.d)
+    return _over_blocks(X, basis.d, reduce) * basis.scale
 
 
 def _check_parts(model, parts: dict) -> None:
@@ -188,6 +221,10 @@ class HelmholtzModel:
 
     def predict(self, x) -> np.ndarray:
         return self.symplectic_part(x) + self.dissipative_part(x)
+
+    def predict_grid(self, qs, ps) -> np.ndarray:
+        """predict at every point (q, p) of the product grid qs x ps, shape (len(qs), len(ps), 2)."""
+        return _grid_field(qs, ps, self.basis_s, self.beta) + _grid_field(qs, ps, self.basis_c, self.alpha)
 
     @_batched
     def hamiltonian(self, X) -> float | np.ndarray:
@@ -240,6 +277,10 @@ class BaselineModel:
     @_batched
     def predict(self, X) -> np.ndarray:
         return _field(X, self.basis, self.alpha)
+
+    def predict_grid(self, qs, ps) -> np.ndarray:
+        """predict at every point (q, p) of the product grid qs x ps, shape (len(qs), len(ps), 2)."""
+        return _grid_field(qs, ps, self.basis, self.alpha)
 
     def to_json(self) -> dict:
         return {

@@ -365,6 +365,73 @@ def test_stream_grid_of_odd_model_is_antisymmetric():
         assert_allclose(values[(-q, -p)], -f, atol=1e-12)
 
 
+@st.composite
+def grid_cases(draw):
+    """Bounds anywhere (asymmetric, or away from the origin), a resolution, a width, and a budget d
+    either small or past one feature block of the separable grid path, so its last block is partial."""
+    resolution = draw(st.integers(2, 30))
+    lows = draw(st.tuples(*[st.floats(-6.0, 5.0)] * 2))
+    spans = draw(st.tuples(*[st.floats(0.01, 8.0)] * 2))
+    step = rg._BLOCK_ENTRIES // resolution
+    d = draw(st.one_of(st.integers(1, 40), st.integers(step + 1, 2 * step - 2)))
+    sigma = draw(st.floats(0.2, 5.0))
+    return tuple((lo, lo + span) for lo, span in zip(lows, spans)), resolution, sigma, d
+
+
+@settings(deadline=None, max_examples=30)
+@given(grid_cases(), st.integers(0, 2**32 - 1))
+def test_stream_grid_of_feature_model_meets_predict(case, seed):
+    bounds, resolution, sigma, d = case
+    rng = np.random.default_rng(seed)
+    basis_c, basis_s = (ft.sample_basis(kind, d, 2, sigma, seed + i)
+                        for i, kind in enumerate((ft.ODD_CURL_FREE, ft.ODD_SYMPLECTIC)))
+    d_gauss = d + d % 2
+    models = (rg.HelmholtzModel(rng.normal(size=d), rng.normal(size=d), basis_c, basis_s,
+                                rg.Hyperparameters(sigma, 1e-3, 1e-3, d=d)),
+              rg.BaselineModel(rng.normal(size=d_gauss),
+                               ft.sample_basis(ft.GAUSSIAN_SEPARABLE, d_gauss, 2, sigma, seed),
+                               rg.Hyperparameters(sigma, 1e-3, None, d=d_gauss)))
+    Q, P = np.meshgrid(*(np.linspace(lo, hi, resolution) for lo, hi in bounds), indexing="ij")
+    points = np.column_stack([Q.reshape(-1), P.reshape(-1)])
+    for model in models:
+        grid = ev.stream_grid(model, bounds, resolution)
+        assert_array_equal(grid[:, :2], points)
+        field = model.predict(points)
+        assert_allclose(grid[:, 2:], field, rtol=0, atol=1e-12 * np.abs(field).max())
+
+
+@pytest.mark.parametrize("bounds, resolution, name", [
+    (((np.nan, 1.0), (-1.0, 1.0)), 5, "bounds"),
+    (((-1.0, 1.0), (-np.inf, 1.0)), 5, "bounds"),
+    (((1.0, -1.0), (-1.0, 1.0)), 5, "bounds"),
+    (((-1.0, 1.0), (2.0, 2.0)), 5, "bounds"),
+    (((-1.0, 1.0),), 5, "bounds"),
+    (((-1.0, 1.0), (-1.0, 1.0)), 5.0, "resolution"),
+    (((-1.0, 1.0), (-1.0, 1.0)), 2.5, "resolution"),
+    (((-1.0, 1.0), (-1.0, 1.0)), "25", "resolution"),
+])
+def test_stream_grid_rejects_bad_bounds_and_resolution(bounds, resolution, name):
+    ds = toy_dataset()
+    fields = (hr.mass_spring_damper().field,
+              hr.fit_helmholtz(ds, rg.Hyperparameters(1.0, 1e-3, 1e-3, d=8), seed=0),
+              hr.fit_baseline(ds, rg.Hyperparameters(1.0, 1e-3, None, d=8), seed=0))
+    for field in fields:
+        with pytest.raises(ValueError, match=name):
+            ev.stream_grid(field, bounds, resolution)
+
+
+def test_stream_grid_rejects_a_model_of_another_dimension():
+    ds = rg.Dataset(np.random.default_rng(3).normal(size=(6, 4)), np.random.default_rng(4).normal(size=(6, 4)))
+    points = np.zeros((4, 2))
+    for model in (hr.fit_helmholtz(ds, rg.Hyperparameters(1.0, 1e-3, 1e-3, d=8), seed=0),
+                  hr.fit_baseline(ds, rg.Hyperparameters(1.0, 1e-3, None, d=8), seed=0)):
+        with pytest.raises(ValueError) as from_predict:
+            model.predict(points)
+        with pytest.raises(ValueError, match="state dimension 2 does not match model dimension 4") as from_grid:
+            ev.stream_grid(model, ((-1, 1), (-1, 1)), 2)
+        assert str(from_grid.value) == str(from_predict.value)
+
+
 def test_stream_grid_csv(tmp_path):
     grid = ev.stream_grid(hr.mass_spring_damper().field, ((-1, 1), (-1, 1)), 2)
     path = tmp_path / "grid.csv"

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.sparse.linalg import lsqr
 
 import helmrff as hr
+from helmrff import evaluation as ev
 from helmrff import features as ft
 from helmrff import regression as rg
 
@@ -299,16 +300,22 @@ def test_large_budget_predict_is_evaluated_in_bounded_blocks():
     Q, P = np.meshgrid(np.linspace(-4, 4, 25), np.linspace(-4, 4, 25), indexing="ij")
     grid = np.column_stack([Q.ravel(), P.ravel()])
     for model in (helmholtz, baseline):
-        tracemalloc.start()
-        try:
-            field = model.predict(grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * 2**20, f"{type(model).__name__}: peak {peak / 2**20:.1f} MiB"
+        fields = []
+        for evaluate in (lambda: model.predict(grid), lambda: ev.stream_grid(model, ((-4, 4), (-4, 4)), 25)):
+            tracemalloc.start()
+            try:
+                fields.append(evaluate())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * 2**20, f"{type(model).__name__}: peak {peak / 2**20:.1f} MiB"
+        field, streamed = fields
         # blocks split the states only, so each state's value is the one-state value
         for i in (0, 5, 6, 624):
             assert_allclose(field[i], model.predict(grid[i]), rtol=1e-12, atol=1e-12)
+        # the separable grid path meets predict at the grid points to rounding
+        assert_array_equal(streamed[:, :2], grid)
+        assert_allclose(streamed[:, 2:], field, rtol=0, atol=1e-12 * np.abs(field).max())
     energy = helmholtz.hamiltonian(grid)
     for i in (0, 5, 6, 624):
         assert_allclose(energy[i], helmholtz.hamiltonian(grid[i]), rtol=1e-12, atol=1e-12)
