@@ -80,9 +80,14 @@ def _lookup(doc: dict, key: str, default=_REQUIRED):
     return node
 
 
+def _finite(value) -> bool:
+    """Whether a config value is a finite number: not a bool or a string, nor an int past the float range."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
 def _number(doc: dict, key: str, minimum=None, default=_REQUIRED) -> float:
     node = _lookup(doc, key, default)
-    if isinstance(node, bool) or not isinstance(node, (int, float)) or not np.isfinite(node):
+    if not _finite(node):
         _fail(key, f"expected a finite number, got {node!r}")
     if minimum is not None and node < minimum:
         _fail(key, f"must be >= {minimum}, got {node}")
@@ -90,9 +95,7 @@ def _number(doc: dict, key: str, minimum=None, default=_REQUIRED) -> float:
 
 
 def _point(node, key: str) -> np.ndarray:
-    if (not isinstance(node, (list, tuple)) or len(node) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in node)
-            or not np.all(np.isfinite(node))):
+    if not isinstance(node, (list, tuple)) or len(node) != 2 or not all(map(_finite, node)):
         _fail(key, f"expected a [q, p] pair of finite numbers, got {node!r}")
     return np.asarray(node, dtype=float)
 
@@ -190,19 +193,18 @@ class ExperimentConfig:
 
 
 def _log_grid(doc: dict, key: str, default) -> np.ndarray:
+    """The search grid at `key`: a list, or a log-grid mapping expanded to one, of positive finite numbers."""
     node = _lookup(doc, key, None)
-    if not node:
+    if node is None:
         return default
-    if isinstance(node, list):
-        grid = np.asarray(node, dtype=float)
-        if grid.size == 0 or not np.all((grid > 0) & np.isfinite(grid)):
-            _fail(key, "explicit grid must be a non-empty list of positive finite numbers")
-        return grid
-    if not isinstance(node, dict):
-        _fail(key, f"expected a list or a log-grid mapping, got {node!r}")
-    _reject_unknown(node, dict.fromkeys(("log10_start", "log10_stop", "count")), f"{key}.")
-    count = int(_number(doc, f"{key}.count", minimum=1))
-    return np.logspace(_number(doc, f"{key}.log10_start"), _number(doc, f"{key}.log10_stop"), count)
+    if isinstance(node, dict):
+        _reject_unknown(node, dict.fromkeys(("log10_start", "log10_stop", "count")), f"{key}.")
+        count = int(_number(doc, f"{key}.count", minimum=1))
+        with np.errstate(over="ignore"):  # an overflow to inf fails the check below
+            node = np.logspace(_number(doc, f"{key}.log10_start"), _number(doc, f"{key}.log10_stop"), count).tolist()
+    if not (isinstance(node, list) and node and all(_finite(v) and v > 0 for v in node)):
+        _fail(key, f"expected a non-empty list of positive finite numbers, got {node!r}")
+    return np.asarray(node, dtype=float)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -274,14 +276,12 @@ def _resolve(doc: dict) -> ExperimentConfig:
     if not isinstance(output_dir, str) or not output_dir:
         _fail("output_dir", f"expected a non-empty string, got {output_dir!r}")
 
-    bounds_node = _lookup(doc, "figure.bounds", [[-4.0, 4.0], [-4.0, 4.0]])
-    try:
-        (q_lo, q_hi), (p_lo, p_hi) = [(float(b[0]), float(b[1])) for b in bounds_node]
-    except (TypeError, ValueError, IndexError):
-        _fail("figure.bounds", f"expected [[q_lo, q_hi], [p_lo, p_hi]], got {bounds_node!r}")
-    if q_lo >= q_hi or p_lo >= p_hi:
-        _fail("figure.bounds", "lower bounds must be below upper bounds")
     resolution = int(_number(doc, "figure.resolution", minimum=2, default=25.0))
+    bounds = _lookup(doc, "figure.bounds", [[-4.0, 4.0], [-4.0, 4.0]])
+    try:
+        bounds = ev.grid_limits(bounds, resolution).tolist()
+    except ValueError as err:
+        _fail("figure.bounds", str(err))
 
     resolved = {
         "system": {"name": name, **params},
@@ -294,7 +294,7 @@ def _resolve(doc: dict) -> ExperimentConfig:
         "hyperparameters": fixed,
         "seed": seed,
         "output_dir": output_dir,
-        "figure": {"bounds": [[q_lo, q_hi], [p_lo, p_hi]], "resolution": resolution},
+        "figure": {"bounds": bounds, "resolution": resolution},
     }
     # The echo holds every key the reader takes, defaults included.
     _reject_unknown(doc, resolved)
@@ -361,7 +361,7 @@ def _load_model(path) -> tuple[str, rg.HelmholtzModel | rg.BaselineModel]:
     with open(path) as fh:
         doc = json.load(fh)
     kind = doc["model"]
-    return kind, {"helmholtz": rg.HelmholtzModel, "gaussian": rg.BaselineModel}[kind].from_json(doc)
+    return kind, rg.MODELS[kind].from_json(doc)
 
 
 def _summary_lines(rows: list[dict], title: str) -> list[str]:

@@ -15,7 +15,7 @@ from itertools import groupby
 import numpy as np
 
 from . import features as ft
-from .regression import Dataset, Hyperparameters
+from .regression import BaselineModel, Dataset, HelmholtzModel, Hyperparameters
 from .systems import SystemSpec, Trajectory, integrate_rk4, sample_flow, write_csv
 
 # Scores within this relative distance of the best count as tied.  It is far
@@ -124,13 +124,12 @@ def cross_validate(dataset: Dataset, space: SearchSpace, seed: int) -> Hyperpara
     # Descending grids make the first minimum the preferred tie-break winner.
     sigmas = np.sort(space.sigmas)[::-1]
     lams = [np.sort(grid)[::-1] for grid in (space.lambda1s, space.lambda2s) if grid is not None]
-    maps = ([(ft.GAUSSIAN_SEPARABLE, seed_a)] if len(lams) == 1 else
-            [(ft.ODD_CURL_FREE, seed_a), (ft.ODD_SYMPLECTIC, seed_b)])
+    model = BaselineModel if space.lambda2s is None else HelmholtzModel
 
     scores = np.zeros(tuple(lam.size for lam in lams) + (sigmas.size,))
     for si, sigma in enumerate(sigmas):
         designs = (ft.feature_design(ft.sample_basis(kind, space.d, n, sigma, map_seed), dataset.states)
-                   for kind, map_seed in maps)
+                   for (_, _, kind, _), map_seed in zip(model.MAPS, (seed_a, seed_b)))
         not_finite = ValueError(f"cross-validation score is not finite at sigma={sigma:g}; "
                                 "check the data and the ridge-weight grids")
         # A ridge weight so small that G / lambda overflows has no usable score.
@@ -196,22 +195,30 @@ def rollout_model(model, x0, h: float, t_end: float) -> Trajectory:
     return integrate_rk4(model.predict, x0, h, t_end)
 
 
-def stream_grid(field_or_model, bounds, resolution) -> np.ndarray:
-    """Sample a field on a regular resolution x resolution phase-plane grid.
-
-    `bounds` is ((q_lo, q_hi), (p_lo, p_hi)), finite with each lower bound
-    below its upper one.  Returns rows (q, p, qdot, pdot) in row-major order
-    (first axis slowest).  A fitted feature model (one with `predict_grid`)
-    is evaluated separably over the two axes, and agrees with its `predict`
-    at the grid points to rounding.  Any other model, and a bare callable
-    field, is called once with the (B, 2) batch of grid points.
-    """
-    limits = np.asarray(bounds, dtype=float)
+def grid_limits(bounds, resolution) -> np.ndarray:
+    """`bounds`, ((q_lo, q_hi), (p_lo, p_hi)), as a (2, 2) float array; raises unless they are finite
+    with each lower bound below its upper one and `resolution` (points per axis) is an integer >= 2."""
+    try:
+        limits = np.asarray(bounds, dtype=float)
+    except (TypeError, ValueError):
+        limits = np.empty(0)
     if limits.shape != (2, 2) or not np.all(np.isfinite(limits)) or np.any(limits[:, 0] >= limits[:, 1]):
         raise ValueError(f"bounds must be finite ((q_lo, q_hi), (p_lo, p_hi)) with lo < hi, got {bounds!r}")
     if not isinstance(resolution, numbers.Integral) or resolution < 2:
         raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
-    qs, ps = (np.linspace(lo, hi, resolution) for lo, hi in limits)
+    return limits
+
+
+def stream_grid(field_or_model, bounds, resolution) -> np.ndarray:
+    """Sample a field on a regular resolution x resolution phase-plane grid.
+
+    `bounds` is ((q_lo, q_hi), (p_lo, p_hi)), checked by `grid_limits`.  Returns
+    rows (q, p, qdot, pdot) in row-major order (first axis slowest).  A fitted
+    feature model (one with `predict_grid`) is evaluated separably over the two
+    axes, and agrees with its `predict` at the grid points to rounding.  Any
+    other model, and a bare callable field, gets the (B, 2) batch of points.
+    """
+    qs, ps = (np.linspace(lo, hi, resolution) for lo, hi in grid_limits(bounds, resolution))
     Q, P = np.meshgrid(qs, ps, indexing="ij")
     points = np.column_stack([Q.reshape(-1), P.reshape(-1)])
     if hasattr(field_or_model, "predict_grid"):

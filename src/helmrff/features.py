@@ -2,11 +2,13 @@
 
 A basis is a frozen draw of frequency vectors; evaluating a feature map at a
 state yields a d x n matrix whose products approximate the matching exact
-kernel from :mod:`helmrff.kernels`.
+kernel from :mod:`helmrff.kernels`.  A basis is also the one evaluator of
+every fitted field Phi(x)^T coef: at a batch of states (`field`), on a product
+grid (`grid_field`), and as a potential (`potential`).
 """
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +18,11 @@ ODD_CURL_FREE = "odd-curl-free"
 ODD_SYMPLECTIC = "odd-symplectic"
 GAUSSIAN_SEPARABLE = "gaussian-separable"
 KINDS = (ODD_CURL_FREE, ODD_SYMPLECTIC, GAUSSIAN_SEPARABLE)
+
+# The most entries of any (states, features) or (grid axis, features) array a fitted field
+# forms: 1 MiB of float64, 2 MiB of complex.  OpenBLAS multiplies a block this small on one
+# thread, so its workers do not wake and spin per block.
+_BLOCK_ENTRIES = 2**17
 
 
 def split_seed(seed: int, count: int) -> list[int]:
@@ -36,7 +43,7 @@ class FeatureBasis:
     weights: np.ndarray          # (d, n)
     sigma: float
     seed: int
-    phases: np.ndarray | None = field(default=None)
+    phases: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -97,6 +104,46 @@ class FeatureBasis:
             return np.repeat(np.eye(self.n), self.d // self.n, axis=0)
         return self.weights if self.kind == ODD_CURL_FREE else self.weights @ symplectic_matrix(self.n // 2).T
 
+    def field(self, X, coef) -> np.ndarray:
+        """Phi(x)^T coef = sum_i coef_i values_i(x) rows_i at each (B, n) state of X, in place on the values."""
+        rows = self.rows
+
+        def reduce(B):
+            v = self.values(B)
+            v *= coef
+            return v @ rows
+        return _over_blocks(X, self.d, reduce)
+
+    def grid_field(self, qs, ps, coef) -> np.ndarray:
+        """`field` at every point (q, p) of the product grid qs x ps, shape (len(qs), len(ps), 2).
+
+        Each feature is a plane wave that factors over the two axes: sin(w_q q + w_p p) is
+        Im e^{i w_q q} e^{i w_p p} and cos(w_q q + w_p p + b) is Re e^{i (w_q q + b)} e^{i w_p p}.
+        So output c is ((E_q * g_c) @ E_p^T).imag, or .real for the baseline, with
+        g_c = coef rows[:, c] scale, summed over blocks of features; values at the grid points
+        are never formed.  Agrees with `field` at the grid points to rounding.
+        """
+        if self.n != 2:
+            raise ValueError(f"state dimension 2 does not match model dimension {self.n}")
+        g = (coef[:, None] * self.rows) * self.scale
+        offset = self.phases if self.kind == GAUSSIAN_SEPARABLE else np.zeros(self.d)
+        total = np.zeros((2, len(qs), len(ps)), dtype=complex)
+        step = max(1, _BLOCK_ENTRIES // max(len(qs), len(ps)))
+        for block in (slice(i, i + step) for i in range(0, self.d, step)):
+            E_q = _waves(np.outer(qs, self.weights[block, 0]) + offset[block])
+            E_p = _waves(np.outer(ps, self.weights[block, 1]))
+            for c in range(2):
+                total[c] += (E_q * g[block, c]) @ E_p.T
+        part = total.real if self.kind == GAUSSIAN_SEPARABLE else total.imag
+        return np.moveaxis(part, 0, -1)
+
+    def potential(self, X, coef) -> np.ndarray:
+        """-sum_i coef_i cos(w_i . x) scale: the potential whose gradient is an odd map's field."""
+        def reduce(B):
+            phase = B @ self.weights.T
+            return -(np.cos(phase, out=phase) @ coef)
+        return _over_blocks(X, self.d, reduce) * self.scale
+
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
@@ -111,6 +158,20 @@ class FeatureBasis:
     @classmethod
     def from_json(cls, doc: dict) -> "FeatureBasis":
         return cls(doc["kind"], doc["weights"], doc["sigma"], doc["seed"], doc["phases"])
+
+
+def _over_blocks(X, d: int, reduce) -> np.ndarray:
+    """reduce(block) over consecutive blocks of at most _BLOCK_ENTRIES // d states of X, concatenated."""
+    step = max(1, _BLOCK_ENTRIES // d)
+    return np.concatenate([reduce(X[i:i + step]) for i in range(0, len(X), step)])
+
+
+def _waves(phase) -> np.ndarray:
+    """e^{i phase}, from cos and sin written into one complex array: faster than np.exp(1j * phase)."""
+    wave = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=wave.real)
+    np.sin(phase, out=wave.imag)
+    return wave
 
 
 def sample_basis(kind: str, d: int, n: int, sigma: float, seed: int) -> FeatureBasis:

@@ -1,6 +1,10 @@
 """Closed-form ridge fits for the Helmholtz split, the baseline, and the
 exact-kernel oracle, plus the fitted-model types.
 
+Each random-feature model declares its maps once, in MAPS; the part checks, the
+fit, the JSON reader and writer, the CV search and the CLI loader all read it,
+and each map's `FeatureBasis` evaluates it (`field`, `grid_field`, `potential`).
+
 All fits minimize a regularized least-squares objective over feature
 coefficients with one linear solve on the smaller of the primal and dual
 systems.  Models are immutable after fitting and safe to share across
@@ -8,8 +12,9 @@ threads.
 """
 
 import numbers
+import operator
 from dataclasses import dataclass
-from functools import wraps
+from functools import reduce, wraps
 
 import numpy as np
 
@@ -19,11 +24,6 @@ from .kernels import gram_matrix, kernel_blocks, symplectic_matrix
 _EXACT_N_LIMIT = 200
 
 _RESIDUAL_TOL = 1e-8
-
-# The most entries of any (states, features) or (grid axis, features) array a fitted model
-# forms: 1 MiB of float64, 2 MiB of complex.  OpenBLAS multiplies a block this small on one
-# thread, so its workers do not wake and spin per block.
-_BLOCK_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -117,79 +117,74 @@ def _batched(method):
     return call
 
 
-def _over_blocks(X, d: int, reduce) -> np.ndarray:
-    """reduce(block) over consecutive blocks of at most _BLOCK_ENTRIES // d states of X, concatenated."""
-    step = max(1, _BLOCK_ENTRIES // d)
-    return np.concatenate([reduce(X[i:i + step]) for i in range(0, len(X), step)])
+class _FeatureModel:
+    """What the random-feature models share.  MAPS holds one (coefficient field, basis field,
+    basis kind, ridge-weight field of hyper) per map, in the order the fit draws, stacks and
+    solves them; the model's field is the sum of its maps.  `name` is its "model" in JSON."""
 
+    def __post_init__(self):
+        """Check that the parts fit: hyper has every ridge weight, each basis its map's kind, hyper's d
+        and sigma and the model's n, and each coefficient vector hyper.d finite entries (kept as floats)."""
+        self._ridge_weights(self.hyper)
+        for name, slot, kind, _ in self.MAPS:
+            basis = getattr(self, slot)
+            for attr, want in (("kind", kind), ("d", self.hyper.d), ("sigma", self.hyper.sigma), ("n", self.dim)):
+                if getattr(basis, attr) != want:
+                    raise ValueError(f"{slot}.{attr} is {getattr(basis, attr)!r}, but the model needs {want!r}")
+            coef = np.asarray(getattr(self, name), dtype=float)
+            if coef.shape != (self.hyper.d,) or not np.all(np.isfinite(coef)):
+                raise ValueError(f"{name} must hold d = {self.hyper.d} finite coefficients, got shape {coef.shape}")
+            object.__setattr__(self, name, coef)
 
-def _field(X, basis: ft.FeatureBasis, coef) -> np.ndarray:
-    """Phi(x)^T coef = sum_i coef_i values_i(x) rows_i at each state of X, in place on the values."""
-    rows = basis.rows
+    @classmethod
+    def _ridge_weights(cls, hyper: Hyperparameters) -> list[float]:
+        """The ridge weight of each map, read from hyper; raises if one is None."""
+        lams = {ridge: getattr(hyper, ridge) for *_, ridge in cls.MAPS}
+        if None in lams.values():
+            raise ValueError(f"a {cls.name} model needs the ridge weights {lams}, none of them None")
+        return list(lams.values())
 
-    def reduce(B):
-        v = basis.values(B)
-        v *= coef
-        return v @ rows
-    return _over_blocks(X, basis.d, reduce)
+    @classmethod
+    def _from_parts(cls, coefs, bases, hyper: Hyperparameters):
+        return cls(**{name: coef for (name, *_), coef in zip(cls.MAPS, coefs)},
+                   **{slot: basis for (_, slot, *_), basis in zip(cls.MAPS, bases)}, hyper=hyper)
 
+    def _parts(self) -> list[tuple[np.ndarray, ft.FeatureBasis]]:
+        return [(getattr(self, name), getattr(self, slot)) for name, slot, *_ in self.MAPS]
 
-def _waves(phase) -> np.ndarray:
-    """e^{i phase}, from cos and sin written into one complex array: faster than np.exp(1j * phase)."""
-    wave = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=wave.real)
-    np.sin(phase, out=wave.imag)
-    return wave
+    @property
+    def dim(self) -> int:
+        return getattr(self, self.MAPS[0][1]).n
 
+    # The maps are summed without sum()'s leading 0, which would turn a -0.0 into +0.0.
+    @_batched
+    def predict(self, X) -> np.ndarray:
+        return reduce(operator.add, (basis.field(X, coef) for coef, basis in self._parts()))
 
-def _grid_field(qs, ps, basis: ft.FeatureBasis, coef) -> np.ndarray:
-    """_field at every point (q, p) of the product grid qs x ps, shape (len(qs), len(ps), 2).
+    def predict_grid(self, qs, ps) -> np.ndarray:
+        """predict at every point (q, p) of the product grid qs x ps, shape (len(qs), len(ps), 2)."""
+        return reduce(operator.add, (basis.grid_field(qs, ps, coef) for coef, basis in self._parts()))
 
-    Each feature is a plane wave that factors over the two axes: sin(w_q q + w_p p) is
-    Im e^{i w_q q} e^{i w_p p} and cos(w_q q + w_p p + b) is Re e^{i (w_q q + b)} e^{i w_p p}.
-    So output c is ((E_q * g_c) @ E_p^T).imag, or .real for the baseline, with
-    g_c = coef rows[:, c] scale, summed over blocks of features; values at the grid points
-    are never formed.  Agrees with _field at the grid points to rounding.
-    """
-    if basis.n != 2:
-        raise ValueError(f"state dimension 2 does not match model dimension {basis.n}")
-    g = (coef[:, None] * basis.rows) * basis.scale
-    offset = basis.phases if basis.kind == ft.GAUSSIAN_SEPARABLE else np.zeros(basis.d)
-    total = np.zeros((2, len(qs), len(ps)), dtype=complex)
-    step = max(1, _BLOCK_ENTRIES // max(len(qs), len(ps)))
-    for block in (slice(i, i + step) for i in range(0, basis.d, step)):
-        E_q = _waves(np.outer(qs, basis.weights[block, 0]) + offset[block])
-        E_p = _waves(np.outer(ps, basis.weights[block, 1]))
-        for c in range(2):
-            total[c] += (E_q * g[block, c]) @ E_p.T
-    part = total.real if basis.kind == ft.GAUSSIAN_SEPARABLE else total.imag
-    return np.moveaxis(part, 0, -1)
+    def objective(self, dataset: Dataset) -> float:
+        """Training objective of the fit: mean squared residual plus each map's ridge penalty."""
+        resid = self.predict(dataset.states) - dataset.derivatives
+        penalties = (lam * coef @ coef for (coef, _), lam in zip(self._parts(), self._ridge_weights(self.hyper)))
+        return float(np.sum(resid**2) / len(dataset) + sum(penalties))
 
+    def to_json(self) -> dict:
+        return {"model": self.name, "hyper": self.hyper.to_json(),
+                **{slot: getattr(self, slot).to_json() for _, slot, *_ in self.MAPS},
+                **{name: getattr(self, name).tolist() for name, *_ in self.MAPS}}
 
-def _cosine_potential(X, basis: ft.FeatureBasis, coef) -> np.ndarray:
-    """-sum_i coef_i cos(w_i . x) scale: the potential whose gradient is the odd map's field."""
-    def reduce(B):
-        phase = B @ basis.weights.T
-        return -(np.cos(phase, out=phase) @ coef)
-    return _over_blocks(X, basis.d, reduce) * basis.scale
-
-
-def _check_parts(model, parts: dict) -> None:
-    """Check, for each coefficient name -> (basis slot, kind) of `parts`, hyper.d finite coefficients
-    and a basis of that kind with hyper's d and sigma and the model's n; store them as float arrays."""
-    for name, (slot, kind) in parts.items():
-        basis = getattr(model, slot)
-        for attr, want in (("kind", kind), ("d", model.hyper.d), ("sigma", model.hyper.sigma), ("n", model.dim)):
-            if getattr(basis, attr) != want:
-                raise ValueError(f"{slot}.{attr} is {getattr(basis, attr)!r}, but the model needs {want!r}")
-        coef = np.asarray(getattr(model, name), dtype=float)
-        if coef.shape != (model.hyper.d,) or not np.all(np.isfinite(coef)):
-            raise ValueError(f"{name} must hold d = {model.hyper.d} finite coefficients, got shape {coef.shape}")
-        object.__setattr__(model, name, coef)
+    @classmethod
+    def from_json(cls, doc: dict):
+        return cls._from_parts([doc[name] for name, *_ in cls.MAPS],
+                               [ft.FeatureBasis.from_json(doc[slot]) for _, slot, *_ in cls.MAPS],
+                               Hyperparameters.from_json(doc["hyper"]))
 
 
 @dataclass(frozen=True)
-class HelmholtzModel:
+class HelmholtzModel(_FeatureModel):
     """Learned vector field as a symplectic part plus a gradient part."""
 
     alpha: np.ndarray
@@ -198,33 +193,20 @@ class HelmholtzModel:
     basis_s: ft.FeatureBasis
     hyper: Hyperparameters
 
-    def __post_init__(self):
-        if self.hyper.lambda2 is None:
-            raise ValueError("a Helmholtz model needs both ridge weights; hyper.lambda2 is None")
-        _check_parts(self, {"alpha": ("basis_c", ft.ODD_CURL_FREE), "beta": ("basis_s", ft.ODD_SYMPLECTIC)})
-
-    @property
-    def dim(self) -> int:
-        return self.basis_c.n
+    name = "helmholtz"
+    MAPS = (("alpha", "basis_c", ft.ODD_CURL_FREE, "lambda1"), ("beta", "basis_s", ft.ODD_SYMPLECTIC, "lambda2"))
 
     @_batched
     def dissipative_part(self, X) -> np.ndarray:
-        return _field(X, self.basis_c, self.alpha)
+        return self.basis_c.field(X, self.alpha)
 
     @_batched
     def symplectic_part(self, X) -> np.ndarray:
-        return _field(X, self.basis_s, self.beta)
+        return self.basis_s.field(X, self.beta)
 
     def decompose(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Return (symplectic, dissipative) parts of the learned field."""
         return self.symplectic_part(x), self.dissipative_part(x)
-
-    def predict(self, x) -> np.ndarray:
-        return self.symplectic_part(x) + self.dissipative_part(x)
-
-    def predict_grid(self, qs, ps) -> np.ndarray:
-        """predict at every point (q, p) of the product grid qs x ps, shape (len(qs), len(ps), 2)."""
-        return _grid_field(qs, ps, self.basis_s, self.beta) + _grid_field(qs, ps, self.basis_c, self.alpha)
 
     @_batched
     def hamiltonian(self, X) -> float | np.ndarray:
@@ -232,7 +214,7 @@ class HelmholtzModel:
 
         Defined up to an additive constant; even in x.
         """
-        return _cosine_potential(X, self.basis_s, self.beta)
+        return self.basis_s.potential(X, self.beta)
 
     def hamiltonian_gradient(self, x) -> np.ndarray:
         """Closed-form gradient of the energy estimate: (J grad H)^T J, exact as J is a signed permutation."""
@@ -241,58 +223,22 @@ class HelmholtzModel:
     @_batched
     def dissipation_potential(self, X) -> float | np.ndarray:
         """Scalar potential whose gradient is the dissipative part."""
-        return _cosine_potential(X, self.basis_c, self.alpha)
-
-    def to_json(self) -> dict:
-        return {
-            "model": "helmholtz",
-            "hyper": self.hyper.to_json(),
-            "basis_c": self.basis_c.to_json(),
-            "basis_s": self.basis_s.to_json(),
-            "alpha": self.alpha.tolist(),
-            "beta": self.beta.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "HelmholtzModel":
-        return cls(doc["alpha"], doc["beta"], ft.FeatureBasis.from_json(doc["basis_c"]),
-                   ft.FeatureBasis.from_json(doc["basis_s"]), Hyperparameters.from_json(doc["hyper"]))
+        return self.basis_c.potential(X, self.alpha)
 
 
 @dataclass(frozen=True)
-class BaselineModel:
+class BaselineModel(_FeatureModel):
     """Gaussian-separable feature model without structural constraints."""
 
     alpha: np.ndarray
     basis: ft.FeatureBasis
     hyper: Hyperparameters
 
-    def __post_init__(self):
-        _check_parts(self, {"alpha": ("basis", ft.GAUSSIAN_SEPARABLE)})
+    name = "gaussian"
+    MAPS = (("alpha", "basis", ft.GAUSSIAN_SEPARABLE, "lambda1"),)
 
-    @property
-    def dim(self) -> int:
-        return self.basis.n
 
-    @_batched
-    def predict(self, X) -> np.ndarray:
-        return _field(X, self.basis, self.alpha)
-
-    def predict_grid(self, qs, ps) -> np.ndarray:
-        """predict at every point (q, p) of the product grid qs x ps, shape (len(qs), len(ps), 2)."""
-        return _grid_field(qs, ps, self.basis, self.alpha)
-
-    def to_json(self) -> dict:
-        return {
-            "model": "gaussian",
-            "hyper": self.hyper.to_json(),
-            "basis": self.basis.to_json(),
-            "alpha": self.alpha.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "BaselineModel":
-        return cls(doc["alpha"], ft.FeatureBasis.from_json(doc["basis"]), Hyperparameters.from_json(doc["hyper"]))
+MODELS = {model.name: model for model in (HelmholtzModel, BaselineModel)}
 
 
 @dataclass(frozen=True)
@@ -358,41 +304,25 @@ def solve_ridge(design: np.ndarray, targets: np.ndarray, lam_diag: np.ndarray, n
     return x if primal else weighted @ x
 
 
-def _fit(dataset: Dataset, hyper: Hyperparameters, seed: int, lams: dict) -> tuple[list, list]:
-    """Fit one basis per kind of `lams` (kind -> ridge weight), each from its own child seed."""
-    seeds = ft.split_seed(seed, len(lams))
+def _fit(model: type[_FeatureModel], dataset: Dataset, hyper: Hyperparameters, seed: int):
+    """Fit `model`: draw the basis of each map from its own child seed, then solve for the
+    coefficients of every map at once, each penalised by its own ridge weight."""
+    lam = np.repeat(model._ridge_weights(hyper), hyper.d)
+    seeds = ft.split_seed(seed, len(model.MAPS))
     bases = [ft.sample_basis(kind, hyper.d, dataset.dim, hyper.sigma, basis_seed)
-             for kind, basis_seed in zip(lams, seeds)]
-    lam = np.repeat(list(lams.values()), hyper.d)
+             for (_, _, kind, _), basis_seed in zip(model.MAPS, seeds)]
     xi = solve_ridge(assemble_design(dataset, *bases), dataset.target_vector(), lam, len(dataset))
-    return bases, np.split(xi, len(bases))
+    return model._from_parts(np.split(xi, len(bases)), bases, hyper)
 
 
 def fit_helmholtz(dataset: Dataset, hyper: Hyperparameters, seed: int) -> HelmholtzModel:
     """Closed-form fit of the two-part model; deterministic given the seed."""
-    if hyper.lambda2 is None:
-        raise ValueError("the Helmholtz fit needs both ridge weights; lambda2 is None")
-    (basis_c, basis_s), (alpha, beta) = _fit(
-        dataset, hyper, seed, {ft.ODD_CURL_FREE: hyper.lambda1, ft.ODD_SYMPLECTIC: hyper.lambda2})
-    return HelmholtzModel(alpha=alpha, beta=beta, basis_c=basis_c, basis_s=basis_s, hyper=hyper)
+    return _fit(HelmholtzModel, dataset, hyper, seed)
 
 
 def fit_baseline(dataset: Dataset, hyper: Hyperparameters, seed: int) -> BaselineModel:
     """Closed-form fit of the Gaussian-separable baseline (single ridge weight)."""
-    (basis,), (alpha,) = _fit(dataset, hyper, seed, {ft.GAUSSIAN_SEPARABLE: hyper.lambda1})
-    return BaselineModel(alpha=alpha, basis=basis, hyper=hyper)
-
-
-def baseline_objective(model: BaselineModel | HelmholtzModel, dataset: Dataset) -> float:
-    """Training objective: mean squared residual plus the lambda1 penalty on alpha."""
-    resid = model.predict(dataset.states) - dataset.derivatives
-    mse = np.sum(resid**2) / len(dataset)
-    return float(mse + model.hyper.lambda1 * model.alpha @ model.alpha)
-
-
-def helmholtz_objective(model: HelmholtzModel, dataset: Dataset) -> float:
-    """Training objective: the baseline objective plus the lambda2 penalty on beta."""
-    return float(baseline_objective(model, dataset) + model.hyper.lambda2 * model.beta @ model.beta)
+    return _fit(BaselineModel, dataset, hyper, seed)
 
 
 def fit_exact_kernel(dataset: Dataset, kind: str, sigma: float, lam: float) -> ExactKernelModel:

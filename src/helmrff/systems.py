@@ -19,10 +19,9 @@ SIM_REFINE = 25
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """A benchmark system: exact field, exact energy, physical parameters."""
+    """A benchmark system: its name, exact field and exact energy."""
 
     name: str
-    parameters: dict
     field: Callable[[np.ndarray], np.ndarray]        # states (..., n) -> derivatives (..., n)
     hamiltonian: Callable[[np.ndarray], np.ndarray]  # states (..., n) -> energies (...)
 
@@ -65,7 +64,6 @@ def mass_spring_damper(m: float = 0.5, k: float = 1.0, d: float = 0.25) -> Syste
 
     return SystemSpec(
         name="msd",
-        parameters={"m": m, "k": k, "d": d},
         field=lambda x: msd_field(x, m, k, d),
         hamiltonian=hamiltonian,
     )
@@ -81,7 +79,6 @@ def damped_pendulum(m: float = 1.0, l: float = 1.0, d: float = 1.2, g: float = 9
 
     return SystemSpec(
         name="pendulum",
-        parameters={"m": m, "l": l, "d": d, "g": g},
         field=lambda x: pendulum_field(x, m, l, d, g),
         hamiltonian=hamiltonian,
     )

@@ -52,6 +52,17 @@ def test_bundled_configs_parse():
     assert pend.noise_sigma == 0.01
 
 
+# Each passed the config reader once: the bounds failed in the figure grid after every seed
+# had run (or, with a third entry, were cut to two), a grid of 0 or 1e-200 failed the
+# search after --out existed, and a non-numeric grid entry raised a bare ValueError.
+BAD_GRIDS_AND_BOUNDS = [
+    ("figure.bounds", [[float("-inf"), 4.0], [-4.0, 4.0]]),
+    ("figure.bounds", [[-4.0, 4.0, 99], [-4.0, 4.0]]),
+    ("search.lambda_grid", {"log10_start": -400.0, "log10_stop": 0.0, "count": 3}),
+    ("search.sigma_grid", [1.0, "wide"]),
+]
+
+
 def test_parse_errors_name_the_offending_key(tmp_path):
     path = write_config(tmp_path, "msd")
     doc = yaml.safe_load(path.read_text())
@@ -91,10 +102,27 @@ def test_parse_errors_name_the_offending_key(tmp_path):
     noise = write_config(tmp_path, "msd", **{"data.noise_sigma": float("inf")})
     with pytest.raises(cli.ConfigError, match="data.noise_sigma"):
         cli.parse_config(noise)
+    # an integer past the float range, as a number, a point and a grid entry
+    for key, value in (("data.h", 10**400), ("test.x0", [10**400, 0.0]), ("search.lambda_grid", [1e-3, 10**400])):
+        with pytest.raises(cli.ConfigError, match=rf"config key '{key}': "):
+            cli.parse_config(write_config(tmp_path, "msd", **{key: value}))
     ridge = write_config(tmp_path, "msd", **{"hyperparameters.helmholtz": {
         "sigma": 1.0, "lambda1": float("nan"), "lambda2": 1e-3}})
     with pytest.raises(cli.ConfigError, match="hyperparameters.helmholtz.lambda1"):
         cli.parse_config(ridge)
+    for key, value in BAD_GRIDS_AND_BOUNDS:
+        with pytest.raises(cli.ConfigError, match=rf"config key '{key}': "):
+            cli.parse_config(write_config(tmp_path, "msd", **{key: value}))
+
+
+@pytest.mark.parametrize("key, value", BAD_GRIDS_AND_BOUNDS)
+def test_bad_grid_or_bounds_fails_before_reproduce_starts(tmp_path, capsys, key, value):
+    out = tmp_path / "o"
+    argv = ["reproduce", "msd", "--seeds", "2", "--config", str(write_config(tmp_path, "msd", **{key: value}))]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config key '{key}': "), err
+    assert not out.exists()
 
 
 def test_end_times_must_be_whole_steps(tmp_path):

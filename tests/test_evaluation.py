@@ -372,7 +372,7 @@ def grid_cases(draw):
     resolution = draw(st.integers(2, 30))
     lows = draw(st.tuples(*[st.floats(-6.0, 5.0)] * 2))
     spans = draw(st.tuples(*[st.floats(0.01, 8.0)] * 2))
-    step = rg._BLOCK_ENTRIES // resolution
+    step = ft._BLOCK_ENTRIES // resolution
     d = draw(st.one_of(st.integers(1, 40), st.integers(step + 1, 2 * step - 2)))
     sigma = draw(st.floats(0.2, 5.0))
     return tuple((lo, lo + span) for lo, span in zip(lows, spans)), resolution, sigma, d

@@ -88,12 +88,7 @@ ridge_problems = ridge_shapes.flatmap(lambda shape: st.tuples(
     st.integers(1, 4)))
 
 
-@properties
-@given(ridge_problems)
-def test_solve_ridge_matches_stacked_least_squares(problem):
-    design, targets, log_lam, n_samples = problem
-    lam = 10.0 ** log_lam
-    xi = rg.solve_ridge(design, targets, lam, n_samples)
+def assert_minimizes_ridge_objective(xi, design, targets, lam, n_samples):
     # (1/N)||design^T xi - targets||^2 + xi^T diag(lam) xi as one least-squares system
     stacked = np.vstack([design.T / np.sqrt(n_samples), np.diag(np.sqrt(lam))])
     rhs = np.concatenate([targets / np.sqrt(n_samples), np.zeros(len(lam))])
@@ -101,6 +96,14 @@ def test_solve_ridge_matches_stacked_least_squares(problem):
     # the objective at xi = 0 bounds ||xi|| by ||targets|| / sqrt(N lam_min)
     scale = np.linalg.norm(targets) / np.sqrt(n_samples * lam.min())
     assert np.linalg.norm(xi - reference) <= 1e-9 * scale
+
+
+@properties
+@given(ridge_problems)
+def test_solve_ridge_matches_stacked_least_squares(problem):
+    design, targets, log_lam, n_samples = problem
+    lam = 10.0 ** log_lam
+    assert_minimizes_ridge_objective(rg.solve_ridge(design, targets, lam, n_samples), design, targets, lam, n_samples)
 
 
 def point_sets(max_points):
@@ -158,16 +161,36 @@ def test_model_field_is_the_design_contracted_with_the_coefficients(basis, B, se
     assert np.all(np.abs(field(X) - expected) <= bound)
 
 
-fitted_models = st.builds(
-    lambda data, sigma, log_lam, d, seed: rg.fit_helmholtz(
-        rg.Dataset(data[:, :2], data[:, 2:]),
-        rg.Hyperparameters(sigma, 10.0 ** log_lam[0], 10.0 ** log_lam[1], d), seed),
-    st.integers(1, 6).flatmap(lambda N: arrays(np.float64, (N, 4), elements=st.floats(-3.0, 3.0))),
-    widths,
-    st.tuples(st.floats(-8.0, 0.0), st.floats(-8.0, 0.0)),
-    st.integers(1, 24),
-    st.integers(0, 2**32 - 1),
-)
+def fitted_models(*fits):
+    """(dataset, model) pairs fitted by one of `fits`, with independent ridge weights lambda1 != lambda2."""
+    def fit(fit, data, sigma, log_lam, d, seed):
+        dataset = rg.Dataset(data[:, :2], data[:, 2:])
+        if fit is rg.fit_baseline:
+            return dataset, fit(dataset, rg.Hyperparameters(sigma, 10.0 ** log_lam[0], None, d + d % 2), seed)
+        return dataset, fit(dataset, rg.Hyperparameters(sigma, 10.0 ** log_lam[0], 10.0 ** log_lam[1], d), seed)
+    return st.builds(
+        fit,
+        st.sampled_from(fits),
+        st.integers(1, 6).flatmap(lambda N: arrays(np.float64, (N, 4), elements=st.floats(-3.0, 3.0))),
+        widths,
+        st.tuples(st.floats(-8.0, 0.0), st.floats(-8.0, 0.0)).filter(lambda log_lam: log_lam[0] != log_lam[1]),
+        st.integers(1, 24),
+        st.integers(0, 2**32 - 1),
+    )
+
+
+@properties
+@given(fitted_models(rg.fit_helmholtz, rg.fit_baseline))
+def test_fit_solves_the_stacked_ridge_problem_of_its_maps(case):
+    """Each coefficient vector pairs with its own basis and its own ridge weight."""
+    dataset, model = case
+    if isinstance(model, rg.HelmholtzModel):
+        maps = [(model.alpha, model.basis_c, model.hyper.lambda1), (model.beta, model.basis_s, model.hyper.lambda2)]
+    else:
+        maps = [(model.alpha, model.basis, model.hyper.lambda1)]
+    coefs, bases, lams = zip(*maps)
+    assert_minimizes_ridge_objective(np.concatenate(coefs), rg.assemble_design(dataset, *bases),
+                                     dataset.target_vector(), np.repeat(lams, model.hyper.d), len(dataset))
 
 
 def closed_form_jacobians(model, x):
@@ -185,7 +208,7 @@ def closed_form_jacobians(model, x):
 
 
 @properties
-@given(fitted_models, point_sets(8))
+@given(fitted_models(rg.fit_helmholtz).map(lambda case: case[1]), point_sets(8))
 def test_fitted_helmholtz_model_structure(model, Q):
     assert_array_equal(model.predict(-Q), -model.predict(Q))
     assert_array_equal(model.hamiltonian(-Q), model.hamiltonian(Q))

@@ -214,7 +214,7 @@ def test_baseline_matches_gradient_descent():
 def test_closed_form_is_a_local_minimum():
     ds = random_dataset(7, 9)
     model = hr.fit_helmholtz(ds, rg.Hyperparameters(1.2, 1e-3, 1e-2, d=24), seed=2)
-    base = rg.helmholtz_objective(model, ds)
+    base = model.objective(ds)
     rng = np.random.default_rng(0)
     for _ in range(100):
         d_a = rng.normal(size=24)
@@ -223,14 +223,14 @@ def test_closed_form_is_a_local_minimum():
                                    beta=model.beta + 1e-3 * d_b,
                                    basis_c=model.basis_c, basis_s=model.basis_s,
                                    hyper=model.hyper)
-        assert rg.helmholtz_objective(bumped, ds) >= base
+        assert bumped.objective(ds) >= base
 
     bmodel = hr.fit_baseline(ds, rg.Hyperparameters(1.2, 1e-3, None, d=24), seed=2)
-    bbase = rg.baseline_objective(bmodel, ds)
+    bbase = bmodel.objective(ds)
     for _ in range(100):
         bumped = rg.BaselineModel(alpha=bmodel.alpha + 1e-3 * rng.normal(size=24),
                                   basis=bmodel.basis, hyper=bmodel.hyper)
-        assert rg.baseline_objective(bumped, ds) >= bbase
+        assert bumped.objective(ds) >= bbase
 
 
 def test_non_finite_design_raises_naming_the_residual():
