@@ -25,7 +25,7 @@ import yaml
 from . import evaluation as ev
 from . import regression as rg
 from . import systems as sy
-from .features import split_seed
+from .features import grid_limits, split_seed
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -85,13 +85,14 @@ def _finite(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
-def _number(doc: dict, key: str, minimum=None, default=_REQUIRED) -> float:
+def _number(doc: dict, key: str, minimum=None, default=_REQUIRED, integer=False) -> float | int:
+    """A finite number as a float, or with `integer` a whole number (such as 25 or 25.0) as an int."""
     node = _lookup(doc, key, default)
-    if not _finite(node):
-        _fail(key, f"expected a finite number, got {node!r}")
+    if not _finite(node) or integer and not float(node).is_integer():
+        _fail(key, f"expected {'an integer' if integer else 'a finite number'}, got {node!r}")
     if minimum is not None and node < minimum:
         _fail(key, f"must be >= {minimum}, got {node}")
-    return float(node)
+    return int(float(node)) if integer else float(node)
 
 
 def _point(node, key: str) -> np.ndarray:
@@ -199,7 +200,7 @@ def _log_grid(doc: dict, key: str, default) -> np.ndarray:
         return default
     if isinstance(node, dict):
         _reject_unknown(node, dict.fromkeys(("log10_start", "log10_stop", "count")), f"{key}.")
-        count = int(_number(doc, f"{key}.count", minimum=1))
+        count = _number(doc, f"{key}.count", minimum=1, integer=True)
         with np.errstate(over="ignore"):  # an overflow to inf fails the check below
             node = np.logspace(_number(doc, f"{key}.log10_start"), _number(doc, f"{key}.log10_stop"), count).tolist()
     if not (isinstance(node, list) and node and all(_finite(v) and v > 0 for v in node)):
@@ -253,11 +254,11 @@ def _resolve(doc: dict) -> ExperimentConfig:
     test_h = _number(doc, "test.h", minimum=1e-12, default=h)
     test_t_end = _end_time(doc, "test.t_end", test_h)
 
-    d = int(_number(doc, "model.d", minimum=1, default=200.0))
+    d = _number(doc, "model.d", minimum=1, default=200.0, integer=True)
     if d % 2:
         _fail("model.d", f"feature budget must be even so the baseline map splits over both outputs, got {d}")
 
-    folds = int(_number(doc, "search.folds", minimum=2, default=5.0))
+    folds = _number(doc, "search.folds", minimum=2, default=5.0, integer=True)
     defaults = ev.default_search_space()
     sigma_grid = _log_grid(doc, "search.sigma_grid", defaults.sigmas)
     lambda_grid = _log_grid(doc, "search.lambda_grid", defaults.lambda1s)
@@ -271,15 +272,15 @@ def _resolve(doc: dict) -> ExperimentConfig:
             _check_sigma_range(f"{key}.sigma", sigma)
             fixed[model] = {"sigma": sigma, **{k: _number(doc, f"{key}.{k}", minimum=1e-300) for k in lambda_keys}}
 
-    seed = int(_number(doc, "seed", minimum=0.0, default=0.0))
+    seed = _number(doc, "seed", minimum=0.0, default=0.0, integer=True)
     output_dir = doc.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
         _fail("output_dir", f"expected a non-empty string, got {output_dir!r}")
 
-    resolution = int(_number(doc, "figure.resolution", minimum=2, default=25.0))
+    resolution = _number(doc, "figure.resolution", minimum=2, default=25.0, integer=True)
     bounds = _lookup(doc, "figure.bounds", [[-4.0, 4.0], [-4.0, 4.0]])
     try:
-        bounds = ev.grid_limits(bounds, resolution).tolist()
+        bounds = grid_limits(bounds, resolution).tolist()
     except ValueError as err:
         _fail("figure.bounds", str(err))
 

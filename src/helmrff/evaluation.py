@@ -8,7 +8,6 @@ differ by less than a relative CV_TIE_RTOL count as tied, so last-digit
 rounding cannot change the pick.
 """
 
-import numbers
 from dataclasses import asdict, dataclass, field
 from itertools import groupby
 
@@ -195,34 +194,21 @@ def rollout_model(model, x0, h: float, t_end: float) -> Trajectory:
     return integrate_rk4(model.predict, x0, h, t_end)
 
 
-def grid_limits(bounds, resolution) -> np.ndarray:
-    """`bounds`, ((q_lo, q_hi), (p_lo, p_hi)), as a (2, 2) float array; raises unless they are finite
-    with each lower bound below its upper one and `resolution` (points per axis) is an integer >= 2."""
-    try:
-        limits = np.asarray(bounds, dtype=float)
-    except (TypeError, ValueError):
-        limits = np.empty(0)
-    if limits.shape != (2, 2) or not np.all(np.isfinite(limits)) or np.any(limits[:, 0] >= limits[:, 1]):
-        raise ValueError(f"bounds must be finite ((q_lo, q_hi), (p_lo, p_hi)) with lo < hi, got {bounds!r}")
-    if not isinstance(resolution, numbers.Integral) or resolution < 2:
-        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
-    return limits
-
-
 def stream_grid(field_or_model, bounds, resolution) -> np.ndarray:
     """Sample a field on a regular resolution x resolution phase-plane grid.
 
-    `bounds` is ((q_lo, q_hi), (p_lo, p_hi)), checked by `grid_limits`.  Returns
-    rows (q, p, qdot, pdot) in row-major order (first axis slowest).  A fitted
-    feature model (one with `predict_grid`) is evaluated separably over the two
-    axes, and agrees with its `predict` at the grid points to rounding.  Any
-    other model, and a bare callable field, gets the (B, 2) batch of points.
+    `bounds` is ((q_lo, q_hi), (p_lo, p_hi)), checked by `features.grid_limits`.
+    Returns rows (q, p, qdot, pdot) at np.linspace's points, first axis slowest.
+    A fitted feature model (one with `predict_grid`) is evaluated separably over
+    the two evenly spaced axes, and agrees with its `predict` there to rounding.
+    Any other model, and a bare callable field, gets the (B, 2) batch of points.
     """
-    qs, ps = (np.linspace(lo, hi, resolution) for lo, hi in grid_limits(bounds, resolution))
+    limits = ft.grid_limits(bounds, resolution)
+    qs, ps = (np.linspace(lo, hi, resolution) for lo, hi in limits)
     Q, P = np.meshgrid(qs, ps, indexing="ij")
     points = np.column_stack([Q.reshape(-1), P.reshape(-1)])
     if hasattr(field_or_model, "predict_grid"):
-        values = field_or_model.predict_grid(qs, ps).reshape(-1, 2)
+        values = field_or_model.predict_grid(limits, resolution).reshape(-1, 2)
     else:
         values = getattr(field_or_model, "predict", field_or_model)(points)
     return np.hstack([points, values])

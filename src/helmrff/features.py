@@ -3,8 +3,9 @@
 A basis is a frozen draw of frequency vectors; evaluating a feature map at a
 state yields a d x n matrix whose products approximate the matching exact
 kernel from :mod:`helmrff.kernels`.  A basis is also the one evaluator of
-every fitted field Phi(x)^T coef: at a batch of states (`field`), on a product
-grid (`grid_field`), and as a potential (`potential`).
+every fitted field Phi(x)^T coef: at a batch of states (`field`), on an evenly
+spaced product grid (`grid_field`, two complex exponentials per feature per
+axis, whatever the resolution), and as a potential (`potential`).
 """
 
 import numbers
@@ -19,7 +20,7 @@ ODD_SYMPLECTIC = "odd-symplectic"
 GAUSSIAN_SEPARABLE = "gaussian-separable"
 KINDS = (ODD_CURL_FREE, ODD_SYMPLECTIC, GAUSSIAN_SEPARABLE)
 
-# The most entries of any (states, features) or (grid axis, features) array a fitted field
+# The most entries of any (states, features) or (both grid axes, features) array a fitted field
 # forms: 1 MiB of float64, 2 MiB of complex.  OpenBLAS multiplies a block this small on one
 # thread, so its workers do not wake and spin per block.
 _BLOCK_ENTRIES = 2**17
@@ -114,26 +115,33 @@ class FeatureBasis:
             return v @ rows
         return _over_blocks(X, self.d, reduce)
 
-    def grid_field(self, qs, ps, coef) -> np.ndarray:
-        """`field` at every point (q, p) of the product grid qs x ps, shape (len(qs), len(ps), 2).
+    def grid_field(self, limits, resolution, coef) -> np.ndarray:
+        """`field` at the points lo + k (hi - lo) / (resolution - 1) of each axis, as np.linspace places
+        them, for `limits` ((q_lo, q_hi), (p_lo, p_hi)) checked by `grid_limits`; (resolution, resolution, 2).
 
         Each feature is a plane wave that factors over the two axes: sin(w_q q + w_p p) is
         Im e^{i w_q q} e^{i w_p p} and cos(w_q q + w_p p + b) is Re e^{i (w_q q + b)} e^{i w_p p}.
-        So output c is ((E_q * g_c) @ E_p^T).imag, or .real for the baseline, with
-        g_c = coef rows[:, c] scale, summed over blocks of features; values at the grid points
-        are never formed.  Agrees with `field` at the grid points to rounding.
+        So output c is ((E_q * g_c) @ E_p^T).imag, or .real for the baseline, g_c = coef rows[:, c] scale,
+        summed over blocks of the features that feed c, both outputs of a block in one product.  The
+        axes are evenly spaced, so E takes two complex exponentials per feature per axis (`_progressions`).
         """
+        limits = grid_limits(limits, resolution)
         if self.n != 2:
             raise ValueError(f"state dimension 2 does not match model dimension {self.n}")
-        g = (coef[:, None] * self.rows) * self.scale
-        offset = self.phases if self.kind == GAUSSIAN_SEPARABLE else np.zeros(self.d)
-        total = np.zeros((2, len(qs), len(ps)), dtype=complex)
-        step = max(1, _BLOCK_ENTRIES // max(len(qs), len(ps)))
-        for block in (slice(i, i + step) for i in range(0, self.d, step)):
-            E_q = _waves(np.outer(qs, self.weights[block, 0]) + offset[block])
-            E_p = _waves(np.outer(ps, self.weights[block, 1]))
-            for c in range(2):
-                total[c] += (E_q * g[block, c]) @ E_p.T
+        g = np.multiply(self.rows.T, coef, order="C") * self.scale  # (2, d); C order keeps `left` C-ordered
+        lo, h = limits[:, :1], np.diff(limits) / (resolution - 1)  # (2, 1) columns: q and p
+        offset = np.outer([1.0, 0.0], self.phases if self.kind == GAUSSIAN_SEPARABLE else np.zeros(self.d))
+        # Block c of the baseline's d/2 features feeds output c alone; any other feature feeds both.
+        m, outs = (self.d // 2, 1) if self.kind == GAUSSIAN_SEPARABLE else (self.d, 2)
+        step = max(1, _BLOCK_ENTRIES // (2 * resolution))
+        total = np.zeros((2, resolution, resolution), dtype=complex)
+        for first in range(0, self.d, m):
+            outputs = slice(first // m, first // m + outs)
+            for block in (slice(i, min(i + step, first + m)) for i in range(first, first + m, step)):
+                W = self.weights[block].T
+                E_q, E_p = _progressions(W * lo + offset[:, block], W * h, resolution)
+                left = g[outputs, block][:, None, :] * E_q
+                total[outputs] += (left.reshape(-1, E_q.shape[1]) @ E_p.T).reshape(left.shape[0], resolution, -1)
         part = total.real if self.kind == GAUSSIAN_SEPARABLE else total.imag
         return np.moveaxis(part, 0, -1)
 
@@ -166,12 +174,36 @@ def _over_blocks(X, d: int, reduce) -> np.ndarray:
     return np.concatenate([reduce(X[i:i + step]) for i in range(0, len(X), step)])
 
 
-def _waves(phase) -> np.ndarray:
-    """e^{i phase}, from cos and sin written into one complex array: faster than np.exp(1j * phase)."""
-    wave = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=wave.real)
-    np.sin(phase, out=wave.imag)
-    return wave
+def _progressions(start, step, count) -> np.ndarray:
+    """e^{i (start + k step)} for k < count, shape (rows, count, s) for (rows, s) phases, from one cos
+    and one sin per phase: with z = e^{i step}, each doubling fills E[n:2n] = E[:n] z and squares z,
+    rescaled to modulus 1 so that its rounding does not double with it.  Each entry is then within
+    ulps of (1 + |phase|) per doubling level; a running product or unscaled squares drift by ulps of k."""
+    E, z = np.empty((start.shape[0], count, start.shape[1]), dtype=complex), np.empty(step.shape, dtype=complex)
+    for wave, phase in ((E[:, 0], start), (z, step)):
+        np.cos(phase, out=wave.real)
+        np.sin(phase, out=wave.imag)
+    n = 1
+    while n < count:
+        np.multiply(E[:, :min(n, count - n)], z[:, None], out=E[:, n:2 * n])
+        z *= z
+        z /= np.abs(z)
+        n *= 2
+    return E
+
+
+def grid_limits(bounds, resolution) -> np.ndarray:
+    """`bounds`, ((q_lo, q_hi), (p_lo, p_hi)), as a (2, 2) float array; raises unless they are finite
+    with each lower bound below its upper one and `resolution` (points per axis) is an integer >= 2."""
+    try:
+        limits = np.asarray(bounds, dtype=float)
+    except (TypeError, ValueError):
+        limits = np.empty(0)
+    if limits.shape != (2, 2) or not np.all(np.isfinite(limits)) or np.any(limits[:, 0] >= limits[:, 1]):
+        raise ValueError(f"bounds must be finite ((q_lo, q_hi), (p_lo, p_hi)) with lo < hi, got {bounds!r}")
+    if not isinstance(resolution, numbers.Integral) or resolution < 2:
+        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
+    return limits
 
 
 def sample_basis(kind: str, d: int, n: int, sigma: float, seed: int) -> FeatureBasis:

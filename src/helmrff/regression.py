@@ -161,9 +161,9 @@ class _FeatureModel:
     def predict(self, X) -> np.ndarray:
         return reduce(operator.add, (basis.field(X, coef) for coef, basis in self._parts()))
 
-    def predict_grid(self, qs, ps) -> np.ndarray:
-        """predict at every point (q, p) of the product grid qs x ps, shape (len(qs), len(ps), 2)."""
-        return reduce(operator.add, (basis.grid_field(qs, ps, coef) for coef, basis in self._parts()))
+    def predict_grid(self, limits, resolution) -> np.ndarray:
+        """predict on the evenly spaced grid of `FeatureBasis.grid_field`, shape (resolution, resolution, 2)."""
+        return reduce(operator.add, (basis.grid_field(limits, resolution, coef) for coef, basis in self._parts()))
 
     def objective(self, dataset: Dataset) -> float:
         """Training objective of the fit: mean squared residual plus each map's ridge penalty."""

@@ -113,6 +113,16 @@ def test_parse_errors_name_the_offending_key(tmp_path):
     for key, value in BAD_GRIDS_AND_BOUNDS:
         with pytest.raises(cli.ConfigError, match=rf"config key '{key}': "):
             cli.parse_config(write_config(tmp_path, "msd", **{key: value}))
+    # integer keys took a fractional value and truncated it (to 2, 200, 3, 1 and 12)
+    for key, value in (("figure.resolution", 2.5), ("model.d", 200.9), ("search.folds", 3.7), ("seed", 1.5),
+                       ("search.sigma_grid", {"log10_start": -1.0, "log10_stop": 1.0, "count": 12.5})):
+        with pytest.raises(cli.ConfigError, match=rf"config key '{key}(\.count)?': expected an integer"):
+            cli.parse_config(write_config(tmp_path, "msd", **{key: value}))
+    # an integral float is the integer, in the echo too
+    whole = {"figure.resolution": 25.0, "model.d": 200.0, "search.folds": 5.0, "seed": 0.0}
+    echoes = (json.dumps(cli.parse_config(write_config(tmp_path, "msd", **overrides)).resolved())
+              for overrides in (whole, {k: int(v) for k, v in whole.items()}))
+    assert len(set(echoes)) == 1
 
 
 @pytest.mark.parametrize("key, value", BAD_GRIDS_AND_BOUNDS)

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -365,20 +366,26 @@ def test_stream_grid_of_odd_model_is_antisymmetric():
         assert_allclose(values[(-q, -p)], -f, atol=1e-12)
 
 
+# The grid path's feature block, shrunk so that budgets past two blocks stay cheap to check against
+# predict at every resolution; the 2**17-entry block itself is checked at d = 20000 in test_regression.
+GRID_BLOCK = 2**10
+
+
 @st.composite
 def grid_cases(draw):
     """Bounds anywhere (asymmetric, or away from the origin), a resolution, a width, and a budget d
-    either small or past one feature block of the separable grid path, so its last block is partial."""
-    resolution = draw(st.integers(2, 30))
+    either small or past two feature blocks of GRID_BLOCK entries, so the last block of the Helmholtz
+    maps and of each baseline output is partial."""
+    resolution = draw(st.integers(2, 120))
     lows = draw(st.tuples(*[st.floats(-6.0, 5.0)] * 2))
     spans = draw(st.tuples(*[st.floats(0.01, 8.0)] * 2))
-    step = ft._BLOCK_ENTRIES // resolution
-    d = draw(st.one_of(st.integers(1, 40), st.integers(step + 1, 2 * step - 2)))
+    step = max(1, GRID_BLOCK // (2 * resolution))
+    d = draw(st.one_of(st.integers(1, 40), st.integers(2 * step + 1, 3 * step - 1)))
     sigma = draw(st.floats(0.2, 5.0))
     return tuple((lo, lo + span) for lo, span in zip(lows, spans)), resolution, sigma, d
 
 
-@settings(deadline=None, max_examples=30)
+@settings(deadline=None, max_examples=200)
 @given(grid_cases(), st.integers(0, 2**32 - 1))
 def test_stream_grid_of_feature_model_meets_predict(case, seed):
     bounds, resolution, sigma, d = case
@@ -394,7 +401,8 @@ def test_stream_grid_of_feature_model_meets_predict(case, seed):
     Q, P = np.meshgrid(*(np.linspace(lo, hi, resolution) for lo, hi in bounds), indexing="ij")
     points = np.column_stack([Q.reshape(-1), P.reshape(-1)])
     for model in models:
-        grid = ev.stream_grid(model, bounds, resolution)
+        with mock.patch.object(ft, "_BLOCK_ENTRIES", GRID_BLOCK):
+            grid = ev.stream_grid(model, bounds, resolution)
         assert_array_equal(grid[:, :2], points)
         field = model.predict(points)
         assert_allclose(grid[:, 2:], field, rtol=0, atol=1e-12 * np.abs(field).max())
@@ -409,15 +417,22 @@ def test_stream_grid_of_feature_model_meets_predict(case, seed):
     (((-1.0, 1.0), (-1.0, 1.0)), 5.0, "resolution"),
     (((-1.0, 1.0), (-1.0, 1.0)), 2.5, "resolution"),
     (((-1.0, 1.0), (-1.0, 1.0)), "25", "resolution"),
+    (((-1.0, 1.0), (-1.0, 1.0)), 1, "resolution"),
+    (((-1.0, 1.0), (-1.0, 1.0)), 0, "resolution"),
 ])
 def test_stream_grid_rejects_bad_bounds_and_resolution(bounds, resolution, name):
+    """stream_grid, and also a feature model's predict_grid and each basis's grid_field called directly,
+    raise grid_limits's error rather than divide by resolution - 1 = 0, step backwards, or step by nan."""
     ds = toy_dataset()
-    fields = (hr.mass_spring_damper().field,
-              hr.fit_helmholtz(ds, rg.Hyperparameters(1.0, 1e-3, 1e-3, d=8), seed=0),
+    models = (hr.fit_helmholtz(ds, rg.Hyperparameters(1.0, 1e-3, 1e-3, d=8), seed=0),
               hr.fit_baseline(ds, rg.Hyperparameters(1.0, 1e-3, None, d=8), seed=0))
-    for field in fields:
-        with pytest.raises(ValueError, match=name):
-            ev.stream_grid(field, bounds, resolution)
+    calls = [lambda f=field: ev.stream_grid(f, bounds, resolution) for field in (hr.mass_spring_damper().field, *models)]
+    for model in models:
+        calls.append(lambda m=model: m.predict_grid(bounds, resolution))
+        calls += [lambda c=coef, b=basis: b.grid_field(bounds, resolution, c) for coef, basis in model._parts()]
+    for call in calls:
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=name):
+            call()
 
 
 def test_stream_grid_rejects_a_model_of_another_dimension():
