@@ -1,8 +1,8 @@
 """Experiment command line: simulate datasets, fit and evaluate models, and
 reproduce the two benchmark studies end to end.
 
-Every artifact embeds the resolved configuration and seeds, so re-running a
-command with the same inputs rewrites identical files.
+Every artifact embeds the resolved configuration and seeds (see `_write`), so
+re-running a command with the same inputs rewrites identical files.
 """
 
 import argparse
@@ -92,7 +92,7 @@ def _number(doc: dict, key: str, minimum=None, default=_REQUIRED, integer=False)
         _fail(key, f"expected {'an integer' if integer else 'a finite number'}, got {node!r}")
     if minimum is not None and node < minimum:
         _fail(key, f"must be >= {minimum}, got {node}")
-    return int(float(node)) if integer else float(node)
+    return int(node) if integer else float(node)
 
 
 def _point(node, key: str) -> np.ndarray:
@@ -335,13 +335,6 @@ def run_protocol(config: ExperimentConfig, master: int, dataset: rg.Dataset | No
     return {"seeds": seeds, "dataset": dataset, **models, **reports}
 
 
-def _comments(config: ExperimentConfig, seeds: dict) -> list[str]:
-    return [
-        "config: " + json.dumps(config.resolved(), sort_keys=True),
-        "seeds: " + json.dumps(seeds, sort_keys=True),
-    ]
-
-
 def _read(flag: str, path, load):
     """load(path), with any failure to read, parse or check the file raised as one ConfigError naming `flag`."""
     try:
@@ -378,32 +371,45 @@ def _setup(args, config: ExperimentConfig) -> tuple[int, Path]:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     master = config.seed if args.seed is None else args.seed
     out = Path(args.out or config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        where = "--out" if args.out else "config key 'output_dir'"
+        raise ConfigError(f"{where}: cannot create {out}: {type(err).__name__}: {err}")
     return master, out
 
 
-def _write_reports(config: ExperimentConfig, master: int, reports: list[dict], out: Path) -> int:
-    """Write eval_report.json and print the summary table, for `fit` and `eval`."""
-    sy.json_dump({"config": config.resolved(), "seeds": _seed_map(master), "reports": reports},
-                 out / "eval_report.json")
-    print("\n".join(_summary_lines(reports, f"system: {config.system_name}  seed: {master}")))
-    return EXIT_OK
+def _write(out: Path, config: ExperimentConfig, seeds, files: dict) -> None:
+    """Write each file of a command's `{name: content}` manifest under `out`, stamped with the config and seeds.
+
+    A dict is a JSON document with `config` and `seeds` keys, its own keys winning; a list
+    of lines is text led by `config: ...` and `seeds: ...` lines (`# `-prefixed in a CSV);
+    a `(writer, obj)` pair is written by `writer(obj, path, lines)`, which prefixes them.
+    """
+    stamp = {"config": config.resolved(), "seeds": seeds}
+    lines = [f"{key}: {json.dumps(value, sort_keys=True)}" for key, value in stamp.items()]
+    for name, content in files.items():
+        path = out / name
+        if isinstance(content, dict):
+            sy.json_dump({**stamp, **content}, path)
+        elif isinstance(content, list):
+            prefix = "# " if path.suffix == ".csv" else ""
+            path.write_text("\n".join([prefix + line for line in lines] + content) + "\n")
+        else:
+            writer, obj = content
+            writer(obj, path, lines)
 
 
 def cmd_simulate(args) -> int:
     config = parse_config(args.config)
     master, out = _setup(args, config)
-    seeds = _seed_map(master)
     dataset = simulate_dataset(config, master)
-    comments = _comments(config, seeds)
-
-    sy.dataset_to_csv(dataset, out / "train.csv", comments)
-    sy.json_dump({"config": config.resolved(), "seeds": seeds, "data": sy.dataset_to_json(dataset)},
-                 out / "train.json")
     fine = sy.integrate_rk4(config.make_system().field, config.initial_conditions,
                             config.h / sy.SIM_REFINE, config.t_end)
     plot = [sy.Trajectory(fine.times[::5], states) for states in fine.states[::5].swapaxes(0, 1)]
-    sy.trajectories_to_csv(plot, out / "trajectories.csv", comments)
+    _write(out, config, _seed_map(master), {"train.csv": (sy.dataset_to_csv, dataset),
+                                            "train.json": {"data": sy.dataset_to_json(dataset)},
+                                            "trajectories.csv": (sy.trajectories_to_csv, plot)})
     print(f"N = {len(dataset)}")
     return EXIT_OK
 
@@ -427,11 +433,11 @@ def cmd_fit(args) -> int:
     config = _fix_hypers(parse_config(args.config), args.fixed_hypers)
     master, out = _setup(args, config)
     result = run_protocol(config, master, dataset)
-
-    base_doc = {"config": config.resolved(), "seeds": result["seeds"]}
-    sy.json_dump({**base_doc, **result["helmholtz"].to_json()}, out / "model_helmholtz.json")
-    sy.json_dump({**base_doc, **result["gaussian"].to_json()}, out / "model_gaussian.json")
-    return _write_reports(config, master, [result[f"report_{kind}"].to_json() for kind in FIXED_LAMBDAS], out)
+    reports = [result[f"report_{kind}"].to_json() for kind in FIXED_LAMBDAS]
+    _write(out, config, result["seeds"], {**{f"model_{kind}.json": result[kind].to_json() for kind in FIXED_LAMBDAS},
+                                          "eval_report.json": {"reports": reports}})
+    print("\n".join(_summary_lines(reports, f"system: {config.system_name}  seed: {master}")))
+    return EXIT_OK
 
 
 def cmd_eval(args) -> int:
@@ -441,8 +447,10 @@ def cmd_eval(args) -> int:
     master, out = _setup(args, config)
     if dataset is None:
         dataset = simulate_dataset(config, master)
-    report = ev.evaluate_model(model, dataset, config.test_set, config.system_name, kind, master, NOTES)
-    return _write_reports(config, master, [report.to_json()], out)
+    reports = [ev.evaluate_model(model, dataset, config.test_set, config.system_name, kind, master, NOTES).to_json()]
+    _write(out, config, _seed_map(master), {"eval_report.json": {"reports": reports}})
+    print("\n".join(_summary_lines(reports, f"system: {config.system_name}  seed: {master}")))
+    return EXIT_OK
 
 
 def _median_summary(reports: list[dict]) -> dict:
@@ -470,39 +478,26 @@ def cmd_reproduce(args) -> int:
     reports = [result[f"report_{kind}"].to_json() for result in results for kind in FIXED_LAMBDAS]
     medians = _median_summary(reports)
 
-    first = results[0]
-    comments = _comments(config, first["seeds"])
-    with open(out / "summary.csv", "w") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write("system,model,train_mse,test_mse,seed,d,sigma,lambda1,lambda2\n")
-        for r in reports:
-            hyp = r["hyper"]
-            fh.write(f"{r['system']},{r['model']},{r['train_mse']!r},{r['test_mse']!r},"
-                     f"{r['seed']},{hyp['d']},{hyp['sigma']!r},{hyp['lambda1']!r},{hyp['lambda2']!r}\n")
-
     title = f"experiment: {config.system_name}  (median over {len(masters)} seeds)"
     rows = [{"model": kind, **medians[kind]} for kind in ("gaussian", "helmholtz")]
-    summary_text = _summary_lines(rows, title)
     checks = [(desc, bool(check(medians))) for desc, check in THRESHOLDS[config.system_name]]
-    check_lines = [f"{'PASS' if ok else 'FAIL'}: {desc}" for desc, ok in checks]
-    (out / "summary.txt").write_text("\n".join(comments + summary_text + check_lines) + "\n")
+    summary_text = _summary_lines(rows, title) + [f"{'PASS' if ok else 'FAIL'}: {desc}" for desc, ok in checks]
 
-    for label, field in (("true", config.make_system().field), ("gaussian", first["gaussian"]),
-                         ("helmholtz", first["helmholtz"])):
-        grid = ev.stream_grid(field, config.figure_bounds, config.figure_resolution)
-        ev.stream_grid_to_csv(grid, out / f"grid_{label}.csv", comments)
-    sy.dataset_to_csv(first["dataset"], out / "grid_data.csv", comments)
-
-    sy.json_dump({
-        "config": config.resolved(),
-        "seeds": [r["seeds"] for r in results],
-        "medians": medians,
-        "thresholds": [{"description": desc, "passed": ok} for desc, ok in checks],
-        "reports": reports,
-    }, out / "report.json")
-
-    print("\n".join(summary_text + check_lines))
+    first = results[0]
+    _write(out, config, first["seeds"], {
+        "summary.csv": ["system,model,train_mse,test_mse,seed,d,sigma,lambda1,lambda2"] + [
+            f"{r['system']},{r['model']},{r['train_mse']!r},{r['test_mse']!r},{r['seed']},{r['hyper']['d']},"
+            f"{r['hyper']['sigma']!r},{r['hyper']['lambda1']!r},{r['hyper']['lambda2']!r}" for r in reports],
+        "summary.txt": summary_text,
+        **{f"grid_{label}.csv": (ev.stream_grid_to_csv,
+                                 ev.stream_grid(field, config.figure_bounds, config.figure_resolution))
+           for label, field in (("true", config.make_system().field), ("gaussian", first["gaussian"]),
+                                ("helmholtz", first["helmholtz"]))},
+        "grid_data.csv": (sy.dataset_to_csv, first["dataset"]),
+        "report.json": {"seeds": [r["seeds"] for r in results], "medians": medians, "reports": reports,
+                        "thresholds": [{"description": desc, "passed": ok} for desc, ok in checks]},
+    })
+    print("\n".join(summary_text))
     return EXIT_OK if all(ok for _, ok in checks) else EXIT_THRESHOLD
 
 

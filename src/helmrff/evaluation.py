@@ -108,14 +108,26 @@ def fold_indices(n_samples: int, folds: int, seed: int) -> list[tuple[np.ndarray
 
 
 def cross_validate(dataset: Dataset, space: SearchSpace, seed: int) -> Hyperparameters:
-    """Pick the grid point with the lowest mean validation MSE over k folds.
+    """Pick the grid point with the lowest mean validation MSE over k folds (`_cv_scores`).
 
     Every candidate whose score is within a relative CV_TIE_RTOL of the
     lowest counts as tied; ties break toward stronger smoothing: larger
     first ridge weight, then larger second one, then larger kernel width.
-    Deterministic given (dataset, space, seed): the fold shuffle and the
-    feature draws all derive from child seeds.  Raises if a score is not
-    finite, for example when a ridge weight underflows.
+    """
+    scores, grids = _cv_scores(dataset, space, seed)
+    # Flat order is the preference order: the grids run from strongest smoothing down.
+    flat = scores.reshape(-1)
+    pick = int(np.flatnonzero(flat <= flat.min() * (1.0 + CV_TIE_RTOL))[0])
+    lambda1, *lambda2, sigma = (float(grid[i]) for grid, i in zip(grids, np.unravel_index(pick, scores.shape)))
+    return Hyperparameters(sigma=sigma, lambda1=lambda1, lambda2=lambda2[0] if lambda2 else None, d=space.d)
+
+
+def _cv_scores(dataset: Dataset, space: SearchSpace, seed: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The mean validation MSE over k folds of every grid point, on axes (lambda1, [lambda2,] sigma),
+    and the descending grids of those axes.
+
+    Deterministic given (dataset, space, seed): the fold shuffle and the feature draws all derive
+    from child seeds.  Raises if a score is not finite, for example when a ridge weight underflows.
     """
     shuffle_seed, seed_a, seed_b = ft.split_seed(seed, 3)
     folds = fold_indices(len(dataset), space.folds, shuffle_seed)
@@ -139,15 +151,7 @@ def cross_validate(dataset: Dataset, space: SearchSpace, seed: int) -> Hyperpara
             raise not_finite from err
         if not np.all(np.isfinite(scores[..., si])):
             raise not_finite
-    scores /= space.folds
-
-    # Flat order is the preference order: the grids run from strongest smoothing down.
-    flat = scores.reshape(-1)
-    pick = int(np.flatnonzero(flat <= flat.min() * (1.0 + CV_TIE_RTOL))[0])
-    *lam_idx, si = np.unravel_index(pick, scores.shape)
-    lambda1, *lambda2 = (float(lam[i]) for lam, i in zip(lams, lam_idx))
-    return Hyperparameters(sigma=float(sigmas[si]), lambda1=lambda1,
-                           lambda2=lambda2[0] if lambda2 else None, d=space.d)
+    return scores / space.folds, lams + [sigmas]
 
 
 def _cv_mse(grams, targets, folds, lams) -> np.ndarray:

@@ -123,6 +123,9 @@ def test_parse_errors_name_the_offending_key(tmp_path):
     echoes = (json.dumps(cli.parse_config(write_config(tmp_path, "msd", **overrides)).resolved())
               for overrides in (whole, {k: int(v) for k, v in whole.items()}))
     assert len(set(echoes)) == 1
+    # an integer past 2**53 is read as an int, not rounded through a float to 2**53
+    big = cli.parse_config(write_config(tmp_path, "msd", seed=2**53 + 1))
+    assert big.seed == 2**53 + 1 and f'"seed": {2**53 + 1}' in json.dumps(big.resolved())
 
 
 @pytest.mark.parametrize("key, value", BAD_GRIDS_AND_BOUNDS)
@@ -258,6 +261,17 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0], (argv, err)
         assert not out.exists(), argv
+    # an output directory that names a file, or a path under one, from the flag or the config
+    blocker = tmp_path / "file"
+    blocker.write_text("keep\n")
+    named = write_config(tmp_path, "msd", output_dir=str(blocker))
+    cases = [(["--out", str(blocker)], "--out"), (["--out", str(blocker / "o")], "--out"),
+             ([], "config key 'output_dir'")]
+    for argv, where in cases:
+        assert cli.main(["simulate", "--config", str(named)] + argv) == 1, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {where}: cannot create"), (argv, err)
+        assert blocker.read_text() == "keep\n", argv
 
 
 # The flags of each subcommand; the argparse parents that define the shared ones must keep them all.
@@ -411,6 +425,41 @@ def test_data_file_mutants_load_exactly_or_fail_at_the_boundary(saved, op, data)
             assert_array_equal(getattr(loaded, column), getattr(saved.dataset, column))
 
 
+@pytest.fixture
+def manifests(monkeypatch):
+    """The file names of each manifest `cli._write` writes, by output directory; the writer still runs."""
+    names, write = {}, cli._write
+
+    def spy(out, config, seeds, files):
+        names.setdefault(out, []).extend(files)
+        write(out, config, seeds, files)
+
+    monkeypatch.setattr(cli, "_write", spy)
+    return names
+
+
+def assert_rewrites_its_manifest(tmp_path, manifests, argv):
+    """Run a command into two directories: each holds exactly the manifest's files, byte for byte alike."""
+    runs = [tmp_path / "run1", tmp_path / "run2"]
+    for out in runs:
+        assert cli.main(argv + ["--out", str(out)]) == 0, argv
+        assert sorted(p.name for p in out.iterdir()) == sorted(manifests[out]), argv
+    assert manifests[runs[0]] == manifests[runs[1]]
+    for name in manifests[runs[0]]:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+    return runs[0]
+
+
+@pytest.mark.parametrize("command", ["simulate", "eval"])
+def test_simulate_and_eval_are_byte_identical(tmp_path, manifests, command):
+    msd = str(cli.bundled_config_path("msd"))
+    argv = ["simulate", "--config", msd]
+    if command == "eval":
+        cli.main(["fit", "--config", msd, "--fixed-hypers", "2.0,1e-4,1e-4", "--out", str(tmp_path / "fit")])
+        argv = ["eval", "--config", msd, "--model", str(tmp_path / "fit" / "model_gaussian.json")]
+    assert_rewrites_its_manifest(tmp_path, manifests, argv)
+
+
 def test_simulate_counts_and_files(tmp_path, capsys):
     out = tmp_path / "msd"
     code = cli.main(["simulate", "--config", str(cli.bundled_config_path("msd")),
@@ -440,15 +489,9 @@ def test_simulate_without_noise_matches_true_field(tmp_path):
     assert_allclose(doc["data"]["derivatives"], field(np.asarray(doc["data"]["states"])), atol=1e-12)
 
 
-def test_fit_with_fixed_hypers_and_determinism(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    args = ["fit", "--config", str(cli.bundled_config_path("msd")),
-            "--fixed-hypers", "2.0,1e-4,1e-4"]
-    assert cli.main(args + ["--out", str(out1)]) == 0
-    assert cli.main(args + ["--out", str(out2)]) == 0
-    for name in ("model_helmholtz.json", "model_gaussian.json", "eval_report.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
+def test_fit_with_fixed_hypers_and_determinism(tmp_path, manifests):
+    out1 = assert_rewrites_its_manifest(tmp_path, manifests, ["fit", "--config", str(cli.bundled_config_path("msd")),
+                                                              "--fixed-hypers", "2.0,1e-4,1e-4"])
     model = json.loads((out1 / "model_helmholtz.json").read_text())
     assert model["hyper"]["sigma"] == 2.0
     assert model["hyper"]["lambda1"] == 1e-4
@@ -532,12 +575,8 @@ def test_reproduce_artifacts_and_exit_code(tmp_path, capsys, monkeypatch):
     assert header == "system,model,train_mse,test_mse,seed,d,sigma,lambda1,lambda2"
 
 
-def test_reproduce_is_byte_identical(tmp_path):
-    out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    cli.main(["reproduce", "msd", "--seeds", "2", "--out", str(out1)])
-    cli.main(["reproduce", "msd", "--seeds", "2", "--out", str(out2)])
-    for p in sorted(out1.iterdir()):
-        assert p.read_bytes() == (out2 / p.name).read_bytes()
+def test_reproduce_is_byte_identical(tmp_path, manifests):
+    assert_rewrites_its_manifest(tmp_path, manifests, ["reproduce", "msd", "--seeds", "2"])
 
 
 def test_reproduce_flags_threshold_failures(tmp_path):
@@ -578,11 +617,13 @@ def test_main_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monkeypat
             put(count)
 
 
-def test_reproduce_is_byte_identical_across_blas_threads_and_jobs(tmp_path):
+def test_reproduce_is_byte_identical_across_blas_threads_and_jobs(tmp_path, manifests):
     if not cli._openblas_thread_controls():
         pytest.skip("no OpenBLAS loaded")
     src = str(Path(cli.__file__).resolve().parents[1])
-    runs = {}
+    here = tmp_path / "in_process"
+    assert cli.main(["reproduce", "msd", "--seeds", "2", "--out", str(here)]) == 0
+    runs = {here.name: {name: (here / name).read_bytes() for name in sorted(manifests[here])}}
     for threads in ("1", "2"):
         for jobs in ("1", "2"):
             out = tmp_path / f"t{threads}j{jobs}"
@@ -593,7 +634,7 @@ def test_reproduce_is_byte_identical_across_blas_threads_and_jobs(tmp_path):
                            capture_output=True, timeout=300)
             runs[out.name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     first = runs.pop("t1j1")
-    assert len(first) == 7
+    assert sorted(first) == sorted(manifests[here])
     for name, files in runs.items():
         assert files == first, name
 

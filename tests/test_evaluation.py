@@ -277,39 +277,46 @@ def test_cross_validate_rejects_non_finite_scores():
             ev.cross_validate(ds, space, seed=0)
 
 
-def test_cross_validate_matches_explicit_fold_fits():
-    """The batched dual-form search must equal per-fold primal ridge fits."""
-    ds = pendulum_dataset()
-    d = 32
-    space = ev.SearchSpace(sigmas=np.array([0.5, 2.0]),
-                           lambda1s=np.array([1e-4, 1e-2]),
-                           lambda2s=np.array([1e-4, 1e-2]), folds=3, d=d)
-    pick = ev.cross_validate(ds, space, seed=11)
+@st.composite
+def cv_searches(draw):
+    """A small random dataset, a search space over 2-3 widths and ridge weights per axis, and a seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_samples = draw(st.integers(6, 12))
+    dataset = rg.Dataset(rng.uniform(-3.0, 3.0, size=(n_samples, 2)), rng.normal(size=(n_samples, 2)))
+    grid = lambda lo, hi: np.array(draw(st.lists(st.floats(lo, hi), min_size=2, max_size=3)))
+    space = ev.SearchSpace(sigmas=grid(0.2, 5.0), lambda1s=grid(1e-4, 1.0),
+                           lambda2s=grid(1e-4, 1.0) if draw(st.booleans()) else None,
+                           folds=draw(st.integers(2, 5)), d=2 * draw(st.integers(1, 20)))
+    return dataset, space, draw(st.integers(0, 2**32 - 1))
 
-    shuffle_seed, seed_a, seed_b = ft.split_seed(11, 3)
-    folds = ev.fold_indices(len(ds), space.folds, shuffle_seed)
-    best = None
-    for sig in (2.0, 0.5):
-        bc = ft.sample_basis(ft.ODD_CURL_FREE, d, 2, sig, seed_a)
-        bs = ft.sample_basis(ft.ODD_SYMPLECTIC, d, 2, sig, seed_b)
-        for l1 in (1e-2, 1e-4):
-            for l2 in (1e-2, 1e-4):
-                total = 0.0
-                for train, val in folds:
-                    tr, va = ds.subset(train), ds.subset(val)
-                    Phi = np.vstack([ft.feature_design(bc, tr.states),
-                                     ft.feature_design(bs, tr.states)])
-                    lam = np.concatenate([np.full(d, l1), np.full(d, l2)])
-                    xi = np.linalg.solve(Phi @ Phi.T + len(tr) * np.diag(lam),
-                                         Phi @ tr.target_vector())
-                    Phi_v = np.vstack([ft.feature_design(bc, va.states),
-                                       ft.feature_design(bs, va.states)])
-                    resid = (Phi_v.T @ xi).reshape(len(va), 2) - va.derivatives
-                    total += float(np.mean(np.sum(resid**2, axis=1)))
-                score = total / len(folds)
-                if best is None or score < best[0] - 1e-12:
-                    best = (score, sig, l1, l2)
-    assert (pick.sigma, pick.lambda1, pick.lambda2) == best[1:]
+
+@settings(deadline=None, max_examples=40)
+@given(cv_searches())
+def test_cross_validate_matches_explicit_fold_fits(search):
+    """Every entry of the score surface is the mean held-out MSE of ridge refits on each fold's samples,
+    with the bases drawn from the search's child seeds, and the pick has the lowest score up to ties."""
+    dataset, space, seed = search
+    scores, grids = ev._cv_scores(dataset, space, seed)
+    assert scores.shape == tuple(grid.size for grid in grids)
+    shuffle_seed, *map_seeds = ft.split_seed(seed, 3)
+    folds = ev.fold_indices(len(dataset), space.folds, shuffle_seed)
+    model = rg.BaselineModel if space.lambda2s is None else rg.HelmholtzModel
+    for si, sigma in enumerate(grids[-1]):
+        bases = [ft.sample_basis(kind, space.d, 2, sigma, map_seed)
+                 for (_, _, kind, _), map_seed in zip(model.MAPS, map_seeds)]
+        fits = [[(part, np.vstack([ft.feature_design(b, part.states) for b in bases]))
+                 for part in (dataset.subset(train), dataset.subset(val))] for train, val in folds]
+        for idx in np.ndindex(scores.shape[:-1]):
+            lam_diag = np.repeat([grid[i] for grid, i in zip(grids, idx)], space.d)
+            total = 0.0
+            for (tr, design), (va, held_out) in fits:
+                xi = rg.solve_ridge(design, tr.target_vector(), lam_diag, len(tr))
+                total += np.mean(np.sum(((held_out.T @ xi).reshape(len(va), 2) - va.derivatives) ** 2, axis=1))
+            assert_allclose(scores[idx + (si,)], total / space.folds, rtol=1e-8, err_msg=str(idx + (si,)))
+    pick = ev.cross_validate(dataset, space, seed)
+    picked = [pick.lambda1] + ([] if pick.lambda2 is None else [pick.lambda2]) + [pick.sigma]
+    at = tuple(int(np.flatnonzero(grid == value)[0]) for grid, value in zip(grids, picked))
+    assert scores[at] <= scores.min() * (1.0 + ev.CV_TIE_RTOL)
 
 
 def test_rollout_trivia():
