@@ -45,46 +45,7 @@ from .evaluation import (
     cross_validate,
     default_search_space,
     make_test_set,
-    rollout_model,
     stream_grid,
-    vector_field_mse,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BaselineModel",
-    "Dataset",
-    "EvalReport",
-    "ExactKernelModel",
-    "FeatureBasis",
-    "GAUSSIAN_SEPARABLE",
-    "ODD_CURL_FREE",
-    "ODD_SYMPLECTIC",
-    "feature_design",
-    "feature_matrix",
-    "HelmholtzModel",
-    "Hyperparameters",
-    "NoiseSpec",
-    "SearchSpace",
-    "SystemSpec",
-    "Trajectory",
-    "cross_validate",
-    "damped_pendulum",
-    "default_search_space",
-    "fit_baseline",
-    "fit_exact_kernel",
-    "fit_helmholtz",
-    "generate_dataset",
-    "integrate_rk4",
-    "make_test_set",
-    "mass_spring_damper",
-    "odd_curl_free_kernel",
-    "odd_symplectic_kernel",
-    "rollout_model",
-    "sample_basis",
-    "split_seed",
-    "stream_grid",
-    "symplectic_matrix",
-    "vector_field_mse",
-]

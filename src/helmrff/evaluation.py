@@ -1,5 +1,5 @@
 """Model evaluation: vector-field MSE, the long-horizon test protocol,
-k-fold grid-search tuning, rollouts, and phase-plane field grids.
+k-fold grid-search tuning, and phase-plane field grids.
 
 The grid search scores every (sigma, lambda) candidate with the exact
 closed-form minimizer in dual form, and every fold from one decomposition of
@@ -14,8 +14,9 @@ from itertools import groupby
 import numpy as np
 
 from . import features as ft
+from .kernels import integer_at_least, positive_finite
 from .regression import BaselineModel, Dataset, HelmholtzModel, Hyperparameters
-from .systems import SystemSpec, Trajectory, integrate_rk4, sample_flow, write_csv
+from .systems import SystemSpec, sample_flow, write_csv
 
 # Scores within this relative distance of the best count as tied.  It is far
 # above the rounding of the scorer (below 1e-7 relative) and far below the
@@ -43,13 +44,13 @@ class SearchSpace:
             if grid is None:
                 continue
             grid = np.asarray(grid, dtype=float)
-            if grid.size == 0:
-                raise ValueError(f"{name} grid is empty")
-            if np.any(grid <= 0):
-                raise ValueError(f"{name} grid must be positive")
+            if grid.ndim != 1 or grid.size == 0:
+                raise ValueError(f"{name} must be a non-empty 1-D grid, got shape {grid.shape}")
+            for value in grid.tolist():
+                positive_finite(f"every entry of {name}", value)
             object.__setattr__(self, name, grid)
-        if self.folds < 2:
-            raise ValueError(f"need at least 2 folds, got {self.folds}")
+        object.__setattr__(self, "folds", integer_at_least("folds", self.folds, 2))
+        object.__setattr__(self, "d", integer_at_least("d", self.d, 1))
 
 
 def default_search_space(baseline: bool = False, folds: int = 5, d: int = 200) -> SearchSpace:
@@ -80,12 +81,8 @@ class EvalReport:
         return {**doc, "d": self.hyper.d}
 
 
-def vector_field_mse(model, dataset: Dataset) -> float:
-    """Mean squared prediction error (1/N) sum ||f(x_i) - xdot_i||^2."""
-    return float(np.mean(pointwise_residuals(model, dataset)))
-
-
 def pointwise_residuals(model, dataset: Dataset) -> np.ndarray:
+    """Squared prediction error ||f(x_i) - xdot_i||^2 of each sample; their mean is the vector-field MSE."""
     resid = model.predict(dataset.states) - dataset.derivatives
     return np.sum(resid**2, axis=1)
 
@@ -191,11 +188,6 @@ def _cv_mse(grams, targets, folds, lams) -> np.ndarray:
             total = total + np.sum(resid**2, axis=(-2, -1)) / len(val)
         del Q, w, wWx, Bvv, WvT, resid  # free this size's arrays before the next size's
     return total.reshape([lam.size for lam in lams])
-
-
-def rollout_model(model, x0, h: float, t_end: float) -> Trajectory:
-    """Integrate the learned field with the same fixed-step RK4 scheme."""
-    return integrate_rk4(model.predict, x0, h, t_end)
 
 
 def stream_grid(field_or_model, bounds, resolution) -> np.ndarray:

@@ -8,12 +8,11 @@ spaced product grid (`grid_field`, two complex exponentials per feature per
 axis, whatever the resolution), and as a potential (`potential`).
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import symplectic_matrix
+from .kernels import integer_at_least, positive_finite, symplectic_matrix
 
 ODD_CURL_FREE = "odd-curl-free"
 ODD_SYMPLECTIC = "odd-symplectic"
@@ -49,8 +48,7 @@ class FeatureBasis:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown feature kind {self.kind!r}; choose from {KINDS}")
-        if not (isinstance(self.sigma, numbers.Real) and self.sigma > 0):
-            raise ValueError(f"kernel width must be positive, got {self.sigma!r}")
+        object.__setattr__(self, "sigma", positive_finite("kernel width", self.sigma))
         weights = np.asarray(self.weights, dtype=float)
         if weights.ndim != 2 or 0 in weights.shape or not np.all(np.isfinite(weights)):
             raise ValueError(f"weights must be a finite (d, n) array, d, n >= 1, got shape {weights.shape}")
@@ -66,7 +64,6 @@ class FeatureBasis:
         elif self.phases is not None:
             raise ValueError(f"{self.kind} basis takes no phases")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "seed", int(self.seed))
 
     @property
@@ -201,8 +198,7 @@ def grid_limits(bounds, resolution) -> np.ndarray:
         limits = np.empty(0)
     if limits.shape != (2, 2) or not np.all(np.isfinite(limits)) or np.any(limits[:, 0] >= limits[:, 1]):
         raise ValueError(f"bounds must be finite ((q_lo, q_hi), (p_lo, p_hi)) with lo < hi, got {bounds!r}")
-    if not isinstance(resolution, numbers.Integral) or resolution < 2:
-        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
+    integer_at_least("resolution", resolution, 2)
     return limits
 
 

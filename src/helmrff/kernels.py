@@ -2,18 +2,28 @@
 
 These closed-form kernels are the ground truth that the random-feature
 maps in :mod:`helmrff.features` approximate, and they back the small-N
-exact-kernel solver in :mod:`helmrff.regression`.
+exact-kernel solver in :mod:`helmrff.regression`.  The module also holds
+the two boundary checks every other module applies to widths, ridge weights
+and integer budgets.
 """
+
+import numbers
 
 import numpy as np
 
-__all__ = [
-    "symplectic_matrix",
-    "kernel_blocks",
-    "odd_curl_free_kernel",
-    "odd_symplectic_kernel",
-    "gram_matrix",
-]
+
+def positive_finite(name: str, value) -> float:
+    """`value` as a float; raises ValueError naming `name` unless it is a real number in (0, inf)."""
+    if not (isinstance(value, numbers.Real) and 0 < value < np.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def integer_at_least(name: str, value, minimum: int) -> int:
+    """`value` as an int; raises ValueError naming `name` unless it is an integer, not a bool, >= minimum."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def symplectic_matrix(m: int) -> np.ndarray:
@@ -31,12 +41,6 @@ def _check_pair(x, z):
     if x.shape != z.shape or x.ndim != 1:
         raise ValueError(f"expected two vectors of equal length, got shapes {x.shape} and {z.shape}")
     return x, z
-
-
-def _check_sigma(sigma: float) -> float:
-    if not sigma > 0:
-        raise ValueError(f"kernel width must be positive, got {sigma}")
-    return float(sigma)
 
 
 def _curl_free_blocks(U, sigma: float) -> np.ndarray:
@@ -76,7 +80,7 @@ def kernel_blocks(kind: str, X, Z, sigma: float) -> np.ndarray:
     """
     if kind not in _EVEN and kind not in _ODD:
         raise ValueError(f"unknown kernel kind {kind!r}; choose from {sorted(_EVEN) + sorted(_ODD)}")
-    sigma = _check_sigma(sigma)
+    sigma = positive_finite("kernel width", sigma)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     U = X[:, None, :] - Z[None, :, :]

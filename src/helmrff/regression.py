@@ -11,7 +11,6 @@ systems.  Models are immutable after fitting and safe to share across
 threads.
 """
 
-import numbers
 import operator
 from dataclasses import dataclass
 from functools import reduce, wraps
@@ -19,7 +18,7 @@ from functools import reduce, wraps
 import numpy as np
 
 from . import features as ft
-from .kernels import gram_matrix, kernel_blocks, symplectic_matrix
+from .kernels import gram_matrix, integer_at_least, kernel_blocks, positive_finite, symplectic_matrix
 
 _EXACT_N_LIMIT = 200
 
@@ -89,13 +88,8 @@ class Hyperparameters:
 
     def __post_init__(self):
         for name in ("sigma", "lambda1") + (() if self.lambda2 is None else ("lambda2",)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0 < value < np.inf):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        object.__setattr__(self, "d", int(self.d))
-        if self.d < 1:
-            raise ValueError(f"feature budget must be >= 1, got {self.d}")
+            object.__setattr__(self, name, positive_finite(name, getattr(self, name)))
+        object.__setattr__(self, "d", integer_at_least("d", self.d, 1))
 
     def to_json(self) -> dict:
         return {"sigma": self.sigma, "lambda1": self.lambda1, "lambda2": self.lambda2, "d": self.d}
@@ -250,6 +244,18 @@ class ExactKernelModel:
     kind: str
     sigma: float
 
+    def __post_init__(self):
+        """Check finite (N, n) coefficients and anchors of one shape, and the kind and width as kernel_blocks does."""
+        coefficients, anchors = (np.asarray(a, dtype=float) for a in (self.coefficients, self.anchors))
+        if (anchors.ndim != 2 or 0 in anchors.shape or coefficients.shape != anchors.shape
+                or not np.all(np.isfinite([coefficients, anchors]))):
+            raise ValueError(f"coefficients and anchors must be finite (N, n) arrays of one shape, "
+                             f"got shapes {coefficients.shape} and {anchors.shape}")
+        kernel_blocks(self.kind, anchors[:0], anchors[:0], self.sigma)  # raises on the kind, the width or an odd n
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "anchors", anchors)
+        object.__setattr__(self, "sigma", float(self.sigma))
+
     @property
     def dim(self) -> int:
         return self.anchors.shape[1]
@@ -335,13 +341,7 @@ def fit_exact_kernel(dataset: Dataset, kind: str, sigma: float, lam: float) -> E
     if len(dataset) > _EXACT_N_LIMIT:
         raise ValueError(
             f"exact-kernel fit is dense in nN; N={len(dataset)} exceeds the guard {_EXACT_N_LIMIT}")
-    if not 0 < lam < np.inf:
-        raise ValueError(f"lambda must be positive and finite, got {lam}")
+    lam = positive_finite("lambda", lam)
     G = gram_matrix(kind, dataset.states, sigma)
     coeffs = _checked_solve(G + len(dataset) * lam * np.eye(G.shape[0]), dataset.target_vector())
-    return ExactKernelModel(
-        coefficients=coeffs.reshape(len(dataset), dataset.dim),
-        anchors=dataset.states.copy(),
-        kind=kind,
-        sigma=float(sigma),
-    )
+    return ExactKernelModel(coeffs.reshape(len(dataset), dataset.dim), dataset.states.copy(), kind, sigma)

@@ -41,10 +41,9 @@ def pendulum_dataset(seed=5):
 
 def test_mse_trivia():
     ds = toy_dataset()
-    assert ev.vector_field_mse(ConstantModel(ds, [0.0, 0.0]), ds) == 0.0
+    assert np.mean(ev.pointwise_residuals(ConstantModel(ds, [0.0, 0.0]), ds)) == 0.0
     offset = np.array([0.3, -0.4])
-    assert_allclose(ev.vector_field_mse(ConstantModel(ds, offset), ds),
-                    offset @ offset, atol=1e-14)
+    assert_allclose(ev.pointwise_residuals(ConstantModel(ds, offset), ds), offset @ offset, atol=1e-14)
 
 
 def test_mse_is_order_invariant():
@@ -52,8 +51,8 @@ def test_mse_is_order_invariant():
     model = ConstantModel(ds, [0.1, 0.2])
     perm = np.random.default_rng(0).permutation(len(ds))
     shuffled = ds.subset(perm)
-    assert_allclose(ev.vector_field_mse(model, shuffled),
-                    ev.vector_field_mse(model, ds), atol=1e-14)
+    assert_allclose(np.mean(ev.pointwise_residuals(model, shuffled)),
+                    np.mean(ev.pointwise_residuals(model, ds)), atol=1e-14)
 
 
 def test_make_test_set_protocols():
@@ -91,6 +90,18 @@ def test_search_space_validation():
     with pytest.raises(ValueError):
         ev.SearchSpace(sigmas=np.array([1.0]), lambda1s=np.array([1e-3]),
                        lambda2s=None, folds=1, d=16)
+    # every grid entry, width or ridge weight, is positive and finite
+    for bad in (np.inf, np.nan):
+        for grid in ("sigmas", "lambda1s", "lambda2s"):
+            grids = {"sigmas": [1.0, 2.0], "lambda1s": [1e-3, 1e-2], "lambda2s": [1e-3, 1e-2], grid: [1.0, bad]}
+            with pytest.raises(ValueError, match=f"{grid} must be positive and finite"):
+                ev.SearchSpace(**grids, folds=5, d=16)
+    # the fold count and the feature budget are integers, not floats or bools, checked here, not in the CV
+    for folds, d, name in ((2.5, 16, "folds"), (True, 16, "folds"), (5, 0, "d"), (5, 16.0, "d"), (5, False, "d")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ev.SearchSpace(sigmas=[1.0], lambda1s=[1e-3], folds=folds, d=d)
+    space = ev.SearchSpace(sigmas=[1.0], lambda1s=[1e-3], folds=np.int64(3), d=np.int64(16))
+    assert type(space.folds) is int and type(space.d) is int
 
 
 def test_default_search_space_grids():
@@ -324,7 +335,7 @@ def test_rollout_trivia():
         def predict(self, x):
             return np.zeros(2)
 
-    tr = ev.rollout_model(Zero(), np.array([1.0, 2.0]), 0.1, 1.0)
+    tr = hr.integrate_rk4(Zero().predict, np.array([1.0, 2.0]), 0.1, 1.0)
     assert_array_equal(tr.states, np.tile([1.0, 2.0], (11, 1)))
 
 
@@ -332,8 +343,8 @@ def test_rollout_of_odd_model_negates_with_initial_condition():
     ds = pendulum_dataset()
     model = hr.fit_helmholtz(ds, rg.Hyperparameters(1.5, 1e-4, 1e-4, d=64), seed=3)
     x0 = np.array([1.2, 0.3])
-    fwd = ev.rollout_model(model, x0, 0.05, 2.0)
-    neg = ev.rollout_model(model, -x0, 0.05, 2.0)
+    fwd = hr.integrate_rk4(model.predict, x0, 0.05, 2.0)
+    neg = hr.integrate_rk4(model.predict, -x0, 0.05, 2.0)
     assert_allclose(neg.states, -fwd.states, atol=1e-12)
 
 
@@ -346,7 +357,7 @@ def test_learned_pendulum_decays_like_the_true_system():
     true_end = hr.integrate_rk4(config.make_system().field, x0, 0.01, 20.0).states[-1]
     assert np.linalg.norm(true_end) < 0.05
 
-    end = ev.rollout_model(result["helmholtz"], x0, 0.01, 20.0).states[-1]
+    end = hr.integrate_rk4(result["helmholtz"].predict, x0, 0.01, 20.0).states[-1]
     assert np.linalg.norm(end) < 0.2
 
 

@@ -50,7 +50,7 @@ def test_sample_basis_validation():
         # symplectic map needs even state dimension
         ((ft.ODD_SYMPLECTIC, 8, 3, 1.0), "even"),
         # a bad width is reported as the width, not as the weights it makes
-        *(((ft.ODD_CURL_FREE, 8, 2, sigma), "width") for sigma in (0.0, -1.0, np.nan, None)),
+        *(((ft.ODD_CURL_FREE, 8, 2, sigma), "width") for sigma in (0.0, -1.0, np.nan, np.inf, None)),
     ]
     for (kind, d, n, sigma), message in cases:
         if sigma is not None:

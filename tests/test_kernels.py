@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-import helmrff
 from helmrff import kernels as kn
 
 
@@ -134,7 +133,8 @@ def test_dimension_and_sigma_validation():
             kn.odd_curl_free_kernel(x, z, 1.0)
         with pytest.raises(ValueError, match="two vectors"):
             kn.odd_symplectic_kernel(x, z, 1.0)
-    for sigma in (0.0, -1.0, np.nan):
+    # an infinite width makes every odd kernel zero, so it is refused like a zero one
+    for sigma in (0.0, -1.0, np.nan, np.inf, None):
         with pytest.raises(ValueError, match="kernel width"):
             kn.kernel_blocks("curl-free", np.zeros(2), np.zeros(2), sigma)
     with pytest.raises(ValueError):
@@ -144,11 +144,3 @@ def test_dimension_and_sigma_validation():
         kn.gram_matrix("no-such-kernel", np.zeros((2, 2)), 1.0)
     with pytest.raises(ValueError, match="unknown kernel kind"):
         kn.kernel_blocks("no-such-kernel", np.zeros(2), np.zeros(2), 1.0)
-
-
-@pytest.mark.parametrize("module", [helmrff, kn], ids=["helmrff", "helmrff.kernels"])
-def test_every_export_resolves(module):
-    """A name still listed in __all__ after its definition is gone fails here."""
-    missing = [name for name in module.__all__ if not hasattr(module, name)]
-    assert not missing
-    assert len(set(module.__all__)) == len(module.__all__)

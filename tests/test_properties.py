@@ -6,7 +6,8 @@ steps a batch (B, n) of initial conditions together.  Batched results must
 equal per-state evaluation bit for bit, so artifacts do not depend on how
 states are grouped.  A fitted model's field is its design contracted with
 its coefficients, whatever the block size.  The ridge solve must give the
-least-squares minimizer on either side of its primal/dual switch.  Oddness,
+least-squares minimizer on either side of its primal/dual switch, and with
+one ridge weight a Helmholtz fit is kernel ridge with its own feature kernel.  Oddness,
 evenness and symmetry hold exactly, not to a tolerance: each follows from
 IEEE negation and commutativity, and the fitted models inherit them from sin
 and cos.
@@ -191,6 +192,39 @@ def test_fit_solves_the_stacked_ridge_problem_of_its_maps(case):
     coefs, bases, lams = zip(*maps)
     assert_minimizes_ridge_objective(np.concatenate(coefs), rg.assemble_design(dataset, *bases),
                                      dataset.target_vector(), np.repeat(lams, model.hyper.d), len(dataset))
+
+
+@properties
+@given(st.integers(1, 6).flatmap(lambda N: arrays(np.float64, (N, 4), elements=st.floats(-3.0, 3.0))),
+       point_sets(8), widths, st.floats(-8.0, 0.0), st.integers(1, 24), st.integers(0, 2**32 - 1))
+def test_helmholtz_fit_is_kernel_ridge_with_its_feature_kernel(data, Q, sigma, log_lam, d, seed):
+    """With lambda1 = lambda2 = lambda, the fit predicts P(Q)^T P a with (P^T P + N lambda I) a = xdot,
+    P the stacked design of both maps on the data: kernel ridge with the feature kernel P^T P.
+
+    Either solve may err beyond 1e-8 relative when lambda is tiny.  A backward-stable solve of
+    M y = r errs by eps ||M|| ||y|| in r, and ||M|| = ||P||^2 + N lambda on both sides.  The
+    reference moves P a by that times max s / (s^2 + N lambda) over the singular values s of P,
+    large when P^T P is singular (2d < nN).  A primal fit (2d <= nN) moves xi by that times
+    max 1 / (s^2 + N lambda), large when P P^T is singular (say, a sample at the origin), along
+    features the data do not see but Q does.  The bound adds 16 times both; a search over 4,000
+    examples that steered toward the largest error reached 5.5% of it.  The floor covers
+    subnormal states, whose rounding is absolute.
+    """
+    dataset, lam = rg.Dataset(data[:, :2], data[:, 2:]), 10.0 ** log_lam
+    model = rg.fit_helmholtz(dataset, rg.Hyperparameters(sigma, lam, lam, d), seed)
+    bases = (model.basis_c, model.basis_s)
+    P, P_Q = rg.assemble_design(dataset, *bases), rg.assemble_design(rg.Dataset(Q, Q), *bases)
+    mu = len(dataset) * lam
+    A = P.T @ P + mu * np.eye(P.shape[1])
+    a = rg._checked_solve(A, dataset.target_vector())
+    predicted = model.predict(Q)
+
+    s = np.linalg.svd(P, compute_uv=False)
+    reference = np.linalg.norm(a) * np.max(s / (s**2 + mu))
+    primal = np.linalg.norm(np.r_[model.alpha, model.beta]) / (s.min() ** 2 + mu) if P.shape[0] <= P.shape[1] else 0.0
+    rounding = 16 * np.finfo(float).eps * np.linalg.norm(P_Q, 2) * np.linalg.norm(A, 2) * (reference + primal)
+    bound = 1e-8 * np.max(np.abs(predicted)) + rounding + 1e-300
+    assert np.max(np.abs(predicted - (P_Q.T @ (P @ a)).reshape(Q.shape))) <= bound
 
 
 def closed_form_jacobians(model, x):

@@ -97,6 +97,11 @@ def test_hyperparameter_validation():
         rg.Hyperparameters(sigma=1.0, lambda1=1e-3, lambda2=-1e-3)
     with pytest.raises(ValueError):
         rg.Hyperparameters(sigma=1.0, lambda1=1e-3, lambda2=1e-3, d=0)
+    # a fractional or boolean budget is refused, not truncated to d = 200 or read as d = 1
+    for d in (200.7, 200.0, True):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            rg.Hyperparameters(sigma=1.0, lambda1=1e-3, lambda2=1e-3, d=d)
+    assert type(rg.Hyperparameters(1.0, 1e-3, None, d=np.int64(8)).d) is int
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="sigma"):
             rg.Hyperparameters(sigma=bad, lambda1=1e-3, lambda2=1e-3)
@@ -388,11 +393,7 @@ def test_symplectic_rollout_conserves_estimated_hamiltonian():
     ds = msd_dataset()
     model = hr.fit_helmholtz(ds, rg.Hyperparameters(2.0, 1e-4, 1e-4, d=100), seed=9)
 
-    class SymplecticOnly:
-        def predict(self, x):
-            return model.decompose(np.atleast_2d(x))[0][0]
-
-    tr = hr.rollout_model(SymplecticOnly(), np.array([1.0, 0.5]), 0.01, 10.0)
+    tr = hr.integrate_rk4(model.symplectic_part, np.array([1.0, 0.5]), 0.01, 10.0)
     H = model.hamiltonian(tr.states)
     assert np.abs(H - H[0]).max() <= 1e-3
 
@@ -436,13 +437,37 @@ def test_exact_kernel_guard():
 
 
 def test_exact_kernel_refuses_a_ridge_weight_without_a_finite_solve():
-    """Both once returned a model whose coefficients and predictions were all NaN."""
+    """The first two once returned a model whose coefficients and predictions were all NaN,
+    and an infinite width one that predicted exactly 0 everywhere."""
     ds = random_dataset(4, 20)
     with pytest.raises(ValueError, match="lambda"):
         hr.fit_exact_kernel(ds, "helmholtz", sigma=1.0, lam=np.inf)
+    with pytest.raises(ValueError, match="lambda"):
+        hr.fit_exact_kernel(ds, "helmholtz", sigma=1.0, lam=np.nan)
+    with pytest.raises(ValueError, match="kernel width"):
+        hr.fit_exact_kernel(ds, "helmholtz", sigma=np.inf, lam=1e-2)
     # finite, but N lambda overflows, so the system holds inf and NaN
     with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="residual"):
         hr.fit_exact_kernel(ds, "helmholtz", sigma=1.0, lam=1e308)
+
+
+def test_exact_kernel_model_checks_its_parts():
+    model = hr.fit_exact_kernel(random_dataset(4, 21), "helmholtz", sigma=1.0, lam=1e-2)
+    for change, message in (({"coefficients": model.coefficients[:3]}, "one shape"),
+                            ({"anchors": model.anchors[:, :1]}, "one shape"),
+                            ({"coefficients": model.coefficients.reshape(-1)}, "one shape"),
+                            ({"anchors": np.r_[model.anchors[:-1], [[np.inf, 0.0]]]}, "finite"),
+                            ({"coefficients": np.full_like(model.coefficients, np.nan)}, "finite"),
+                            ({"kind": "gaussian"}, "unknown kernel kind"),
+                            ({"sigma": np.inf}, "kernel width"),
+                            ({"sigma": 0.0}, "kernel width")):
+        with pytest.raises(ValueError, match=message):
+            replace(model, **change)
+    odd = np.ones((2, 3))
+    with pytest.raises(ValueError, match="even state dimension"):
+        rg.ExactKernelModel(odd, odd, "odd-symplectic", 1.0)
+    assert_array_equal(rg.ExactKernelModel(odd, odd, "odd-curl-free", 1.0).predict(odd),
+                       rg.ExactKernelModel(odd.tolist(), odd.tolist(), "odd-curl-free", 1).predict(odd))
 
 
 def test_exact_kernel_solves_the_block_system():

@@ -1,15 +1,21 @@
-"""The span tracer in perfbench/spans.py wraps package functions by name.
+"""The span tracer in perfbench/spans.py wraps package functions by name,
+and the benchmark's operations in perfbench/op.py call top-level names of
+the package.
 
 A rename or a changed signature in the package would only surface when a
-traced benchmark run crashes; this test catches it with the regular suite.
+benchmark run crashes; these tests catch it with the regular suite.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import helmrff
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def load_spans():
@@ -33,3 +39,12 @@ def test_every_traced_target_resolves_to_a_callable():
             # the tracer calls the counter with the target's own arguments
             positional = list(inspect.signature(target).parameters)
             inspect.signature(counter).bind(*positional)
+
+
+def test_every_package_name_the_benchmark_calls_resolves():
+    """op.py imports the package as `hr`; every `hr.<name>` it reads must exist."""
+    tree = ast.parse((PERFBENCH / "op.py").read_text())
+    names = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "hr"}
+    assert names
+    assert not sorted(name for name in names if not hasattr(helmrff, name))
