@@ -53,12 +53,10 @@ class SearchSpace:
         object.__setattr__(self, "d", integer_at_least("d", self.d, 1))
 
 
-def default_search_space(baseline: bool = False, folds: int = 5, d: int = 200) -> SearchSpace:
+def default_search_space(baseline: bool = False) -> SearchSpace:
     """Log-spaced grids: 13 widths over [0.1, 10], 17 ridge weights over [1e-8, 1]."""
-    sigmas = np.logspace(-1.0, 1.0, 13)
     lambdas = np.logspace(-8.0, 0.0, 17)
-    return SearchSpace(sigmas=sigmas, lambda1s=lambdas,
-                       lambda2s=None if baseline else lambdas, folds=folds, d=d)
+    return SearchSpace(sigmas=np.logspace(-1.0, 1.0, 13), lambda1s=lambdas, lambda2s=None if baseline else lambdas)
 
 
 @dataclass(frozen=True)

@@ -116,31 +116,27 @@ class FeatureBasis:
         """`field` at the points lo + k (hi - lo) / (resolution - 1) of each axis, as np.linspace places
         them, for `limits` ((q_lo, q_hi), (p_lo, p_hi)) checked by `grid_limits`; (resolution, resolution, 2).
 
-        Each feature is a plane wave that factors over the two axes: sin(w_q q + w_p p) is
-        Im e^{i w_q q} e^{i w_p p} and cos(w_q q + w_p p + b) is Re e^{i (w_q q + b)} e^{i w_p p}.
-        So output c is ((E_q * g_c) @ E_p^T).imag, or .real for the baseline, g_c = coef rows[:, c] scale,
-        summed over blocks of the features that feed c, both outputs of a block in one product.  The
-        axes are evenly spaced, so E takes two complex exponentials per feature per axis (`_progressions`).
+        Each feature is a plane wave that factors over the two axes, Im a e^{i (w_q q + b)} e^{i w_p p}:
+        a = coef rows scale and b = 0 for the odd maps, and a = i coef rows scale and b = phase for the
+        baseline, as cos(theta + b) = Im i e^{i (theta + b)} (the factor i changes no bit of a product).  So
+        the field is ((a * E_q) @ E_p^T).imag summed over blocks of features, with the (2, d) a in C order.
+        The axes are evenly spaced, so E takes two complex exponentials per feature per axis (`_progressions`).
         """
         limits = grid_limits(limits, resolution)
         if self.n != 2:
             raise ValueError(f"state dimension 2 does not match model dimension {self.n}")
-        g = np.multiply(self.rows.T, coef, order="C") * self.scale  # (2, d); C order keeps `left` C-ordered
+        baseline = self.kind == GAUSSIAN_SEPARABLE
+        a = np.multiply(self.rows.T, coef, order="C") * (1j * self.scale if baseline else self.scale)
         lo, h = limits[:, :1], np.diff(limits) / (resolution - 1)  # (2, 1) columns: q and p
-        offset = np.outer([1.0, 0.0], self.phases if self.kind == GAUSSIAN_SEPARABLE else np.zeros(self.d))
-        # Block c of the baseline's d/2 features feeds output c alone; any other feature feeds both.
-        m, outs = (self.d // 2, 1) if self.kind == GAUSSIAN_SEPARABLE else (self.d, 2)
+        offset = np.outer([1.0, 0.0], self.phases if baseline else np.zeros(self.d))
         step = max(1, _BLOCK_ENTRIES // (2 * resolution))
         total = np.zeros((2, resolution, resolution), dtype=complex)
-        for first in range(0, self.d, m):
-            outputs = slice(first // m, first // m + outs)
-            for block in (slice(i, min(i + step, first + m)) for i in range(first, first + m, step)):
-                W = self.weights[block].T
-                E_q, E_p = _progressions(W * lo + offset[:, block], W * h, resolution)
-                left = g[outputs, block][:, None, :] * E_q
-                total[outputs] += (left.reshape(-1, E_q.shape[1]) @ E_p.T).reshape(left.shape[0], resolution, -1)
-        part = total.real if self.kind == GAUSSIAN_SEPARABLE else total.imag
-        return np.moveaxis(part, 0, -1)
+        for block in (slice(i, i + step) for i in range(0, self.d, step)):
+            W = self.weights[block].T
+            E_q, E_p = _progressions(W * lo + offset[:, block], W * h, resolution)
+            left = a[:, block][:, None, :] * E_q
+            total += (left.reshape(-1, E_q.shape[1]) @ E_p.T).reshape(2, resolution, -1)
+        return np.moveaxis(total.imag, 0, -1)
 
     def potential(self, X, coef) -> np.ndarray:
         """-sum_i coef_i cos(w_i . x) scale: the potential whose gradient is an odd map's field."""
@@ -174,8 +170,11 @@ def _over_blocks(X, d: int, reduce) -> np.ndarray:
 def _progressions(start, step, count) -> np.ndarray:
     """e^{i (start + k step)} for k < count, shape (rows, count, s) for (rows, s) phases, from one cos
     and one sin per phase: with z = e^{i step}, each doubling fills E[n:2n] = E[:n] z and squares z,
-    rescaled to modulus 1 so that its rounding does not double with it.  Each entry is then within
-    ulps of (1 + |phase|) per doubling level; a running product or unscaled squares drift by ulps of k."""
+    rescaled to modulus 1 so that its rounding does not double with it.  Error budget against cos and
+    sin of the phase, in ulps of (1 + |phase|): each of the L = ceil(log2 count) levels costs a product
+    and a rescaled square, 2 ulps; rounding the start wave and the step w h, whose relative error the k
+    steps carry to ulps of |phase|, happens once whatever L, 2 ulps more.  So each entry is within
+    2 (L + 1) ulps of (1 + |phase|); a running product or unscaled squares drift by ulps of k."""
     E, z = np.empty((start.shape[0], count, start.shape[1]), dtype=complex), np.empty(step.shape, dtype=complex)
     for wave, phase in ((E[:, 0], start), (z, step)):
         np.cos(phase, out=wave.real)

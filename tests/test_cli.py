@@ -126,6 +126,15 @@ def test_parse_errors_name_the_offending_key(tmp_path):
     # an integer past 2**53 is read as an int, not rounded through a float to 2**53
     big = cli.parse_config(write_config(tmp_path, "msd", seed=2**53 + 1))
     assert big.seed == 2**53 + 1 and f'"seed": {2**53 + 1}' in json.dumps(big.resolved())
+    # shape checks of the document, the initial conditions, include_t0 and output_dir
+    listed = tmp_path / "listed.yaml"
+    listed.write_text(yaml.safe_dump([{"system": {"name": "msd"}}]))
+    with pytest.raises(cli.ConfigError, match=rf"{re.escape(str(listed))}: top level must be a mapping"):
+        cli.parse_config(listed)
+    for key, value in (("data.initial_conditions", 5), ("data.include_t0", "yes"),
+                       ("output_dir", 5), ("output_dir", "")):
+        with pytest.raises(cli.ConfigError, match=rf"config key '{key}': "):
+            cli.parse_config(write_config(tmp_path, "msd", **{key: value}))
 
 
 @pytest.mark.parametrize("key, value", BAD_GRIDS_AND_BOUNDS)
@@ -515,6 +524,15 @@ def test_fit_accepts_external_dataset(tmp_path):
               "--fixed-hypers", "2.0,1e-4,1e-4", "--out", str(direct)])
     assert ((fit_out / "model_helmholtz.json").read_bytes()
             == (direct / "model_helmholtz.json").read_bytes())
+    # the stamped train.json and a bare dataset document load to the same fit as train.csv
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(sy.dataset_to_json(sy.dataset_from_csv(sim_out / "train.csv"))))
+    for data in (sim_out / "train.json", bare):
+        out = tmp_path / f"fit-{data.stem}"
+        assert cli.main(["fit", "--config", str(cli.bundled_config_path("msd")), "--data", str(data),
+                         "--fixed-hypers", "2.0,1e-4,1e-4", "--out", str(out)]) == 0
+        for model in ("model_helmholtz.json", "model_gaussian.json"):
+            assert (out / model).read_bytes() == (fit_out / model).read_bytes(), (data, model)
 
 
 def test_pendulum_fit_prefers_the_helmholtz_model(tmp_path):

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helmrff import features as ft
@@ -183,13 +183,15 @@ def test_basis_json_round_trip():
 
 @settings(deadline=None, max_examples=150)
 @given(st.integers(2, 257), st.floats(-10.0, 10.0), st.floats(0.01, 20.0), st.integers(0, 2**32 - 1))
+@example(resolution=2, lo=-1.953125, span=0.125, seed=1)  # one level, where the once-only roundings weigh most
 def test_progressions_meet_direct_waves_at_linspace_points(resolution, lo, span, seed):
     """The doubling recurrence of the grid path against np.cos and np.sin at np.linspace's points.
 
-    Each of 32 features has its largest phase drawn from 1e-3 to 1e3, and up to 8 doublings run.
-    Per feature, the error is within 2 ulps of (1 + its largest |phase|) per doubling level:
-    rounding the phase costs ulps of the phase, and each level costs a product and a square.
-    A running product, or squares not rescaled to modulus 1, drift by about resolution / 4 ulps.
+    Each of 32 features has its largest phase drawn from 1e-3 to 1e3, and up to 9 doublings run.
+    Per feature, the error is within 2 (L + 1) ulps of (1 + its largest |phase|) for L doubling
+    levels, the budget `_progressions` derives: each level costs a product and a square, and the
+    start wave and the step are rounded once.  A running product, or squares not rescaled to
+    modulus 1, drift by about resolution / 4 ulps.
     """
     rng = np.random.default_rng(seed)
     hi = lo + span
@@ -197,8 +199,8 @@ def test_progressions_meet_direct_waves_at_linspace_points(resolution, lo, span,
     b = rng.uniform(0.0, 2.0 * np.pi, 32)
     phase = np.outer(np.linspace(lo, hi, resolution), w) + b
     waves = ft._progressions((w * lo + b)[None], (w * ((hi - lo) / (resolution - 1)))[None], resolution)[0]
-    levels = max(1, int(np.ceil(np.log2(resolution))))
-    bound = 2 * np.finfo(float).eps * (1.0 + np.abs(phase).max(axis=0)) * levels
+    levels = int(np.ceil(np.log2(resolution)))
+    bound = 2 * np.finfo(float).eps * (1.0 + np.abs(phase).max(axis=0)) * (levels + 1)
     error = np.abs(waves - (np.cos(phase) + 1j * np.sin(phase))).max(axis=0)
     assert np.all(error <= bound), (error / bound).max()
 

@@ -7,13 +7,15 @@ equal per-state evaluation bit for bit, so artifacts do not depend on how
 states are grouped.  A fitted model's field is its design contracted with
 its coefficients, whatever the block size.  The ridge solve must give the
 least-squares minimizer on either side of its primal/dual switch, and with
-one ridge weight a Helmholtz fit is kernel ridge with its own feature kernel.  Oddness,
+one ridge weight a Helmholtz fit is kernel ridge with its own feature kernel.  Weighted
+by a Gauss-Hermite rule over their frequencies, feature products average to their kernel.  Oddness,
 evenness and symmetry hold exactly, not to a tolerance: each follows from
 IEEE negation and commutativity, and the fitted models inherit them from sin
 and cos.
 """
 
 import json
+import math
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -130,6 +132,70 @@ def test_gram_matrix_is_exactly_symmetric(kind, X, sigma):
     G = kn.gram_matrix(kind, X, sigma)
     assert G.shape == (2 * len(X), 2 * len(X))
     assert_array_equal(G, G.T)
+
+
+# The Gauss-Hermite rule for the mean over t ~ N(0, 1), exact below degree 2 GH_ORDER, on a tensor
+# grid: node t weighs GH_MASS, so the frequencies t / sigma integrate over w ~ N(0, sigma^-2 I_2).
+GH_ORDER = 48
+_nodes, _weights = np.polynomial.hermite_e.hermegauss(GH_ORDER)
+GH_NODES = np.stack(np.meshgrid(_nodes, _nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+GH_MASS = np.outer(_weights, _weights).ravel() / (2.0 * np.pi)
+PHASES = 2.0 * np.pi * np.arange(3) / 3.0  # cos(A + b) cos(B + b) averages to cos(A - B) / 2 over them
+
+
+def gauss_hermite_tail(a: float, m: int) -> float:
+    """Bound on |rule - mean| of t^m e^{i a t}.  The rule is exact on its Taylor terms below degree
+    2 GH_ORDER, and its positive weights and the nonnegative derivatives of order 2 GH_ORDER of even
+    powers place it between 0 and the mean (p - 1)!! of each t^p above; odd powers cancel."""
+    return sum(a**j * math.exp(math.lgamma(j + m + 1) - math.lgamma((j + m) // 2 + 1)
+                               - (j + m) // 2 * math.log(2.0) - math.lgamma(j + 1))
+               for j in range(2 * GH_ORDER - m, 2 * GH_ORDER + 200, 2))
+
+
+def quadrature_basis(kind, sigma):
+    """The basis of frequencies GH_NODES / sigma, with the weight of each feature: its quadrature mass
+    times the normalisation d the basis divides out, or d/n per baseline output, whose features repeat
+    each node at the three PHASES."""
+    if kind != ft.GAUSSIAN_SEPARABLE:
+        return ft.FeatureBasis(kind, GH_NODES / sigma, sigma, 0), GH_MASS * len(GH_NODES)
+    nodes = np.tile(np.repeat(GH_NODES / sigma, 3, axis=0), (2, 1))
+    basis = ft.FeatureBasis(kind, nodes, sigma, 0, np.tile(PHASES, 2 * len(GH_NODES)))
+    return basis, np.tile(np.repeat(GH_MASS / 3.0, 3), 2) * (basis.d // 2)
+
+
+@properties
+@given(st.sampled_from(ft.KINDS), st.floats(-0.5, 0.5), arrays(np.float64, (2, 2), elements=st.floats(-1.0, 1.0)))
+# one generic pair per kind, so a wrong row or scale fails every run
+@example(ft.ODD_CURL_FREE, 0.1, np.array([[0.7, -0.2], [0.4, 0.9]]))
+@example(ft.ODD_SYMPLECTIC, 0.1, np.array([[0.7, -0.2], [0.4, 0.9]]))
+@example(ft.GAUSSIAN_SEPARABLE, 0.1, np.array([[0.7, -0.2], [0.4, 0.9]]))
+def test_feature_products_average_to_the_kernel(kind, log_sigma, XZ):
+    """Unbiasedness: the Gauss-Hermite weighted sum of Phi(x)^T Phi(z) over the features is the mean
+    over the frequencies: kernel_blocks for the odd maps, and for the baseline the scalar Gaussian on
+    the diagonal and exactly 0 off it.  No frequencies are drawn, so the property cannot flake.
+
+    Tolerance.  With |x|, |z| <= 2 sigma, each axis integrates t^m e^{i a t}, m <= 2, |a| <= 2 sqrt 2,
+    which the rule gets within `gauss_hermite_tail`, below 1e-28.  A product of two axes errs by at most
+    sqrt 3 (|E_q| + |E_p|), as |rule| and |mean| of t^m stay below sqrt 3; the odd kernels average two
+    such products scaled by sigma^-2.  Rounding: each of the d summands, at most its mass times
+    |row|^2 (twice that for the baseline), is within 8 + 2 Phi ulps of that, Phi the largest
+    |w| (|x| + |z|), for the phases, sin, cos and products; summing d of them adds d ulps of the total.
+    """
+    sigma = 10.0 ** log_sigma
+    x, z = XZ * np.sqrt(2.0) * sigma
+    basis, weight = quadrature_basis(kind, sigma)
+    estimate = (ft.feature_matrix(x, basis) * weight[:, None]).T @ ft.feature_matrix(z, basis)
+    phi = np.linalg.norm(basis.weights, axis=1).max() * (np.linalg.norm(x) + np.linalg.norm(z))
+    tail = max(gauss_hermite_tail(np.max(np.abs(x) + np.abs(z)) / sigma, m) for m in range(3))
+    rounding = (basis.d + 8 + 2 * phi) * np.finfo(float).eps
+    if kind == ft.GAUSSIAN_SEPARABLE:
+        gaussian = np.exp(-np.sum((x - z) ** 2) / (2 * sigma**2))
+        assert np.all(np.abs(np.diag(estimate) - gaussian) <= 2 * rounding + 2 * tail)
+        assert estimate[0, 1] == 0 and estimate[1, 0] == 0
+    else:
+        total = GH_MASS @ np.sum(GH_NODES**2, axis=1) / sigma**2
+        exact = kn.kernel_blocks(kind, x, z, sigma)[0, 0]
+        assert np.all(np.abs(estimate - exact) <= rounding * total + 2 * np.sqrt(3) * tail / sigma**2)
 
 
 # m features per output; a budget d = m n above 2**17 / 8 = 16,384 splits
