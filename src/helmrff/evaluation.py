@@ -14,7 +14,7 @@ from itertools import groupby
 import numpy as np
 
 from . import features as ft
-from .kernels import integer_at_least, positive_finite
+from .kernels import finite_array, integer_at_least, positive_finite
 from .regression import BaselineModel, Dataset, HelmholtzModel, Hyperparameters
 from .systems import SystemSpec, sample_flow, write_csv
 
@@ -43,9 +43,7 @@ class SearchSpace:
             grid = getattr(self, name)
             if grid is None:
                 continue
-            grid = np.asarray(grid, dtype=float)
-            if grid.ndim != 1 or grid.size == 0:
-                raise ValueError(f"{name} must be a non-empty 1-D grid, got shape {grid.shape}")
+            grid = finite_array(name, grid, (None,))
             for value in grid.tolist():
                 positive_finite(f"every entry of {name}", value)
             object.__setattr__(self, name, grid)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import integer_at_least, positive_finite, symplectic_matrix
+from .kernels import finite_array, integer_at_least, positive_finite, symplectic_matrix
 
 ODD_CURL_FREE = "odd-curl-free"
 ODD_SYMPLECTIC = "odd-symplectic"
@@ -49,22 +49,18 @@ class FeatureBasis:
         if self.kind not in KINDS:
             raise ValueError(f"unknown feature kind {self.kind!r}; choose from {KINDS}")
         object.__setattr__(self, "sigma", positive_finite("kernel width", self.sigma))
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.ndim != 2 or 0 in weights.shape or not np.all(np.isfinite(weights)):
-            raise ValueError(f"weights must be a finite (d, n) array, d, n >= 1, got shape {weights.shape}")
+        weights = finite_array("weights", self.weights, (None, None))
         d, n = weights.shape
         if self.kind == ODD_SYMPLECTIC and n % 2:
             raise ValueError(f"odd-symplectic basis needs an even state dimension, got {n}")
         if self.kind == GAUSSIAN_SEPARABLE:
-            phases = np.asarray(self.phases, dtype=float)
-            if d % n or phases.shape != (d,) or not np.all(np.isfinite(phases)):
-                raise ValueError(f"baseline basis needs d divisible by n and finite (d,) phases, "
-                                 f"got d={d}, n={n} and phases of shape {phases.shape}")
-            object.__setattr__(self, "phases", phases)
+            if d % n:
+                raise ValueError(f"baseline basis needs d divisible by n, got d={d}, n={n}")
+            object.__setattr__(self, "phases", finite_array("phases", self.phases, (d,)))
         elif self.phases is not None:
             raise ValueError(f"{self.kind} basis takes no phases")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", integer_at_least("seed", self.seed, 0))
 
     @property
     def d(self) -> int:
@@ -191,12 +187,9 @@ def _progressions(start, step, count) -> np.ndarray:
 def grid_limits(bounds, resolution) -> np.ndarray:
     """`bounds`, ((q_lo, q_hi), (p_lo, p_hi)), as a (2, 2) float array; raises unless they are finite
     with each lower bound below its upper one and `resolution` (points per axis) is an integer >= 2."""
-    try:
-        limits = np.asarray(bounds, dtype=float)
-    except (TypeError, ValueError):
-        limits = np.empty(0)
-    if limits.shape != (2, 2) or not np.all(np.isfinite(limits)) or np.any(limits[:, 0] >= limits[:, 1]):
-        raise ValueError(f"bounds must be finite ((q_lo, q_hi), (p_lo, p_hi)) with lo < hi, got {bounds!r}")
+    limits = finite_array("bounds", bounds, (2, 2))
+    if np.any(limits[:, 0] >= limits[:, 1]):
+        raise ValueError(f"bounds must be ((q_lo, q_hi), (p_lo, p_hi)) with lo < hi, got {bounds!r}")
     integer_at_least("resolution", resolution, 2)
     return limits
 

@@ -3,8 +3,8 @@
 These closed-form kernels are the ground truth that the random-feature
 maps in :mod:`helmrff.features` approximate, and they back the small-N
 exact-kernel solver in :mod:`helmrff.regression`.  The module also holds
-the two boundary checks every other module applies to widths, ridge weights
-and integer budgets.
+the three boundary checks every other module applies to widths and ridge
+weights, integer budgets, and arrays.
 """
 
 import numbers
@@ -24,6 +24,23 @@ def integer_at_least(name: str, value, minimum: int) -> int:
     if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def finite_array(name: str, value, shape) -> np.ndarray:
+    """`value` as a float array; raises ValueError naming `name` unless it is numeric, of `shape`,
+    where a None axis (written N) is any length >= 1, and finite."""
+    want = str(tuple("N" if axis is None else axis for axis in shape)).replace("'", "")
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{name} must be a numeric {want} array: {err}") from None
+    if array.ndim != len(shape) or any(got < 1 or axis not in (None, got) for got, axis in zip(array.shape, shape)):
+        every = " with every N >= 1" if None in shape else ""
+        raise ValueError(f"{name} must have shape {want}{every}, got shape {array.shape}")
+    if not np.all(np.isfinite(array)):
+        where = tuple(int(i) for i in np.argwhere(~np.isfinite(array))[0])
+        raise ValueError(f"{name} must be a finite {want} array, got {array[where]} at index {where}")
+    return array
 
 
 def symplectic_matrix(m: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from functools import reduce, wraps
 import numpy as np
 
 from . import features as ft
-from .kernels import gram_matrix, integer_at_least, kernel_blocks, positive_finite, symplectic_matrix
+from .kernels import finite_array, gram_matrix, integer_at_least, kernel_blocks, positive_finite, symplectic_matrix
 
 _EXACT_N_LIMIT = 200
 
@@ -39,19 +39,12 @@ class Dataset:
     traj_ids: np.ndarray | None = None
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=float)
-        derivs = np.asarray(self.derivatives, dtype=float)
-        if states.ndim != 2 or 0 in states.shape:
-            raise ValueError(f"states must be an (N, n) array, N, n >= 1, got shape {states.shape}")
-        if states.shape != derivs.shape:
-            raise ValueError(f"states {states.shape} and derivatives {derivs.shape} must match")
-        if not (np.all(np.isfinite(states)) and np.all(np.isfinite(derivs))):
-            raise ValueError("states and derivatives must be finite (found NaN or inf)")
-        times = None if self.times is None else np.asarray(self.times, dtype=float)
+        states = finite_array("states", self.states, (None, None))
+        derivs = finite_array("derivatives", self.derivatives, states.shape)
+        times = None if self.times is None else finite_array("times", self.times, states.shape[:1])
         ids = None if self.traj_ids is None else np.asarray(self.traj_ids)
-        for name, column, kinds, what in (("times", times, "f", "number"), ("traj_ids", ids, "iu", "integer")):
-            if column is not None and (column.shape != states.shape[:1] or column.dtype.kind not in kinds):
-                raise ValueError(f"{name} must be one {what} per sample, got {column.dtype} {column.shape}")
+        if ids is not None and (ids.shape != states.shape[:1] or ids.dtype.kind not in "iu"):
+            raise ValueError(f"traj_ids must be one integer per sample, got {ids.dtype} {ids.shape}")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "derivatives", derivs)
         object.__setattr__(self, "times", times)
@@ -125,10 +118,7 @@ class _FeatureModel:
             for attr, want in (("kind", kind), ("d", self.hyper.d), ("sigma", self.hyper.sigma), ("n", self.dim)):
                 if getattr(basis, attr) != want:
                     raise ValueError(f"{slot}.{attr} is {getattr(basis, attr)!r}, but the model needs {want!r}")
-            coef = np.asarray(getattr(self, name), dtype=float)
-            if coef.shape != (self.hyper.d,) or not np.all(np.isfinite(coef)):
-                raise ValueError(f"{name} must hold d = {self.hyper.d} finite coefficients, got shape {coef.shape}")
-            object.__setattr__(self, name, coef)
+            object.__setattr__(self, name, finite_array(name, getattr(self, name), (self.hyper.d,)))
 
     @classmethod
     def _ridge_weights(cls, hyper: Hyperparameters) -> list[float]:
@@ -246,11 +236,8 @@ class ExactKernelModel:
 
     def __post_init__(self):
         """Check finite (N, n) coefficients and anchors of one shape, and the kind and width as kernel_blocks does."""
-        coefficients, anchors = (np.asarray(a, dtype=float) for a in (self.coefficients, self.anchors))
-        if (anchors.ndim != 2 or 0 in anchors.shape or coefficients.shape != anchors.shape
-                or not np.all(np.isfinite([coefficients, anchors]))):
-            raise ValueError(f"coefficients and anchors must be finite (N, n) arrays of one shape, "
-                             f"got shapes {coefficients.shape} and {anchors.shape}")
+        anchors = finite_array("anchors", self.anchors, (None, None))
+        coefficients = finite_array("coefficients", self.coefficients, anchors.shape)
         kernel_blocks(self.kind, anchors[:0], anchors[:0], self.sigma)  # raises on the kind, the width or an odd n
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "anchors", anchors)

@@ -9,6 +9,7 @@ from typing import Callable
 
 import numpy as np
 
+from .kernels import finite_array, integer_at_least
 from .regression import Dataset
 
 CSV_HEADER = ["t", "q", "p", "qdot", "pdot", "traj_id"]
@@ -38,50 +39,41 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if self.sigma_n < 0:
-            raise ValueError(f"noise level must be nonnegative, got {self.sigma_n}")
-
-
-def msd_field(x, m: float, k: float, d: float) -> np.ndarray:
-    """Mass-spring-damper dynamics: qdot = p/m, pdot = -k q - (d/m) p."""
-    q, p = np.asarray(x, dtype=float).T
-    return np.array([p / m, -k * q - (d / m) * p]).T
-
-
-def pendulum_field(x, m: float, l: float, d: float, g: float) -> np.ndarray:
-    """Damped pendulum dynamics: qdot = p/(m l^2), pdot = -m g l sin q - (d/(m l^2)) p."""
-    q, p = np.asarray(x, dtype=float).T
-    return np.array([p / (m * l**2), -m * g * l * np.sin(q) - (d / (m * l**2)) * p]).T
+        if not 0 <= self.sigma_n < np.inf:
+            raise ValueError(f"noise level must be nonnegative and finite, got {self.sigma_n}")
+        object.__setattr__(self, "seed", integer_at_least("seed", self.seed, 0))
 
 
 def mass_spring_damper(m: float = 0.5, k: float = 1.0, d: float = 0.25) -> SystemSpec:
-    if m <= 0 or k <= 0 or d < 0:
-        raise ValueError(f"need m, k > 0 and damping >= 0, got m={m}, k={k}, d={d}")
+    """Mass-spring-damper: qdot = p/m, pdot = -k q - (d/m) p."""
+    if not (0 < m < np.inf and 0 < k < np.inf and 0 <= d < np.inf):
+        raise ValueError(f"need m, k > 0 and damping >= 0, all finite, got m={m}, k={k}, d={d}")
+
+    def field(x):
+        q, p = np.asarray(x, dtype=float).T
+        return np.array([p / m, -k * q - (d / m) * p]).T
 
     def hamiltonian(x):
         q, p = np.asarray(x, dtype=float).T
         return (0.5 * (p * p) / m + 0.5 * k * (q * q)).T
 
-    return SystemSpec(
-        name="msd",
-        field=lambda x: msd_field(x, m, k, d),
-        hamiltonian=hamiltonian,
-    )
+    return SystemSpec("msd", field, hamiltonian)
 
 
 def damped_pendulum(m: float = 1.0, l: float = 1.0, d: float = 1.2, g: float = 9.81) -> SystemSpec:
-    if m <= 0 or l <= 0 or g <= 0 or d < 0:
-        raise ValueError(f"need m, l, g > 0 and damping >= 0, got m={m}, l={l}, d={d}, g={g}")
+    """Damped pendulum: qdot = p/(m l^2), pdot = -m g l sin q - (d/(m l^2)) p."""
+    if not (0 < m < np.inf and 0 < l < np.inf and 0 < g < np.inf and 0 <= d < np.inf):
+        raise ValueError(f"need m, l, g > 0 and damping >= 0, all finite, got m={m}, l={l}, d={d}, g={g}")
+
+    def field(x):
+        q, p = np.asarray(x, dtype=float).T
+        return np.array([p / (m * l**2), -m * g * l * np.sin(q) - (d / (m * l**2)) * p]).T
 
     def hamiltonian(x):
         q, p = np.asarray(x, dtype=float).T
         return (0.5 * (p * p) / (m * l**2) + m * g * l * (1.0 - np.cos(q))).T
 
-    return SystemSpec(
-        name="pendulum",
-        field=lambda x: pendulum_field(x, m, l, d, g),
-        hamiltonian=hamiltonian,
-    )
+    return SystemSpec("pendulum", field, hamiltonian)
 
 
 SYSTEM_FACTORIES = {"msd": mass_spring_damper, "pendulum": damped_pendulum}
@@ -104,12 +96,12 @@ def whole_steps(h: float, t_end: float) -> int:
 def integrate_rk4(field, x0, h: float, t_end: float) -> Trajectory:
     """Classical fixed-step 4th-order Runge-Kutta from t = 0 to t_end.
 
-    `x0` is one state (n,) or a batch (B, n) stepped together; states (T, n)
+    `x0` is one finite state (n,) or a batch (B, n) stepped together; states (T, n)
     or (T, B, n) are stored at every step, including the initial condition.
     t_end must be a whole number of steps h (see `whole_steps`).
     """
     steps = whole_steps(h, t_end)
-    x = np.asarray(x0, dtype=float).copy()
+    x = finite_array("x0", x0, (None,) * np.ndim(x0)).copy()
     states = np.empty((steps + 1,) + x.shape)
     states[0] = x
     for step in range(steps):
@@ -146,9 +138,7 @@ def generate_dataset(system: SystemSpec, ics, h: float, t_end: float, noise: Noi
     to the derivatives, from one child seed per trajectory, so the result is
     reproducible point for point.
     """
-    ics = np.asarray(ics, dtype=float)
-    if ics.ndim != 2 or len(ics) == 0:
-        raise ValueError(f"need a (B, n) array of at least one initial condition, got shape {ics.shape}")
+    ics = finite_array("initial conditions", ics, (None, None))
     times, states, derivs = sample_flow(system, ics, h, t_end)
     if not include_t0:
         times, states, derivs = times[1:], states[1:], derivs[1:]

@@ -94,7 +94,7 @@ def test_search_space_validation():
     for bad in (np.inf, np.nan):
         for grid in ("sigmas", "lambda1s", "lambda2s"):
             grids = {"sigmas": [1.0, 2.0], "lambda1s": [1e-3, 1e-2], "lambda2s": [1e-3, 1e-2], grid: [1.0, bad]}
-            with pytest.raises(ValueError, match=f"{grid} must be positive and finite"):
+            with pytest.raises(ValueError, match=f"{grid} must be .*finite"):
                 ev.SearchSpace(**grids, folds=5, d=16)
     # the fold count and the feature budget are integers, not floats or bools, checked here, not in the CV
     for folds, d, name in ((2.5, 16, "folds"), (True, 16, "folds"), (5, 0, "d"), (5, 16.0, "d"), (5, False, "d")):

@@ -77,6 +77,10 @@ def test_basis_from_json_checks_shapes():
                             (base, "phases", [float("inf")] * 8)):
         with pytest.raises(ValueError, match=key):
             ft.FeatureBasis.from_json({**doc, key: value})
+    # a fractional, negative or boolean seed is refused, not truncated or read as 1
+    for seed in (1.5, -3, True):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ft.FeatureBasis.from_json({**odd, "seed": seed})
 
 
 def test_odd_maps_are_exactly_odd_and_vanish_at_origin():

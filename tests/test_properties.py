@@ -11,18 +11,22 @@ one ridge weight a Helmholtz fit is kernel ridge with its own feature kernel.  W
 by a Gauss-Hermite rule over their frequencies, feature products average to their kernel.  Oddness,
 evenness and symmetry hold exactly, not to a tolerance: each follows from
 IEEE negation and commutativity, and the fitted models inherit them from sin
-and cos.
+and cos.  Every array a constructor or entry point takes is refused, naming it,
+when one entry is not finite or its shape is off.
 """
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
+import pytest
 
 import helmrff as hr
+from helmrff import evaluation as ev
 from helmrff import features as ft
 from helmrff import kernels as kn
 from helmrff import regression as rg
@@ -330,3 +334,56 @@ def test_fitted_helmholtz_model_structure(model, Q):
         for part, jac in ((model.symplectic_part, jac_s), (model.dissipative_part, jac_d)):
             diff = np.column_stack([(part(x + eps * e) - part(x - eps * e)) / (2 * eps) for e in np.eye(2)])
             assert np.max(np.abs(diff - jac)) <= 1e-6 * (scale + np.max(np.abs(part(x)))) + 1e-300
+
+
+def _boundaries() -> dict:
+    """{input name: (a valid value, its shape with None for a free axis, the call that checks it)}."""
+    rng = np.random.default_rng(0)
+    data = rg.Dataset(rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), np.arange(4.0), np.zeros(4, dtype=int))
+    helmholtz = rg.fit_helmholtz(data, rg.Hyperparameters(1.0, 1e-2, 1e-2, d=4), seed=0)
+    exact = rg.fit_exact_kernel(data, "helmholtz", sigma=1.0, lam=1e-2)
+    baseline = ft.sample_basis(ft.GAUSSIAN_SEPARABLE, 4, 2, 1.0, seed=0)
+    grids = {"sigmas": [1.0, 2.0], "lambda1s": [1e-3, 1e-2, 1e-1], "lambda2s": [1e-3]}
+    pendulum = SYSTEMS["pendulum"]
+    return {
+        "weights": (baseline.weights, (None, None), lambda w: ft.FeatureBasis(ft.ODD_CURL_FREE, w, 1.0, 0)),
+        "phases": (baseline.phases, (4,),
+                   lambda b: ft.FeatureBasis(ft.GAUSSIAN_SEPARABLE, baseline.weights, 1.0, 0, b)),
+        "alpha": (helmholtz.alpha, (4,), lambda c: replace(helmholtz, alpha=c)),
+        "beta": (helmholtz.beta, (4,), lambda c: replace(helmholtz, beta=c)),
+        "anchors": (exact.anchors, (None, None), lambda a: replace(exact, anchors=a)),
+        "coefficients": (exact.coefficients, (4, 2), lambda c: replace(exact, coefficients=c)),
+        "states": (data.states, (None, None), lambda x: rg.Dataset(x, data.derivatives)),
+        "derivatives": (data.derivatives, (4, 2), lambda x: rg.Dataset(data.states, x)),
+        "times": (data.times, (4,), lambda t: rg.Dataset(data.states, data.derivatives, t)),
+        **{name: (grid, (None,), lambda g, name=name: ev.SearchSpace(**{**grids, name: g}))
+           for name, grid in grids.items()},
+        "bounds": ([[-1.0, 1.0], [-2.0, 2.0]], (2, 2), lambda b: ft.grid_limits(b, 5)),
+        "initial conditions": ([[1.0, 0.0], [-2.0, 0.5]], (None, None),
+                               lambda x: hr.generate_dataset(pendulum, x, 0.1, 0.2, hr.NoiseSpec(0.01, 0))),
+        "x0": ([1.0, 0.0], (None,), lambda x: hr.integrate_rk4(pendulum.field, x, 0.1, 0.2)),
+    }
+
+
+BOUNDARIES = _boundaries()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(sorted(BOUNDARIES)), st.data())
+def test_every_array_input_is_checked_at_its_boundary(name, data):
+    """A NaN or infinite entry, an emptied free axis, or a fixed axis one too long or short is a
+    ValueError that names the input, whichever entry or axis it hits."""
+    valid, shape, call = BOUNDARIES[name]
+    call(np.array(valid))
+    value = np.array(valid, dtype=float)
+    free = [axis for axis, length in enumerate(shape) if length is None]
+    fixed = [axis for axis, length in enumerate(shape) if length is not None]
+    change = data.draw(st.sampled_from(["poison"] + ["empty"] * bool(free) + ["resize"] * bool(fixed)))
+    if change == "poison":
+        value.flat[data.draw(st.integers(0, value.size - 1))] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    else:
+        axis = data.draw(st.sampled_from(free if change == "empty" else fixed))
+        length = 0 if change == "empty" else value.shape[axis] + data.draw(st.sampled_from([-1, 1]))
+        value = np.take(value, np.arange(length), axis=axis, mode="wrap")
+    with pytest.raises(ValueError, match=name):
+        call(value)

@@ -54,7 +54,8 @@ def test_dataset_validation():
         with pytest.raises(ValueError, match="states"):
             rg.Dataset(states, states)
     zeros = np.zeros((3, 2))
-    for times, ids, name in ((np.zeros(2), None, "times"), (None, [0, 0], "traj_ids"),
+    for times, ids, name in ((np.zeros(2), None, "times"), ([np.nan, 1, 2], None, "times must be a finite"),
+                             (None, [0, 0], "traj_ids"),
                              (None, [0, 0.5, 1], "traj_ids"), (None, [[0, 0, 1]], "traj_ids")):
         with pytest.raises(ValueError, match=name):
             rg.Dataset(zeros, zeros, times, ids)
@@ -453,9 +454,9 @@ def test_exact_kernel_refuses_a_ridge_weight_without_a_finite_solve():
 
 def test_exact_kernel_model_checks_its_parts():
     model = hr.fit_exact_kernel(random_dataset(4, 21), "helmholtz", sigma=1.0, lam=1e-2)
-    for change, message in (({"coefficients": model.coefficients[:3]}, "one shape"),
-                            ({"anchors": model.anchors[:, :1]}, "one shape"),
-                            ({"coefficients": model.coefficients.reshape(-1)}, "one shape"),
+    for change, message in (({"coefficients": model.coefficients[:3]}, "coefficients"),
+                            ({"anchors": model.anchors[:, :1]}, "coefficients"),
+                            ({"coefficients": model.coefficients.reshape(-1)}, "coefficients"),
                             ({"anchors": np.r_[model.anchors[:-1], [[np.inf, 0.0]]]}, "finite"),
                             ({"coefficients": np.full_like(model.coefficients, np.nan)}, "finite"),
                             ({"kind": "gaussian"}, "unknown kernel kind"),

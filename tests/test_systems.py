@@ -41,8 +41,22 @@ def test_system_parameter_validation():
         hr.damped_pendulum(1.0, 1.0, 1.2, 0.0)
     with pytest.raises(ValueError):
         sy.NoiseSpec(-0.1, 0)
+    # a NaN or infinite parameter fails here, not later as a diverged integration
+    for factory, params in ((hr.damped_pendulum, {"m": np.nan}), (hr.mass_spring_damper, {"k": np.inf})):
+        with pytest.raises(ValueError, match="need m"):
+            factory(**params)
+    for sigma_n in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise level"):
+            sy.NoiseSpec(sigma_n, 0)
+    # a fractional, negative or boolean seed is refused, not truncated or read as 1
+    for seed in (1.5, -3, True):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sy.NoiseSpec(0.1, seed)
+    assert type(sy.NoiseSpec(0.1, np.int64(3)).seed) is int
     with pytest.raises(ValueError, match="initial condition"):
         hr.generate_dataset(hr.mass_spring_damper(), [1.0, 0.0], 0.25, 1.0, sy.NoiseSpec(0.1, 0))
+    with pytest.raises(ValueError, match="initial conditions must be a finite"):
+        hr.generate_dataset(hr.damped_pendulum(), [[np.nan, 0.0]], 0.1, 0.7, sy.NoiseSpec(0.1, 0))
 
 
 def test_rk4_trivial_fields():
@@ -93,6 +107,9 @@ def test_rk4_reports_divergence():
 
     with pytest.raises(FloatingPointError, match="step"):
         hr.integrate_rk4(explosive, np.array([5.0, 5.0]), 0.5, 50.0)
+    # a non-finite start is reported as the initial state, not as a divergence at step 1
+    with pytest.raises(ValueError, match="x0 must be a finite"):
+        hr.integrate_rk4(hr.damped_pendulum().field, [np.inf, 0.0], 0.1, 0.7)
 
 
 def test_damped_energy_is_monotone():
