@@ -11,7 +11,6 @@ import copy
 import ctypes
 import inspect
 import json
-import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from . import evaluation as ev
 from . import regression as rg
 from . import systems as sy
 from .features import grid_limits, split_seed
+from .kernels import finite_number
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -80,15 +80,18 @@ def _lookup(doc: dict, key: str, default=_REQUIRED):
     return node
 
 
-def _finite(value) -> bool:
-    """Whether a config value is a finite number: not a bool or a string, nor an int past the float range."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+def _check(key: str, check, *args):
+    """check(*args), with a ValueError raised as a ConfigError naming `key`."""
+    try:
+        return check(*args)
+    except ValueError as err:
+        _fail(key, str(err))
 
 
 def _number(doc: dict, key: str, minimum=None, default=_REQUIRED, integer=False) -> float | int:
     """A finite number as a float, or with `integer` a whole number (such as 25 or 25.0) as an int."""
     node = _lookup(doc, key, default)
-    if not _finite(node) or integer and not float(node).is_integer():
+    if not finite_number(node) or integer and not float(node).is_integer():
         _fail(key, f"expected {'an integer' if integer else 'a finite number'}, got {node!r}")
     if minimum is not None and node < minimum:
         _fail(key, f"must be >= {minimum}, got {node}")
@@ -96,17 +99,14 @@ def _number(doc: dict, key: str, minimum=None, default=_REQUIRED, integer=False)
 
 
 def _point(node, key: str) -> np.ndarray:
-    if not isinstance(node, (list, tuple)) or len(node) != 2 or not all(map(_finite, node)):
+    if not isinstance(node, (list, tuple)) or len(node) != 2 or not all(map(finite_number, node)):
         _fail(key, f"expected a [q, p] pair of finite numbers, got {node!r}")
     return np.asarray(node, dtype=float)
 
 
 def _end_time(doc: dict, key: str, h: float) -> float:
     t_end = _number(doc, key, minimum=h)
-    try:
-        sy.whole_steps(h, t_end)
-    except ValueError as err:
-        _fail(key, str(err))
+    _check(key, sy.whole_steps, h, t_end)
     return t_end
 
 
@@ -203,7 +203,7 @@ def _log_grid(doc: dict, key: str, default) -> np.ndarray:
         count = _number(doc, f"{key}.count", minimum=1, integer=True)
         with np.errstate(over="ignore"):  # an overflow to inf fails the check below
             node = np.logspace(_number(doc, f"{key}.log10_start"), _number(doc, f"{key}.log10_stop"), count).tolist()
-    if not (isinstance(node, list) and node and all(_finite(v) and v > 0 for v in node)):
+    if not (isinstance(node, list) and node and all(finite_number(v) and v > 0 for v in node)):
         _fail(key, f"expected a non-empty list of positive finite numbers, got {node!r}")
     return np.asarray(node, dtype=float)
 
@@ -233,10 +233,7 @@ def _resolve(doc: dict) -> ExperimentConfig:
         _fail("system.name", f"unknown system {name!r}; choose from {sorted(sy.SYSTEM_FACTORIES)}")
     factory = sy.SYSTEM_FACTORIES[name]
     params = {p: _number(doc, f"system.{p}") for p in inspect.signature(factory).parameters}
-    try:
-        factory(**params)
-    except ValueError as err:
-        _fail("system", str(err))
+    _check("system", factory, *params.values())
 
     ic_node = _lookup(doc, "data.initial_conditions")
     if not isinstance(ic_node, list) or not ic_node:
@@ -279,10 +276,7 @@ def _resolve(doc: dict) -> ExperimentConfig:
 
     resolution = _number(doc, "figure.resolution", minimum=2, default=25.0, integer=True)
     bounds = _lookup(doc, "figure.bounds", [[-4.0, 4.0], [-4.0, 4.0]])
-    try:
-        bounds = grid_limits(bounds, resolution).tolist()
-    except ValueError as err:
-        _fail("figure.bounds", str(err))
+    bounds = _check("figure.bounds", grid_limits, bounds, resolution).tolist()
 
     resolved = {
         "system": {"name": name, **params},
@@ -536,41 +530,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _openblas_thread_controls() -> list:
-    """(get, set) thread-count functions of every OpenBLAS mapped into this process.
+    """[(get, set)], the thread-count functions of the OpenBLAS numpy links, or [] if none is found.
 
-    Reads /proc/self/maps, so elsewhere, or with another BLAS, the list is empty.
-    A file `lib<prefix>openblas...` exports `<prefix>openblas_get_num_threads`,
-    with a `64_` suffix in builds with 64-bit integers: numpy's wheel prefixes
-    its build and uses 64-bit integers, a system OpenBLAS usually does neither.
+    dlsym on numpy's linalg extension searches the libraries it links too. numpy's wheel exports
+    `scipy_openblas_get_num_threads64_`; a system OpenBLAS usually has neither prefix nor suffix.
     """
     try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
-                            if "openblas" in line.lower()})
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except OSError:
         return []
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        match = re.match(r"lib(.*?)openblas", Path(path).name)
-        prefix = match.group(1) if match else ""
-        for suffix in ("64_", ""):
-            get_name, set_name = (f"{prefix}openblas_{op}_num_threads{suffix}" for op in ("get", "set"))
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, put = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                controls.append((get, put))
-                break
-    return controls
+    for get_name, set_name in ((f"{prefix}openblas_{op}_num_threads{suffix}" for op in ("get", "set"))
+                               for prefix in ("scipy_", "") for suffix in ("64_", "")):
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, put = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return [(get, put)]
+    return []
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block with every loaded OpenBLAS on one thread, then restore the counts.
+    """Run the block with numpy's OpenBLAS on one thread, then restore the counts.
 
     The solves and eigendecompositions of every command are small, so BLAS
     threads only contend with `reproduce`'s worker threads; and a fixed count

@@ -3,18 +3,26 @@
 These closed-form kernels are the ground truth that the random-feature
 maps in :mod:`helmrff.features` approximate, and they back the small-N
 exact-kernel solver in :mod:`helmrff.regression`.  The module also holds
-the three boundary checks every other module applies to widths and ridge
-weights, integer budgets, and arrays.
+the boundary checks every other module, the config reader included,
+applies to numbers, widths and ridge weights, integer budgets, and arrays.
 """
 
 import numbers
+import sys
 
 import numpy as np
 
 
+def finite_number(value) -> bool:
+    """Whether `value` is a finite real number: not a bool or a string, nor an int past the float range."""
+    if isinstance(value, numbers.Integral):
+        return not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    return isinstance(value, numbers.Real) and abs(value) < np.inf  # not <= float max: a float32 cast overflows
+
+
 def positive_finite(name: str, value) -> float:
-    """`value` as a float; raises ValueError naming `name` unless it is a real number in (0, inf)."""
-    if not (isinstance(value, numbers.Real) and 0 < value < np.inf):
+    """`value` as a float; raises ValueError naming `name` unless it is a finite number (see `finite_number`) > 0."""
+    if not (finite_number(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return float(value)
 
@@ -27,11 +35,13 @@ def integer_at_least(name: str, value, minimum: int) -> int:
 
 
 def finite_array(name: str, value, shape) -> np.ndarray:
-    """`value` as a float array; raises ValueError naming `name` unless it is numeric, of `shape`,
-    where a None axis (written N) is any length >= 1, and finite."""
+    """`value` as a float array, float input uncopied; raises ValueError naming `name` unless it has an
+    integer or float dtype, is of `shape`, where a None axis (written N) is any length >= 1, and is finite."""
     want = str(tuple("N" if axis is None else axis for axis in shape)).replace("'", "")
     try:
-        array = np.asarray(value, dtype=float)
+        array = np.asarray(value)
+        if array.dtype.kind not in "iuf":
+            raise TypeError(f"got dtype {array.dtype}")
     except (TypeError, ValueError) as err:
         raise ValueError(f"{name} must be a numeric {want} array: {err}") from None
     if array.ndim != len(shape) or any(got < 1 or axis not in (None, got) for got, axis in zip(array.shape, shape)):
@@ -40,7 +50,7 @@ def finite_array(name: str, value, shape) -> np.ndarray:
     if not np.all(np.isfinite(array)):
         where = tuple(int(i) for i in np.argwhere(~np.isfinite(array))[0])
         raise ValueError(f"{name} must be a finite {want} array, got {array[where]} at index {where}")
-    return array
+    return array.astype(float, copy=False)
 
 
 def symplectic_matrix(m: int) -> np.ndarray:

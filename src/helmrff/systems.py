@@ -101,7 +101,7 @@ def integrate_rk4(field, x0, h: float, t_end: float) -> Trajectory:
     t_end must be a whole number of steps h (see `whole_steps`).
     """
     steps = whole_steps(h, t_end)
-    x = finite_array("x0", x0, (None,) * np.ndim(x0)).copy()
+    x = finite_array("x0", x0, (None,) * np.asarray(x0, object).ndim).copy()  # as objects, a ragged x0 has a rank
     states = np.empty((steps + 1,) + x.shape)
     states[0] = x
     for step in range(steps):

@@ -254,12 +254,16 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
     msd = str(cli.bundled_config_path("msd"))
     bad_header = tmp_path / "bad.csv"
     bad_header.write_text("t,x,y\n0,1,2\n")
+    stringly = tmp_path / "strings.json"
+    doc = sy.dataset_to_json(cli.simulate_dataset(cli.parse_config(msd), 0))
+    stringly.write_text(json.dumps({**doc, "states": [[str(v) for v in row] for row in doc["states"]]}))
     out = tmp_path / "o"
     cases = [
         (["reproduce", "msd", "--jobs", "0"], "--jobs"),
         (["simulate", "--config", msd, "--seed", "-1"], "--seed"),
         (["fit", "--config", msd, "--data", str(tmp_path / "missing.csv")], "--data"),
         (["fit", "--config", msd, "--data", str(bad_header)], "--data"),
+        (["fit", "--config", msd, "--data", str(stringly)], "--data"),
         (["eval", "--config", msd, "--model", str(tmp_path / "missing.json")], "--model"),
         (["fit", "--config", msd, "--fixed-hypers", "1,2"], "--fixed-hypers"),
         (["fit", "--config", msd, "--fixed-hypers", "1e-9,1e-4,1e-4"], "--fixed-hypers"),
@@ -338,7 +342,12 @@ def mutated_model(saved, kind, mutate):
     lambda doc: doc["hyper"].update(sigma=None),
     lambda doc: doc["basis_c"].update(kind=ft.ODD_SYMPLECTIC),
     lambda doc: doc["basis_c"].update(sigma=2 * doc["basis_c"]["sigma"]),
-], ids=["alpha-cut", "basis_s-one-column", "hyper-d", "hyper-sigma-null", "basis_c-kind", "basis_c-sigma"])
+    # a bool width is not read as 1, a 400-digit one is an error line, not a traceback, and text is not a number
+    lambda doc: [doc[key].update(sigma=True) for key in ("hyper", "basis_s", "basis_c")],
+    lambda doc: [doc[key].update(sigma=10**400) for key in ("hyper", "basis_s", "basis_c")],
+    lambda doc: doc["alpha"].__setitem__(0, str(doc["alpha"][0])),
+], ids=["alpha-cut", "basis_s-one-column", "hyper-d", "hyper-sigma-null", "basis_c-kind", "basis_c-sigma",
+        "sigma-true", "sigma-400-digits", "alpha-string-entry"])
 def test_eval_rejects_a_model_whose_parts_do_not_fit(saved, mutate):
     path = mutated_model(saved, "helmholtz", mutate)
     assert rejected_at_the_boundary(saved, ["eval", "--model", str(path)], "--model")
@@ -611,10 +620,19 @@ def test_reproduce_flags_threshold_failures(tmp_path):
     assert not all(t["passed"] for t in report["thresholds"])
 
 
-def test_main_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
+def blas_thread_controls() -> list:
+    """The CLI's OpenBLAS thread controls: a skip only where numpy's build names another BLAS."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS")
     controls = cli._openblas_thread_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS loaded")
+    assert controls, f"numpy's BLAS is {blas}, but no OpenBLAS thread controls were found"
+    return controls
+
+
+def test_main_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
+    controls = blas_thread_controls()
+
     def counts():
         return [get() for get, _ in controls]
 
@@ -636,8 +654,7 @@ def test_main_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monkeypat
 
 
 def test_reproduce_is_byte_identical_across_blas_threads_and_jobs(tmp_path, manifests):
-    if not cli._openblas_thread_controls():
-        pytest.skip("no OpenBLAS loaded")
+    blas_thread_controls()
     src = str(Path(cli.__file__).resolve().parents[1])
     here = tmp_path / "in_process"
     assert cli.main(["reproduce", "msd", "--seeds", "2", "--out", str(here)]) == 0

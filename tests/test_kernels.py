@@ -133,8 +133,9 @@ def test_dimension_and_sigma_validation():
             kn.odd_curl_free_kernel(x, z, 1.0)
         with pytest.raises(ValueError, match="two vectors"):
             kn.odd_symplectic_kernel(x, z, 1.0)
-    # an infinite width makes every odd kernel zero, so it is refused like a zero one
-    for sigma in (0.0, -1.0, np.nan, np.inf, None):
+    # an infinite width makes every odd kernel zero, so it is refused like a zero one; a bool is not
+    # read as 1, and an int past the float range is a ValueError, not an OverflowError
+    for sigma in (0.0, -1.0, np.nan, np.inf, None, True, 10**400):
         with pytest.raises(ValueError, match="kernel width"):
             kn.kernel_blocks("curl-free", np.zeros(2), np.zeros(2), sigma)
     with pytest.raises(ValueError):
@@ -144,3 +145,20 @@ def test_dimension_and_sigma_validation():
         kn.gram_matrix("no-such-kernel", np.zeros((2, 2)), 1.0)
     with pytest.raises(ValueError, match="unknown kernel kind"):
         kn.kernel_blocks("no-such-kernel", np.zeros(2), np.zeros(2), 1.0)
+
+
+def test_boundary_checks_refuse_what_is_not_a_finite_real_number():
+    for value in (1, -2.5, np.float32(3.0), np.int8(4), np.uint64(5), 10**308):
+        assert kn.finite_number(value)
+    for value in (True, np.bool_(False), "1", None, np.nan, -np.inf, np.float32(np.inf), np.float16(np.nan),
+                  10**400, -(10**400), 1j):
+        assert not kn.finite_number(value)
+    # an array of strings, bools or objects (None, or an int past the float range) is not converted
+    for value in ([["1", "2"], ["3", "4"]], np.ones((2, 2), dtype=bool), [[1.0, None], [2.0, 3.0]],
+                  [[10**400, 0], [0, 0]]):
+        with pytest.raises(ValueError, match=r"x must be a numeric \(2, 2\) array: got dtype"):
+            kn.finite_array("x", value, (2, 2))
+    # integers become floats; float input comes back uncopied
+    assert kn.finite_array("x", [[1, 2], [3, 4]], (2, 2)).dtype == float
+    x = np.zeros((2, 2))
+    assert kn.finite_array("x", x, (2, 2)) is x

@@ -371,16 +371,18 @@ BOUNDARIES = _boundaries()
 @settings(deadline=None, max_examples=200)
 @given(st.sampled_from(sorted(BOUNDARIES)), st.data())
 def test_every_array_input_is_checked_at_its_boundary(name, data):
-    """A NaN or infinite entry, an emptied free axis, or a fixed axis one too long or short is a
-    ValueError that names the input, whichever entry or axis it hits."""
+    """A NaN or infinite entry, an emptied free axis, a fixed axis one too long or short, or the
+    values as strings, bools or objects is a ValueError that names the input, whichever entry or axis it hits."""
     valid, shape, call = BOUNDARIES[name]
     call(np.array(valid))
     value = np.array(valid, dtype=float)
     free = [axis for axis, length in enumerate(shape) if length is None]
     fixed = [axis for axis, length in enumerate(shape) if length is not None]
-    change = data.draw(st.sampled_from(["poison"] + ["empty"] * bool(free) + ["resize"] * bool(fixed)))
+    change = data.draw(st.sampled_from(["poison", "retype"] + ["empty"] * bool(free) + ["resize"] * bool(fixed)))
     if change == "poison":
         value.flat[data.draw(st.integers(0, value.size - 1))] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif change == "retype":
+        value = value.astype(data.draw(st.sampled_from([str, bool, object])))
     else:
         axis = data.draw(st.sampled_from(free if change == "empty" else fixed))
         length = 0 if change == "empty" else value.shape[axis] + data.draw(st.sampled_from([-1, 1]))

@@ -59,6 +59,10 @@ def test_dataset_validation():
                              (None, [0, 0.5, 1], "traj_ids"), (None, [[0, 0, 1]], "traj_ids")):
         with pytest.raises(ValueError, match=name):
             rg.Dataset(zeros, zeros, times, ids)
+    # strings, bools and objects are refused, not converted to numbers
+    for states in ([["1", "2"], ["3", "4e0"]], np.ones((2, 2), dtype=bool), [[1.0, None], [2.0, 3.0]]):
+        with pytest.raises(ValueError, match="states must be a numeric"):
+            rg.Dataset(states, np.zeros((2, 2)))
     listed = rg.Dataset(zeros.tolist(), zeros.tolist(), [0, 1, 2], [0, 0, 1])
     assert listed.times.dtype == float and listed.traj_ids.dtype.kind == "i"
     ds = random_dataset(5, 0)
@@ -103,7 +107,8 @@ def test_hyperparameter_validation():
         with pytest.raises(ValueError, match="d must be an integer"):
             rg.Hyperparameters(sigma=1.0, lambda1=1e-3, lambda2=1e-3, d=d)
     assert type(rg.Hyperparameters(1.0, 1e-3, None, d=np.int64(8)).d) is int
-    for bad in (np.inf, np.nan):
+    # a bool is not read as 1, nor a string as its number; an int past the float range is a ValueError
+    for bad in (np.inf, np.nan, True, "1.0", 10**400):
         with pytest.raises(ValueError, match="sigma"):
             rg.Hyperparameters(sigma=bad, lambda1=1e-3, lambda2=1e-3)
         with pytest.raises(ValueError, match="lambda1"):

@@ -110,6 +110,9 @@ def test_rk4_reports_divergence():
     # a non-finite start is reported as the initial state, not as a divergence at step 1
     with pytest.raises(ValueError, match="x0 must be a finite"):
         hr.integrate_rk4(hr.damped_pendulum().field, [np.inf, 0.0], 0.1, 0.7)
+    # a ragged batch is named too, not left to numpy's conversion error
+    with pytest.raises(ValueError, match="x0 must be a numeric"):
+        hr.integrate_rk4(hr.damped_pendulum().field, [[1.0, 0.0], [2.0]], 0.1, 0.2)
 
 
 def test_damped_energy_is_monotone():
