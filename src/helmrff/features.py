@@ -20,8 +20,8 @@ GAUSSIAN_SEPARABLE = "gaussian-separable"
 KINDS = (ODD_CURL_FREE, ODD_SYMPLECTIC, GAUSSIAN_SEPARABLE)
 
 # The most entries of any (states, features) or (both grid axes, features) array a fitted field
-# forms: 1 MiB of float64, 2 MiB of complex.  OpenBLAS multiplies a block this small on one
-# thread, so its workers do not wake and spin per block.
+# forms, and of any weighted row block of a design in the dual ridge solve: 1 MiB of float64,
+# 2 MiB of complex.  It bounds memory only; a block's product may still run on several BLAS threads.
 _BLOCK_ENTRIES = 2**17
 
 
@@ -226,11 +226,17 @@ def feature_design(basis: FeatureBasis, states) -> np.ndarray:
     scalar Gaussian kernel k_sigma(x, z).
     """
     X = np.atleast_2d(np.asarray(states, dtype=float))
+    return _fill_design(basis, X, np.zeros((basis.d, X.size)))
+
+
+def _fill_design(basis: FeatureBasis, X: np.ndarray, design: np.ndarray) -> np.ndarray:
+    """Write the design of `basis` at the (N, n) states X into the zeroed, C-contiguous (d, n N) `design`
+    and return it: column n i + o is output o at states[i], written through a (d, N, n) view."""
     N, n = X.shape
     if n != basis.n:
         raise ValueError(f"state dimension {n} does not match basis dimension {basis.n}")
-    rows = basis.rows[:, :, None]
-    # The states run innermost, numpy's long inner loop; entries a row does not touch stay +0.0.
-    design = np.zeros((basis.d, n, N))
-    np.multiply(rows, basis.values(X).T[:, None, :], out=design, where=rows != 0)
-    return design.transpose(0, 2, 1).reshape(basis.d, N * n)
+    rows, values = basis.rows, basis.values(X).T
+    outputs = design.reshape(basis.d, N, n, copy=False)
+    for o in range(n):  # entries a row does not touch stay +0.0
+        np.multiply(rows[:, o, None], values, out=outputs[:, :, o], where=rows[:, o, None] != 0)
+    return design

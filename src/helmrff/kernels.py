@@ -20,10 +20,11 @@ def finite_number(value) -> bool:
     return isinstance(value, numbers.Real) and abs(value) < np.inf  # not <= float max: a float32 cast overflows
 
 
-def positive_finite(name: str, value) -> float:
-    """`value` as a float; raises ValueError naming `name` unless it is a finite number (see `finite_number`) > 0."""
-    if not (finite_number(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+def positive_finite(name: str, value, zero_ok: bool = False) -> float:
+    """`value` as a float; raises ValueError naming `name` unless it is a finite number (see `finite_number`) > 0,
+    or >= 0 if `zero_ok`."""
+    if not (finite_number(value) and (value > 0 or zero_ok and value == 0)):
+        raise ValueError(f"{name} must be {'nonnegative' if zero_ok else 'positive'} and finite, got {value!r}")
     return float(value)
 
 
@@ -36,12 +37,16 @@ def integer_at_least(name: str, value, minimum: int) -> int:
 
 def finite_array(name: str, value, shape) -> np.ndarray:
     """`value` as a float array, float input uncopied; raises ValueError naming `name` unless it has an
-    integer or float dtype, is of `shape`, where a None axis (written N) is any length >= 1, and is finite."""
+    integer or float dtype, is of `shape`, where a None axis (written N) is any length >= 1, and is finite.
+    Input that is not an array yet, such as nested lists, is refused if any element is a bool."""
     want = str(tuple("N" if axis is None else axis for axis in shape)).replace("'", "")
     try:
         array = np.asarray(value)
         if array.dtype.kind not in "iuf":
             raise TypeError(f"got dtype {array.dtype}")
+        elements = () if isinstance(value, np.ndarray) else np.asarray(value, object).flat
+        if any(isinstance(v, (bool, np.bool_)) for v in elements):
+            raise TypeError("got a bool element")
     except (TypeError, ValueError) as err:
         raise ValueError(f"{name} must be a numeric {want} array: {err}") from None
     if array.ndim != len(shape) or any(got < 1 or axis not in (None, got) for got, axis in zip(array.shape, shape)):

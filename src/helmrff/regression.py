@@ -254,8 +254,12 @@ class ExactKernelModel:
 
 
 def assemble_design(dataset: Dataset, *bases: ft.FeatureBasis) -> np.ndarray:
-    """Stack the feature designs of the bases, in order, over all samples (sum of d) x nN."""
-    return np.vstack([ft.feature_design(basis, dataset.states) for basis in bases])
+    """Stack the feature designs of the bases, in order, over all samples: (sum of d) x nN, filled in place."""
+    ends = np.cumsum([basis.d for basis in bases])
+    design = np.zeros((ends[-1], dataset.states.size))
+    for basis, end in zip(bases, ends):
+        ft._fill_design(basis, dataset.states, design[end - basis.d:end])
+    return design
 
 
 def _checked_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -280,21 +284,22 @@ def solve_ridge(design: np.ndarray, targets: np.ndarray, lam_diag: np.ndarray, n
     design targets; otherwise the dual (design^T W design + N lam_min I) c =
     targets with W = diag(lam_min / lam), whose solution gives xi = W design c.
     Weighting by lam_min / lam <= 1 rather than dividing by lam keeps tiny
-    ridge weights from overflowing.
+    ridge weights from overflowing.  The dual weights row blocks of at most
+    features._BLOCK_ENTRIES entries, never a copy of the whole design; with one
+    block its products are exactly the whole-design ones.
     """
-    primal = design.shape[0] <= design.shape[1]
-    if primal:
+    if design.shape[0] <= design.shape[1]:
         A = design @ design.T
         A[np.diag_indices_from(A)] += n_samples * lam_diag
-        b = design @ targets
-    else:
-        lam_min = lam_diag.min()
-        weighted = (lam_min / lam_diag)[:, None] * design
-        A = design.T @ weighted
-        A[np.diag_indices_from(A)] += n_samples * lam_min
-        b = targets
-    x = _checked_solve(A, b)
-    return x if primal else weighted @ x
+        return _checked_solve(A, design @ targets)
+    lam_min = lam_diag.min()
+    w = lam_min / lam_diag
+    step = max(1, ft._BLOCK_ENTRIES // design.shape[1])
+    blocks = [slice(i, i + step) for i in range(0, design.shape[0], step)]
+    A = reduce(operator.iadd, (design[b].T @ (w[b, None] * design[b]) for b in blocks))
+    A[np.diag_indices_from(A)] += n_samples * lam_min
+    c = _checked_solve(A, targets)
+    return np.concatenate([(w[b, None] * design[b]) @ c for b in blocks])
 
 
 def _fit(model: type[_FeatureModel], dataset: Dataset, hyper: Hyperparameters, seed: int):

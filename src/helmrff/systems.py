@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import finite_array, integer_at_least
+from .kernels import finite_array, integer_at_least, positive_finite
 from .regression import Dataset
 
 CSV_HEADER = ["t", "q", "p", "qdot", "pdot", "traj_id"]
@@ -39,15 +39,13 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if not 0 <= self.sigma_n < np.inf:
-            raise ValueError(f"noise level must be nonnegative and finite, got {self.sigma_n}")
+        object.__setattr__(self, "sigma_n", positive_finite("noise level", self.sigma_n, zero_ok=True))
         object.__setattr__(self, "seed", integer_at_least("seed", self.seed, 0))
 
 
 def mass_spring_damper(m: float = 0.5, k: float = 1.0, d: float = 0.25) -> SystemSpec:
     """Mass-spring-damper: qdot = p/m, pdot = -k q - (d/m) p."""
-    if not (0 < m < np.inf and 0 < k < np.inf and 0 <= d < np.inf):
-        raise ValueError(f"need m, k > 0 and damping >= 0, all finite, got m={m}, k={k}, d={d}")
+    m, k, d = positive_finite("m", m), positive_finite("k", k), positive_finite("damping d", d, zero_ok=True)
 
     def field(x):
         q, p = np.asarray(x, dtype=float).T
@@ -62,8 +60,8 @@ def mass_spring_damper(m: float = 0.5, k: float = 1.0, d: float = 0.25) -> Syste
 
 def damped_pendulum(m: float = 1.0, l: float = 1.0, d: float = 1.2, g: float = 9.81) -> SystemSpec:
     """Damped pendulum: qdot = p/(m l^2), pdot = -m g l sin q - (d/(m l^2)) p."""
-    if not (0 < m < np.inf and 0 < l < np.inf and 0 < g < np.inf and 0 <= d < np.inf):
-        raise ValueError(f"need m, l, g > 0 and damping >= 0, all finite, got m={m}, l={l}, d={d}, g={g}")
+    m, l, g = (positive_finite(name, value) for name, value in (("m", m), ("l", l), ("g", g)))
+    d = positive_finite("damping d", d, zero_ok=True)
 
     def field(x):
         q, p = np.asarray(x, dtype=float).T

@@ -89,7 +89,7 @@ def test_parse_errors_name_the_offending_key(tmp_path):
 
     # the system factory's own check, reported under the system key
     mass = write_config(tmp_path, "msd", **{"system.m": -1})
-    with pytest.raises(cli.ConfigError, match=r"'system': need m, k > 0"):
+    with pytest.raises(cli.ConfigError, match=r"'system': m must be positive and finite, got -1"):
         cli.parse_config(mass)
 
     missing = write_config(tmp_path, "pendulum")

@@ -158,6 +158,10 @@ def test_boundary_checks_refuse_what_is_not_a_finite_real_number():
                   [[10**400, 0], [0, 0]]):
         with pytest.raises(ValueError, match=r"x must be a numeric \(2, 2\) array: got dtype"):
             kn.finite_array("x", value, (2, 2))
+    # nor is a list that mixes bools with numbers, though numpy would convert it to floats
+    for value in ([[True, 1.5], [0.0, 1.0]], [[np.bool_(False), 2], [3, 4]], [np.ones(2, dtype=bool), [1.0, 2.0]]):
+        with pytest.raises(ValueError, match=r"x must be a numeric \(2, 2\) array: got a bool element"):
+            kn.finite_array("x", value, (2, 2))
     # integers become floats; float input comes back uncopied
     assert kn.finite_array("x", [[1, 2], [3, 4]], (2, 2)).dtype == float
     x = np.zeros((2, 2))

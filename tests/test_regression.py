@@ -60,7 +60,8 @@ def test_dataset_validation():
         with pytest.raises(ValueError, match=name):
             rg.Dataset(zeros, zeros, times, ids)
     # strings, bools and objects are refused, not converted to numbers
-    for states in ([["1", "2"], ["3", "4e0"]], np.ones((2, 2), dtype=bool), [[1.0, None], [2.0, 3.0]]):
+    for states in ([["1", "2"], ["3", "4e0"]], np.ones((2, 2), dtype=bool), [[1.0, None], [2.0, 3.0]],
+                   [[True, 1.5], [0.0, 1.0]]):
         with pytest.raises(ValueError, match="states must be a numeric"):
             rg.Dataset(states, np.zeros((2, 2)))
     listed = rg.Dataset(zeros.tolist(), zeros.tolist(), [0, 1, 2], [0, 0, 1])
@@ -132,6 +133,71 @@ def test_assemble_design_vanishes_at_origin():
     bc = ft.sample_basis(ft.ODD_CURL_FREE, 5, 2, 1.0, seed=0)
     bs = ft.sample_basis(ft.ODD_SYMPLECTIC, 5, 2, 1.0, seed=1)
     assert_array_equal(rg.assemble_design(ds, bc, bs), np.zeros((10, 8)))
+
+
+def test_assemble_design_is_the_stack_of_feature_designs_bit_for_bit():
+    """Filling the stacked array in place gives vstack's bits, signed zeros included."""
+    rng = np.random.default_rng(21)
+    states = rng.normal(size=(5, 2))
+    states[1] = 0.0  # sin(0) = +0.0 and cos(b) at the origin
+    states[3] = [-0.0, 0.75]
+    ds = rg.Dataset(states, np.zeros_like(states))
+    bases = []
+    for i, kind in enumerate(ft.KINDS):
+        basis = ft.sample_basis(kind, 6, 2, 0.8, seed=i)
+        weights = basis.weights.copy()
+        weights[0] = 0.0     # a feature that is 0 at every state
+        weights[1, 0] = 0.0  # an exactly-zero weight: its output column is never written
+        bases.append(ft.FeatureBasis(kind, weights, basis.sigma, basis.seed, basis.phases))
+    zeros = ft.feature_design(bases[0], ds.states)[:, 2:4]  # the origin's columns
+    assert np.signbit(zeros).any() and (zeros == 0).all()    # hold -0.0 as well as +0.0
+    for stack in (bases, bases[:2], bases[2:], bases[::-1]):
+        design = rg.assemble_design(ds, *stack)
+        reference = np.vstack([ft.feature_design(basis, ds.states) for basis in stack])
+        assert design.tobytes() == reference.tobytes()
+
+
+def dual_reference(design, targets, lam_diag, n_samples):
+    """The dual solve with the whole weighted design formed at once."""
+    lam_min = lam_diag.min()
+    weighted = (lam_min / lam_diag)[:, None] * design
+    A = design.T @ weighted
+    A[np.diag_indices_from(A)] += n_samples * lam_min
+    return weighted @ rg._checked_solve(A, targets)
+
+
+def test_blocked_dual_solve_matches_the_whole_design_solve():
+    """One block takes the very products of the whole-design solve; several agree to rounding."""
+    rng = np.random.default_rng(22)
+    for rows, cols in ((400, 48), (ft._BLOCK_ENTRIES // 30, 30), (6000, 48), (40000, 12)):
+        design = rng.normal(size=(rows, cols)) / np.sqrt(rows)
+        targets = rng.normal(size=cols)
+        lam_diag = np.where(np.arange(rows) < rows // 2, 1e-3, 1e-7)
+        xi = rg.solve_ridge(design, targets, lam_diag, cols // 2)
+        reference = dual_reference(design, targets, lam_diag, cols // 2)
+        if rows * cols <= ft._BLOCK_ENTRIES:
+            assert xi.tobytes() == reference.tobytes()
+        else:
+            assert_allclose(xi, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
+
+
+def test_large_budget_fit_peaks_near_one_design():
+    """A d = 20000 pendulum fit allocates at most 1.7 designs at its peak.
+
+    It peaks at 1.34 designs here; copying each map's design, stacking them and
+    weighting a copy of the stack peaked at 2.09.
+    """
+    from helmrff import cli
+    dataset = cli.simulate_dataset(cli.parse_config(cli.bundled_config_path("pendulum")), 0)
+    hyper = rg.Hyperparameters(1.0, 1e-4, 1e-4, d=20000)
+    design_bytes = 2 * hyper.d * dataset.states.size * 8
+    tracemalloc.start()
+    try:
+        hr.fit_helmholtz(dataset, hyper, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.7 * design_bytes, f"peak {peak / design_bytes:.2f} designs"
 
 
 def test_assemble_design_gram_block():

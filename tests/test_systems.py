@@ -42,12 +42,22 @@ def test_system_parameter_validation():
     with pytest.raises(ValueError):
         sy.NoiseSpec(-0.1, 0)
     # a NaN or infinite parameter fails here, not later as a diverged integration
-    for factory, params in ((hr.damped_pendulum, {"m": np.nan}), (hr.mass_spring_damper, {"k": np.inf})):
-        with pytest.raises(ValueError, match="need m"):
+    # a bool is refused, not read as 1 or 0, and each error names its parameter
+    for factory, params, name in ((hr.damped_pendulum, {"m": np.nan}, "m must be positive"),
+                                  (hr.mass_spring_damper, {"k": np.inf}, "k must be positive"),
+                                  (hr.mass_spring_damper, {"m": True}, "m must be positive"),
+                                  (hr.damped_pendulum, {"l": True}, "l must be positive"),
+                                  (hr.damped_pendulum, {"g": -9.81}, "g must be positive"),
+                                  (hr.damped_pendulum, {"d": False}, "damping d must be nonnegative"),
+                                  (hr.mass_spring_damper, {"d": -0.1}, "damping d must be nonnegative")):
+        with pytest.raises(ValueError, match=name):
             factory(**params)
-    for sigma_n in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="noise level"):
+    for sigma_n in (np.nan, np.inf, True, -0.1):
+        with pytest.raises(ValueError, match="noise level must be nonnegative"):
             sy.NoiseSpec(sigma_n, 0)
+    # no damping and no noise are allowed, and integers are read as floats
+    assert_allclose(hr.mass_spring_damper(1, 2, 0).field([[1.0, 1.0]]), [[1.0, -2.0]])
+    assert type(sy.NoiseSpec(0, 0).sigma_n) is float
     # a fractional, negative or boolean seed is refused, not truncated or read as 1
     for seed in (1.5, -3, True):
         with pytest.raises(ValueError, match="seed must be an integer"):
