@@ -40,7 +40,6 @@ from .systems import (
     mass_spring_damper,
 )
 from .evaluation import (
-    EvalReport,
     SearchSpace,
     cross_validate,
     default_search_space,

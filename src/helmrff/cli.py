@@ -11,6 +11,7 @@ import copy
 import ctypes
 import inspect
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -324,8 +325,8 @@ def run_protocol(config: ExperimentConfig, master: int, dataset: rg.Dataset | No
                         for model in FIXED_LAMBDAS)
     models = {"helmholtz": rg.fit_helmholtz(dataset, hyper_h, seeds["helmholtz_fit"]),
               "gaussian": rg.fit_baseline(dataset, hyper_g, seeds["gaussian_fit"])}
-    reports = {f"report_{kind}": ev.evaluate_model(model, dataset, config.test_set, config.system_name, kind,
-                                                   master, NOTES) for kind, model in models.items()}
+    reports = {f"report_{kind}": ev.evaluate_model(model, dataset, config.test_set, config.system_name, master, NOTES)
+               for kind, model in models.items()}
     return {"seeds": seeds, "dataset": dataset, **models, **reports}
 
 
@@ -340,16 +341,26 @@ def _read(flag: str, path, load):
 def _load_dataset(path) -> rg.Dataset:
     if Path(path).suffix == ".csv":
         return sy.dataset_from_csv(path)
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = json.loads(Path(path).read_text())
     return sy.dataset_from_json(doc["data"] if "data" in doc else doc)
 
 
-def _load_model(path) -> tuple[str, rg.HelmholtzModel | rg.BaselineModel]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    kind = doc["model"]
-    return kind, rg.MODELS[kind].from_json(doc)
+def _load_model(path) -> rg.HelmholtzModel | rg.BaselineModel:
+    doc = json.loads(Path(path).read_text())
+    return rg.MODELS[doc["model"]].from_json(doc)
+
+
+def _check_data(config: ExperimentConfig, dataset: rg.Dataset | None, tuning: bool = True) -> None:
+    """Fail on training data the protocol cannot use: states of another dimension than the config's, or, when
+    tuning a model, fewer samples than folds.  The error names `--data`, or `search.folds` for simulated data."""
+    n = config.initial_conditions.shape[1]
+    if dataset is not None and dataset.dim != n:
+        raise ConfigError(f"--data: state dimension {dataset.dim} does not match the config's {n}")
+    count = len(dataset) if dataset is not None else len(config.initial_conditions) * (
+        sy.whole_steps(config.h, config.t_end) + config.include_t0)
+    if tuning and None in config.doc["hyperparameters"].values() and count < config.folds:
+        where = "--data" if dataset is not None else "config key 'search.folds'"
+        raise ConfigError(f"{where}: {count} training sample(s) cannot fill the {config.folds} folds of the search")
 
 
 def _summary_lines(rows: list[dict], title: str) -> list[str]:
@@ -425,9 +436,10 @@ def _fix_hypers(config: ExperimentConfig, text: str) -> ExperimentConfig:
 def cmd_fit(args) -> int:
     dataset = _read("--data", args.data, _load_dataset) if args.data else None
     config = _fix_hypers(parse_config(args.config), args.fixed_hypers)
+    _check_data(config, dataset)
     master, out = _setup(args, config)
     result = run_protocol(config, master, dataset)
-    reports = [result[f"report_{kind}"].to_json() for kind in FIXED_LAMBDAS]
+    reports = [result[f"report_{kind}"] for kind in FIXED_LAMBDAS]
     _write(out, config, result["seeds"], {**{f"model_{kind}.json": result[kind].to_json() for kind in FIXED_LAMBDAS},
                                           "eval_report.json": {"reports": reports}})
     print("\n".join(_summary_lines(reports, f"system: {config.system_name}  seed: {master}")))
@@ -435,13 +447,14 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    kind, model = _read("--model", args.model, _load_model)
+    model = _read("--model", args.model, _load_model)
     dataset = _read("--data", args.data, _load_dataset) if args.data else None
     config = parse_config(args.config)
+    _check_data(config, dataset, tuning=False)
     master, out = _setup(args, config)
     if dataset is None:
         dataset = simulate_dataset(config, master)
-    reports = [ev.evaluate_model(model, dataset, config.test_set, config.system_name, kind, master, NOTES).to_json()]
+    reports = [ev.evaluate_model(model, dataset, config.test_set, config.system_name, master, NOTES)]
     _write(out, config, _seed_map(master), {"eval_report.json": {"reports": reports}})
     print("\n".join(_summary_lines(reports, f"system: {config.system_name}  seed: {master}")))
     return EXIT_OK
@@ -460,6 +473,7 @@ def cmd_reproduce(args) -> int:
     config = parse_config(args.config or bundled_config_path(args.experiment))
     if config.system_name != args.experiment:
         raise ConfigError(f"--config is for system {config.system_name!r}, not {args.experiment!r}")
+    _check_data(config, None)
     base_seed, out = _setup(args, config)
     masters = [base_seed + i for i in range(args.seeds)]
 
@@ -469,7 +483,7 @@ def cmd_reproduce(args) -> int:
     with ThreadPoolExecutor(max_workers=min(args.jobs, len(masters))) as pool:
         results = list(pool.map(lambda m: run_protocol(config, m), masters))
 
-    reports = [result[f"report_{kind}"].to_json() for result in results for kind in FIXED_LAMBDAS]
+    reports = [result[f"report_{kind}"] for result in results for kind in FIXED_LAMBDAS]
     medians = _median_summary(reports)
 
     title = f"experiment: {config.system_name}  (median over {len(masters)} seeds)"
@@ -524,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("experiment", choices=sorted(THRESHOLDS))
     rep.add_argument("--config", default=None, help="override the bundled experiment config")
     rep.add_argument("--seeds", type=int, default=10, help="number of master seeds")
-    rep.add_argument("--jobs", type=int, default=4)
+    rep.add_argument("--jobs", type=int, default=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1, help="worker threads; default: the CPUs this process may use")
     rep.set_defaults(func=cmd_reproduce)
     return parser
 

@@ -8,7 +8,7 @@ differ by less than a relative CV_TIE_RTOL count as tied, so last-digit
 rounding cannot change the pick.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -55,26 +55,6 @@ def default_search_space(baseline: bool = False) -> SearchSpace:
     """Log-spaced grids: 13 widths over [0.1, 10], 17 ridge weights over [1e-8, 1]."""
     lambdas = np.logspace(-8.0, 0.0, 17)
     return SearchSpace(sigmas=np.logspace(-1.0, 1.0, 13), lambda1s=lambdas, lambda2s=None if baseline else lambdas)
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """MSE summary for one fitted model, ready for JSON export."""
-
-    system: str
-    model_kind: str
-    train_mse: float
-    test_mse: float
-    train_residuals: list
-    test_residuals: list
-    hyper: Hyperparameters
-    seed: int
-    notes: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        doc = asdict(self)
-        doc["model"] = doc.pop("model_kind")
-        return {**doc, "d": self.hyper.d}
 
 
 def pointwise_residuals(model, dataset: Dataset) -> np.ndarray:
@@ -210,18 +190,10 @@ def stream_grid_to_csv(grid: np.ndarray, path, comments: list[str] | None = None
     write_csv(path, ["q", "p", "qdot", "pdot"], grid, comments)
 
 
-def evaluate_model(model, train: Dataset, test: Dataset, system: str, model_kind: str,
-                   seed: int, notes: dict | None = None) -> EvalReport:
-    train_res = pointwise_residuals(model, train)
-    test_res = pointwise_residuals(model, test)
-    return EvalReport(
-        system=system,
-        model_kind=model_kind,
-        train_mse=float(np.mean(train_res)),
-        test_mse=float(np.mean(test_res)),
-        train_residuals=train_res.tolist(),
-        test_residuals=test_res.tolist(),
-        hyper=model.hyper,
-        seed=seed,
-        notes=notes or {},
-    )
+def evaluate_model(model, train: Dataset, test: Dataset, system: str, seed: int, notes: dict | None = None) -> dict:
+    """The report of a fitted model: its name and hyperparameters, and its squared field error at each
+    training and test sample (`pointwise_residuals`) with their means, as the JSON that artifacts hold."""
+    train_res, test_res = (pointwise_residuals(model, dataset) for dataset in (train, test))
+    return {"system": system, "model": model.name, "hyper": model.hyper.to_json(), "d": model.hyper.d,
+            "seed": seed, "train_mse": float(np.mean(train_res)), "test_mse": float(np.mean(test_res)),
+            "train_residuals": train_res.tolist(), "test_residuals": test_res.tolist(), "notes": dict(notes or {})}

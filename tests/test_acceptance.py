@@ -33,9 +33,9 @@ def run_benchmark(name, n_seeds=10):
         reports.append((result["report_helmholtz"], result["report_gaussian"]))
     elapsed = time.perf_counter() - t0
     med = {
-        "helm_train": float(np.median([h.train_mse for h, _ in reports])),
-        "helm_test": float(np.median([h.test_mse for h, _ in reports])),
-        "gauss_test": float(np.median([g.test_mse for _, g in reports])),
+        "helm_train": float(np.median([h["train_mse"] for h, _ in reports])),
+        "helm_test": float(np.median([h["test_mse"] for h, _ in reports])),
+        "gauss_test": float(np.median([g["test_mse"] for _, g in reports])),
     }
     return med, elapsed
 

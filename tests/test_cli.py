@@ -257,6 +257,14 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
     stringly = tmp_path / "strings.json"
     doc = sy.dataset_to_json(cli.simulate_dataset(cli.parse_config(msd), 0))
     stringly.write_text(json.dumps({**doc, "states": [[str(v) for v in row] for row in doc["states"]]}))
+    # data the protocol cannot use: fewer samples than search.folds when tuning, or 4-D states
+    tiny = tmp_path / "tiny.csv"
+    sy.dataset_to_csv(cli.simulate_dataset(cli.parse_config(msd), 0).subset([0, 1, 2]), tiny)
+    (tmp_path / "small").mkdir()
+    small = write_config(tmp_path / "small", "msd", **{"data.initial_conditions": [[1.0, 0.0]],
+                                                        "data.t_end": 0.25, "data.include_t0": False})
+    d4 = tmp_path / "d4.json"
+    d4.write_text(json.dumps({"states": np.eye(4).tolist(), "derivatives": np.eye(4).tolist()}))
     out = tmp_path / "o"
     cases = [
         (["reproduce", "msd", "--jobs", "0"], "--jobs"),
@@ -268,12 +276,26 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
         (["fit", "--config", msd, "--fixed-hypers", "1,2"], "--fixed-hypers"),
         (["fit", "--config", msd, "--fixed-hypers", "1e-9,1e-4,1e-4"], "--fixed-hypers"),
         (["reproduce", "msd", "--config", str(cli.bundled_config_path("pendulum"))], "--config"),
+        (["fit", "--config", msd, "--data", str(tiny)], "--data"),
+        (["reproduce", "msd", "--config", str(small)], "search.folds"),
+        (["fit", "--config", str(small)], "search.folds"),
+        (["fit", "--config", msd, "--data", str(d4), "--fixed-hypers", "0.5,1e-4,1e-6"], "--data"),
     ]
     for argv, flag in cases:
         assert cli.main(argv + ["--out", str(out)]) == 1, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0], (argv, err)
         assert not out.exists(), argv
+    # fixed hyperparameters need no folds, and eval tunes nothing, so 3 samples are enough for both
+    assert cli.main(["fit", "--config", msd, "--data", str(tiny), "--fixed-hypers", "0.5,1e-4,1e-6",
+                     "--out", str(out)]) == 0
+    evaluate = ["eval", "--config", msd, "--model", str(out / "model_helmholtz.json"), "--out", str(tmp_path / "e")]
+    assert cli.main(evaluate + ["--data", str(d4)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --data: state dimension 4"), err
+    assert not (tmp_path / "e").exists()
+    assert cli.main(evaluate + ["--data", str(tiny)]) == 0
+    capsys.readouterr()
     # an output directory that names a file, or a path under one, from the flag or the config
     blocker = tmp_path / "file"
     blocker.write_text("keep\n")
@@ -302,6 +324,11 @@ def test_each_subcommand_lists_its_flags(command, capsys):
         cli.main([command, "--help"])
     assert done.value.code == 0
     assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == FLAGS[command] | {"--help"}
+
+
+def test_reproduce_jobs_default_to_the_cpus_this_process_may_use():
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert cli.build_parser().parse_args(["reproduce", "msd"]).jobs == usable
 
 
 @pytest.fixture(scope="module")
@@ -557,15 +584,15 @@ def test_eval_reloads_saved_model(tmp_path):
     fit_out = tmp_path / "fit"
     cli.main(["fit", "--config", str(cli.bundled_config_path("msd")),
               "--fixed-hypers", "2.0,1e-4,1e-4", "--out", str(fit_out)])
-    eval_out = tmp_path / "eval"
-    code = cli.main(["eval", "--config", str(cli.bundled_config_path("msd")),
-                     "--model", str(fit_out / "model_helmholtz.json"),
-                     "--out", str(eval_out)])
-    assert code == 0
-    fresh = json.loads((eval_out / "eval_report.json").read_text())["reports"][0]
-    original = json.loads((fit_out / "eval_report.json").read_text())["reports"][0]
-    assert fresh["train_mse"] == original["train_mse"]
-    assert fresh["test_mse"] == original["test_mse"]
+    original = json.loads((fit_out / "eval_report.json").read_text())["reports"]
+    assert [report["model"] for report in original] == ["helmholtz", "gaussian"]
+    for report in original:
+        eval_out = tmp_path / f"eval_{report['model']}"
+        code = cli.main(["eval", "--config", str(cli.bundled_config_path("msd")),
+                         "--model", str(fit_out / f"model_{report['model']}.json"),
+                         "--out", str(eval_out)])
+        assert code == 0
+        assert json.loads((eval_out / "eval_report.json").read_text())["reports"] == [report]
 
 
 def test_eval_rejects_unknown_model_file(tmp_path, capsys):

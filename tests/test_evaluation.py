@@ -480,13 +480,20 @@ def test_evaluate_model_report():
     model = hr.fit_helmholtz(ds, rg.Hyperparameters(1.5, 1e-4, 1e-4, d=64), seed=2)
     test = ev.make_test_set(hr.damped_pendulum(1.0, 1.0, 1.2, 9.81),
                             np.array([np.pi / 2, 0.0]), 0.1, 20.0)
-    report = ev.evaluate_model(model, ds, test, "pendulum", "helmholtz", seed=2,
-                               notes={"check": "unit"})
-    doc = report.to_json()
+    doc = ev.evaluate_model(model, ds, test, "pendulum", seed=2, notes={"check": "unit"})
+    assert set(doc) == {"system", "model", "hyper", "d", "seed", "train_mse", "test_mse",
+                        "train_residuals", "test_residuals", "notes"}
     assert doc["system"] == "pendulum"
     assert doc["model"] == "helmholtz"
+    assert doc["seed"] == 2 and doc["notes"] == {"check": "unit"}
     assert doc["train_mse"] >= 0 and doc["test_mse"] >= 0
     assert len(doc["train_residuals"]) == len(ds)
     assert len(doc["test_residuals"]) == len(test)
     assert doc["d"] == 64
     assert doc["hyper"]["sigma"] == 1.5
+    # the model names itself: a baseline reports "gaussian", with no name passed in
+    base = hr.fit_baseline(ds, rg.Hyperparameters(1.5, 1e-4, d=64), seed=2)
+    base_doc = ev.evaluate_model(base, ds, test, "pendulum", seed=2)
+    assert set(base_doc) == set(doc)
+    assert base_doc["model"] == "gaussian" and base_doc["notes"] == {}
+    assert base_doc["hyper"] == {"sigma": 1.5, "lambda1": 1e-4, "lambda2": None, "d": 64}

@@ -11,7 +11,9 @@ one ridge weight a Helmholtz fit is kernel ridge with its own feature kernel.  W
 by a Gauss-Hermite rule over their frequencies, feature products average to their kernel.  Oddness,
 evenness and symmetry hold exactly, not to a tolerance: each follows from
 IEEE negation and commutativity, and the fitted models inherit them from sin
-and cos.  Every array a constructor or entry point takes is refused, naming it,
+and cos.  With two degrees of freedom, where the canonical J is no longer the only
+skew form, a fitted model's symplectic part is J grad H of its own energy H.
+Every array a constructor or entry point takes is refused, naming it,
 when one entry is not finite or its shape is off.
 """
 
@@ -311,29 +313,69 @@ def closed_form_jacobians(model, x):
             for basis, coef, rows in parts]
 
 
-@properties
-@given(fitted_models(rg.fit_helmholtz).map(lambda case: case[1]), point_sets(8))
-def test_fitted_helmholtz_model_structure(model, Q):
+def central_differences(fn, x, eps=1e-6):
+    """Central differences of fn at the state x along each axis, the last axis of the result."""
+    return np.stack([(fn(x + eps * e) - fn(x - eps * e)) / (2 * eps) for e in np.eye(x.size)], axis=-1)
+
+
+def assert_helmholtz_structure(model, Q):
+    """At each state of Q: the model is odd and its energy even, the symplectic part is divergence-free, the
+    dissipative part is a gradient, and the closed-form Jacobians are the model's own."""
     assert_array_equal(model.predict(-Q), -model.predict(Q))
     assert_array_equal(model.hamiltonian(-Q), model.hamiltonian(Q))
-    reloaded = rg.HelmholtzModel.from_json(json.loads(json.dumps(model.to_json())))
-    assert_array_equal(reloaded.predict(Q), model.predict(Q))
-    assert_array_equal(reloaded.hamiltonian(Q), model.hamiltonian(Q))
-
-    # The symplectic part is divergence-free and the dissipative part is a gradient.
     # The sum of |terms| bounds both Jacobians and their rounding; the floor
     # covers subnormal coefficients, whose rounding is absolute.
     scale = max(np.sum(np.abs(c) * np.sum(b.weights**2, axis=1)) / np.sqrt(b.d)
                 for b, c in ((model.basis_s, model.beta), (model.basis_c, model.alpha)))
-    eps = 1e-6
     for x in Q:
         jac_s, jac_d = closed_form_jacobians(model, x)
         assert abs(np.trace(jac_s)) <= 1e-13 * scale + 1e-300
         assert np.max(np.abs(jac_d - jac_d.T)) <= 1e-13 * scale + 1e-300
-        # the closed forms are the model's own Jacobians: central differences agree
         for part, jac in ((model.symplectic_part, jac_s), (model.dissipative_part, jac_d)):
-            diff = np.column_stack([(part(x + eps * e) - part(x - eps * e)) / (2 * eps) for e in np.eye(2)])
+            diff = central_differences(part, x)
             assert np.max(np.abs(diff - jac)) <= 1e-6 * (scale + np.max(np.abs(part(x)))) + 1e-300
+
+
+@properties
+@given(fitted_models(rg.fit_helmholtz).map(lambda case: case[1]), point_sets(8))
+def test_fitted_helmholtz_model_structure(model, Q):
+    assert_helmholtz_structure(model, Q)
+    reloaded = rg.HelmholtzModel.from_json(json.loads(json.dumps(model.to_json())))
+    assert_array_equal(reloaded.predict(Q), model.predict(Q))
+    assert_array_equal(reloaded.hamiltonian(Q), model.hamiltonian(Q))
+
+
+def coupled_oscillators(X):
+    """A test-only field with two degrees of freedom, at states (q1, q2, p1, p2): unit masses on unit
+    springs, coupled by a spring of 0.5, each momentum damped at rate 0.3."""
+    q, p = X[:, :2], X[:, 2:]
+    return np.hstack([p, -q @ np.array([[1.5, -0.5], [-0.5, 1.5]]) - 0.3 * p])
+
+
+OSCILLATOR_STATES = np.random.default_rng(0).uniform(-2.0, 2.0, size=(12, 4))
+OSCILLATORS = rg.Dataset(OSCILLATOR_STATES, coupled_oscillators(OSCILLATOR_STATES))
+
+
+@properties
+@given(widths, st.tuples(st.floats(-8.0, 0.0), st.floats(-8.0, 0.0)), st.integers(1, 24),
+       st.integers(0, 2**32 - 1), st.integers(1, 6).flatmap(lambda m: arrays(np.float64, (m, 4),
+                                                                               elements=st.floats(-5.0, 5.0))))
+def test_helmholtz_structure_with_two_degrees_of_freedom(sigma, log_lam, d, seed, Q):
+    """At n = 2, J is the only symplectic form up to sign; at n = 4 an interleaved one differs from
+    [[0, I2], [-I2, 0]].  So at n = 4 the symplectic part must be J grad H for this J, with H the
+    model's own energy, and the energy's closed-form gradient must be the gradient of H."""
+    model = rg.fit_helmholtz(OSCILLATORS, rg.Hyperparameters(sigma, 10.0 ** log_lam[0], 10.0 ** log_lam[1], d), seed)
+    assert model.dim == 4
+    assert_helmholtz_structure(model, Q)
+    J = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+    # Central differences of H = -sum_i beta_i cos(w_i . x) / sqrt(d) err by eps^2 / 6 |w_i|^3 per term,
+    # and by about 1e-10 (1 + |w_i|) from rounding the phases; the sum of |terms| bounds both.
+    w = model.basis_s.weights
+    bound = 1e-6 * np.sum(np.abs(model.beta) * (1.0 + np.sum(w**2, axis=1)) ** 1.5) / np.sqrt(w.shape[0]) + 1e-300
+    for x in Q:
+        grad = central_differences(model.hamiltonian, x)
+        assert np.max(np.abs(model.hamiltonian_gradient(x) - grad)) <= bound
+        assert np.max(np.abs(model.symplectic_part(x) - J @ grad)) <= bound
 
 
 def _boundaries() -> dict:
