@@ -11,15 +11,10 @@ from .features import (
     ODD_SYMPLECTIC,
     FeatureBasis,
     feature_design,
-    feature_matrix,
     sample_basis,
     split_seed,
 )
-from .kernels import (
-    odd_curl_free_kernel,
-    odd_symplectic_kernel,
-    symplectic_matrix,
-)
+from .kernels import symplectic_matrix
 from .regression import (
     BaselineModel,
     Dataset,

@@ -350,15 +350,16 @@ def _load_model(path) -> rg.HelmholtzModel | rg.BaselineModel:
     return rg.MODELS[doc["model"]].from_json(doc)
 
 
-def _check_data(config: ExperimentConfig, dataset: rg.Dataset | None, tuning: bool = True) -> None:
-    """Fail on training data the protocol cannot use: states of another dimension than the config's, or, when
-    tuning a model, fewer samples than folds.  The error names `--data`, or `search.folds` for simulated data."""
+def _check_data(config: ExperimentConfig, dataset: rg.Dataset | None, model=None) -> None:
+    """Fail on training data or a saved `model` of another state dimension than the config's, naming `--data` or
+    `--model`, and, when tuning (no `model`), on fewer samples than folds, naming `--data` or `search.folds`."""
     n = config.initial_conditions.shape[1]
-    if dataset is not None and dataset.dim != n:
-        raise ConfigError(f"--data: state dimension {dataset.dim} does not match the config's {n}")
+    for flag, source in (("--data", dataset), ("--model", model)):
+        if source is not None and source.dim != n:
+            raise ConfigError(f"{flag}: state dimension {source.dim} does not match the config's {n}")
     count = len(dataset) if dataset is not None else len(config.initial_conditions) * (
         sy.whole_steps(config.h, config.t_end) + config.include_t0)
-    if tuning and None in config.doc["hyperparameters"].values() and count < config.folds:
+    if model is None and None in config.doc["hyperparameters"].values() and count < config.folds:
         where = "--data" if dataset is not None else "config key 'search.folds'"
         raise ConfigError(f"{where}: {count} training sample(s) cannot fill the {config.folds} folds of the search")
 
@@ -450,7 +451,7 @@ def cmd_eval(args) -> int:
     model = _read("--model", args.model, _load_model)
     dataset = _read("--data", args.data, _load_dataset) if args.data else None
     config = parse_config(args.config)
-    _check_data(config, dataset, tuning=False)
+    _check_data(config, dataset, model)
     master, out = _setup(args, config)
     if dataset is None:
         dataset = simulate_dataset(config, master)
@@ -544,8 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _openblas_thread_controls() -> list:
-    """[(get, set)], the thread-count functions of the OpenBLAS numpy links, or [] if none is found.
+def _openblas_thread_controls():
+    """(get, set), the thread-count functions of the OpenBLAS numpy links, or None if none is found.
 
     dlsym on numpy's linalg extension searches the libraries it links too. numpy's wheel exports
     `scipy_openblas_get_num_threads64_`; a system OpenBLAS usually has neither prefix nor suffix.
@@ -553,34 +554,36 @@ def _openblas_thread_controls() -> list:
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except OSError:
-        return []
+        return None
     for get_name, set_name in ((f"{prefix}openblas_{op}_num_threads{suffix}" for op in ("get", "set"))
                                for prefix in ("scipy_", "") for suffix in ("64_", "")):
         if hasattr(lib, get_name) and hasattr(lib, set_name):
             get, put = getattr(lib, get_name), getattr(lib, set_name)
             get.argtypes, get.restype = [], ctypes.c_int
             put.argtypes, put.restype = [ctypes.c_int], None
-            return [(get, put)]
-    return []
+            return get, put
+    return None
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore the counts.
+    """Run the block with numpy's OpenBLAS on one thread, then restore the count.
 
     The solves and eigendecompositions of every command are small, so BLAS
     threads only contend with `reproduce`'s worker threads; and a fixed count
     makes the results independent of OPENBLAS_NUM_THREADS.
     """
     controls = _openblas_thread_controls()
-    previous = [get() for get, _ in controls]
-    for _, put in controls:
-        put(1)
+    if controls is None:
+        yield
+        return
+    get, put = controls
+    previous = get()
+    put(1)
     try:
         yield
     finally:
-        for (_, put), count in zip(controls, previous):
-            put(count)
+        put(previous)
 
 
 def main(argv=None) -> int:

@@ -206,16 +206,8 @@ def sample_basis(kind: str, d: int, n: int, sigma: float, seed: int) -> FeatureB
     return FeatureBasis(kind, weights, sigma, seed, phases)
 
 
-def feature_matrix(x, basis: FeatureBasis) -> np.ndarray:
-    """Evaluate the feature map matching `basis.kind` at a single state (d x n)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a single state vector, got shape {x.shape}")
-    return feature_design(basis, x)
-
-
 def feature_design(basis: FeatureBasis, states) -> np.ndarray:
-    """Stack feature matrices for N states into a d x (n N) design block.
+    """Stack feature matrices for N states, or one state (n,), into a d x (n N) design block.
 
     Column block i holds the feature matrix at states[i]; its row j is entry j
     of basis.values times basis.rows[j]: sin(w_j . x) w_j^T / sqrt(d) for the

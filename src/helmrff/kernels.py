@@ -67,14 +67,6 @@ def symplectic_matrix(m: int) -> np.ndarray:
     return np.block([[zero, eye], [-eye, zero]])
 
 
-def _check_pair(x, z):
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if x.shape != z.shape or x.ndim != 1:
-        raise ValueError(f"expected two vectors of equal length, got shapes {x.shape} and {z.shape}")
-    return x, z
-
-
 def _curl_free_blocks(U, sigma: float) -> np.ndarray:
     s2 = sigma**2
     scale = np.exp(-np.sum(U * U, axis=-1) / (2.0 * s2)) / s2
@@ -100,7 +92,9 @@ _ODD = {
 
 
 def kernel_blocks(kind: str, X, Z, sigma: float) -> np.ndarray:
-    """All kernel blocks K(x_i, z_j) between two point sets, (M, N, n, n).
+    """All kernel blocks K(x_i, z_j) between the point sets X (M, n) and Z (N, n), (M, N, n, n); a single
+    state (n,) is a set of one, so kernel_blocks(kind, x, z, sigma)[0, 0] is K(x, z).  Raises ValueError
+    naming X or Z unless both are finite with one state dimension.
 
     The even kinds evaluate at u = x - z:
         curl-free   G_c(u) = (1/sigma^2) exp(-u.u / (2 sigma^2)) (I - u u^T / sigma^2),
@@ -113,27 +107,14 @@ def kernel_blocks(kind: str, X, Z, sigma: float) -> np.ndarray:
     if kind not in _EVEN and kind not in _ODD:
         raise ValueError(f"unknown kernel kind {kind!r}; choose from {sorted(_EVEN) + sorted(_ODD)}")
     sigma = positive_finite("kernel width", sigma)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    X = finite_array("X", np.atleast_2d(X), (None, None))
+    Z = finite_array("Z", np.atleast_2d(Z), (None, X.shape[1]))
     U = X[:, None, :] - Z[None, :, :]
     if kind in _EVEN:
         return _EVEN[kind](U, sigma)
     V = X[:, None, :] + Z[None, :, :]
     parts = [0.5 * (_EVEN[p](U, sigma) - _EVEN[p](V, sigma)) for p in _ODD[kind]]
     return sum(parts[1:], parts[0])
-
-
-def odd_curl_free_kernel(x, z, sigma: float) -> np.ndarray:
-    """Antisymmetrized curl-free kernel (G_c(x-z) - G_c(x+z)) / 2 at one pair of states.
-
-    Functions in the induced space are odd gradient fields: f(-x) = -f(x).
-    """
-    return kernel_blocks("odd-curl-free", *_check_pair(x, z), sigma)[0, 0]
-
-
-def odd_symplectic_kernel(x, z, sigma: float) -> np.ndarray:
-    """Antisymmetrized symplectic kernel (G_s(x-z) - G_s(x+z)) / 2 at one pair of states."""
-    return kernel_blocks("odd-symplectic", *_check_pair(x, z), sigma)[0, 0]
 
 
 def gram_matrix(kind: str, points, sigma: float) -> np.ndarray:

@@ -149,12 +149,6 @@ class _FeatureModel:
         """predict on the evenly spaced grid of `FeatureBasis.grid_field`, shape (resolution, resolution, 2)."""
         return reduce(operator.add, (basis.grid_field(limits, resolution, coef) for coef, basis in self._parts()))
 
-    def objective(self, dataset: Dataset) -> float:
-        """Training objective of the fit: mean squared residual plus each map's ridge penalty."""
-        resid = self.predict(dataset.states) - dataset.derivatives
-        penalties = (lam * coef @ coef for (coef, _), lam in zip(self._parts(), self._ridge_weights(self.hyper)))
-        return float(np.sum(resid**2) / len(dataset) + sum(penalties))
-
     def to_json(self) -> dict:
         return {"model": self.name, "hyper": self.hyper.to_json(),
                 **{slot: getattr(self, slot).to_json() for _, slot, *_ in self.MAPS},
@@ -238,7 +232,7 @@ class ExactKernelModel:
         """Check finite (N, n) coefficients and anchors of one shape, and the kind and width as kernel_blocks does."""
         anchors = finite_array("anchors", self.anchors, (None, None))
         coefficients = finite_array("coefficients", self.coefficients, anchors.shape)
-        kernel_blocks(self.kind, anchors[:0], anchors[:0], self.sigma)  # raises on the kind, the width or an odd n
+        kernel_blocks(self.kind, anchors[:1], anchors[:1], self.sigma)  # raises on the kind, the width or an odd n
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "sigma", float(self.sigma))

@@ -139,23 +139,21 @@ def test_criterion_5_rff_convergence():
     pairs = rng.uniform(-1.0, 1.0, size=(20, 2, 2))
     ratios = []
     abs_err = 0.0
-    for flag, (kind, kernel) in enumerate(
-            ((ft.ODD_CURL_FREE, kn.odd_curl_free_kernel),
-             (ft.ODD_SYMPLECTIC, kn.odd_symplectic_kernel))):
-        exact = np.array([kernel(x, z, 1.0) for x, z in pairs])
+    for flag, kind in enumerate((ft.ODD_CURL_FREE, ft.ODD_SYMPLECTIC)):
+        exact = np.array([kn.kernel_blocks(kind, x, z, 1.0)[0, 0] for x, z in pairs])
         med = {}
         for d in (2000, 8000):
             errs = []
             for trial in range(10):
                 basis = ft.sample_basis(kind, d, 2, 1.0, seed=11000 + 10 * trial + flag)
-                approx = np.array([ft.feature_matrix(x, basis).T
-                                   @ ft.feature_matrix(z, basis) for x, z in pairs])
+                approx = np.array([ft.feature_design(basis, x).T
+                                   @ ft.feature_design(basis, z) for x, z in pairs])
                 errs.append(np.abs(approx - exact).max())
             med[d] = float(np.median(errs))
         ratios.append(med[2000] / med[8000])
 
         big = ft.sample_basis(kind, 20000, 2, 1.0, seed=7)
-        approx = np.array([ft.feature_matrix(x, big).T @ ft.feature_matrix(z, big)
+        approx = np.array([ft.feature_design(big, x).T @ ft.feature_design(big, z)
                            for x, z in pairs])
         abs_err = max(abs_err, float(np.abs(approx - exact).max()))
 

@@ -265,6 +265,9 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
                                                         "data.t_end": 0.25, "data.include_t0": False})
     d4 = tmp_path / "d4.json"
     d4.write_text(json.dumps({"states": np.eye(4).tolist(), "derivatives": np.eye(4).tolist()}))
+    m4 = tmp_path / "m4.json"
+    m4.write_text(json.dumps(rg.fit_helmholtz(sy.dataset_from_json(json.loads(d4.read_text())),
+                                              rg.Hyperparameters(1.0, 1e-2, 1e-2, d=4), seed=0).to_json()))
     out = tmp_path / "o"
     cases = [
         (["reproduce", "msd", "--jobs", "0"], "--jobs"),
@@ -280,6 +283,7 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
         (["reproduce", "msd", "--config", str(small)], "search.folds"),
         (["fit", "--config", str(small)], "search.folds"),
         (["fit", "--config", msd, "--data", str(d4), "--fixed-hypers", "0.5,1e-4,1e-6"], "--data"),
+        (["eval", "--config", msd, "--model", str(m4)], "--model: state dimension 4 does not match the config's 2"),
     ]
     for argv, flag in cases:
         assert cli.main(argv + ["--out", str(out)]) == 1, argv
@@ -647,37 +651,31 @@ def test_reproduce_flags_threshold_failures(tmp_path):
     assert not all(t["passed"] for t in report["thresholds"])
 
 
-def blas_thread_controls() -> list:
+def blas_thread_controls():
     """The CLI's OpenBLAS thread controls: a skip only where numpy's build names another BLAS."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     if "openblas" not in blas.lower():
         pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS")
     controls = cli._openblas_thread_controls()
-    assert controls, f"numpy's BLAS is {blas}, but no OpenBLAS thread controls were found"
+    assert controls is not None, f"numpy's BLAS is {blas}, but no OpenBLAS thread controls were found"
     return controls
 
 
 def test_main_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
-    controls = blas_thread_controls()
-
-    def counts():
-        return [get() for get, _ in controls]
-
-    found, seen = counts(), []
-    monkeypatch.setattr(cli, "cmd_simulate", lambda args: seen.append(counts()))
+    get, put = blas_thread_controls()
+    found, seen = get(), []
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: seen.append(get()))
     try:
-        for _, put in controls:
-            put(2)
+        put(2)
         cli.main(["simulate", "--config", str(cli.bundled_config_path("msd")),
                   "--out", str(tmp_path / "o")])
-        assert seen == [[1] * len(controls)]
-        assert counts() == [2] * len(controls)
+        assert seen == [1]
+        assert get() == 2
         # a failing command restores the count too
         assert cli.main(["fit", "--config", str(tmp_path / "missing.yaml")]) == 1
-        assert counts() == [2] * len(controls)
+        assert get() == 2
     finally:
-        for (_, put), count in zip(controls, found):
-            put(count)
+        put(found)
 
 
 def test_reproduce_is_byte_identical_across_blas_threads_and_jobs(tmp_path, manifests):

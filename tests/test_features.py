@@ -87,8 +87,8 @@ def test_odd_maps_are_exactly_odd_and_vanish_at_origin():
     x = np.array([0.6, -1.4])
     for kind in (ft.ODD_CURL_FREE, ft.ODD_SYMPLECTIC):
         b = ft.sample_basis(kind, 64, 2, 0.9, seed=1)
-        assert_array_equal(ft.feature_matrix(-x, b), -ft.feature_matrix(x, b))
-        assert_array_equal(ft.feature_matrix(np.zeros(2), b), np.zeros((64, 2)))
+        assert_array_equal(ft.feature_design(b, -x), -ft.feature_design(b, x))
+        assert_array_equal(ft.feature_design(b, np.zeros(2)), np.zeros((64, 2)))
 
 
 def test_odd_symplectic_rows_rotate_odd_curl_free_rows():
@@ -96,7 +96,7 @@ def test_odd_symplectic_rows_rotate_odd_curl_free_rows():
     bs = ft.sample_basis(ft.ODD_SYMPLECTIC, 16, 2, 1.1, seed=4)
     x = np.array([0.2, 0.5])
     J = kn.symplectic_matrix(1)
-    assert_allclose(ft.feature_matrix(x, bs), ft.feature_matrix(x, bc) @ J.T, atol=1e-15)
+    assert_allclose(ft.feature_design(bs, x), ft.feature_design(bc, x) @ J.T, atol=1e-15)
 
 
 def test_gaussian_separable_examples():
@@ -105,10 +105,10 @@ def test_gaussian_separable_examples():
     b = ft.sample_basis(ft.GAUSSIAN_SEPARABLE, d, 2, 1.0, seed=12)
     x = np.array([1.0, 0.0])
     z = np.zeros(2)
-    K_xx = ft.feature_matrix(x, b).T @ ft.feature_matrix(x, b)
+    K_xx = ft.feature_design(b, x).T @ ft.feature_design(b, x)
     assert abs(K_xx[0, 0] - 1.0) < 0.05
     assert abs(K_xx[1, 1] - 1.0) < 0.05
-    K_xz = ft.feature_matrix(x, b).T @ ft.feature_matrix(z, b)
+    K_xz = ft.feature_design(b, x).T @ ft.feature_design(b, z)
     # disjoint blocks make the off-diagonal identically zero
     assert K_xz[0, 1] == 0.0 and K_xz[1, 0] == 0.0
     assert abs(K_xz[0, 0] - 0.6065) < 0.05
@@ -119,15 +119,14 @@ def test_odd_map_error_decays_with_budget():
     """Monte Carlo rate: quadrupling d should not increase the median error."""
     rng = np.random.default_rng(2)
     pairs = rng.uniform(-1, 1, size=(20, 2, 2))
-    for kind, kernel in ((ft.ODD_CURL_FREE, kn.odd_curl_free_kernel),
-                         (ft.ODD_SYMPLECTIC, kn.odd_symplectic_kernel)):
-        exact = np.array([kernel(x, z, 1.0) for x, z in pairs])
+    for kind in (ft.ODD_CURL_FREE, ft.ODD_SYMPLECTIC):
+        exact = np.array([kn.kernel_blocks(kind, x, z, 1.0)[0, 0] for x, z in pairs])
         med = {}
         for d in (500, 2000):
             errs = []
             for trial in range(10):
                 b = ft.sample_basis(kind, d, 2, 1.0, seed=100 + trial)
-                approx = np.array([ft.feature_matrix(x, b).T @ ft.feature_matrix(z, b)
+                approx = np.array([ft.feature_design(b, x).T @ ft.feature_design(b, z)
                                    for x, z in pairs])
                 errs.append(np.abs(approx - exact).max())
             med[d] = np.median(errs)
@@ -159,13 +158,7 @@ def test_feature_design_stacks_per_point_blocks():
         blocks = np.hstack([closed_form_feature_matrix(b, x) for x in states])
         assert_allclose(design, blocks, rtol=1e-13, atol=1e-15)
         for i, x in enumerate(states):
-            assert_allclose(ft.feature_matrix(x, b), design[:, 2 * i:2 * i + 2], rtol=1e-13, atol=1e-15)
-
-
-def test_feature_matrix_takes_a_single_state():
-    b = ft.sample_basis(ft.ODD_CURL_FREE, 8, 2, 1.0, seed=0)
-    with pytest.raises(ValueError):
-        ft.feature_matrix(np.zeros((3, 2)), b)
+            assert_allclose(ft.feature_design(b, x), design[:, 2 * i:2 * i + 2], rtol=1e-13, atol=1e-15)
 
 
 def test_feature_design_dimension_mismatch():

@@ -66,15 +66,14 @@ def test_symplectic_kernel_is_conjugated_curl_free():
 def test_odd_kernels_antisymmetrize():
     x = np.array([0.3, -0.8])
     z = np.array([0.5, 0.2])
-    for odd, even in ((kn.odd_curl_free_kernel, "curl-free"),
-                      (kn.odd_symplectic_kernel, "symplectic")):
+    for odd, even in (("odd-curl-free", "curl-free"), ("odd-symplectic", "symplectic")):
         expected = 0.5 * (pair(even, x, z, 1.1) - pair(even, x, -z, 1.1))
-        assert_allclose(odd(x, z, 1.1), expected, atol=1e-15)
+        assert_allclose(pair(odd, x, z, 1.1), expected, atol=1e-15)
         # odd in each argument
-        assert_allclose(odd(-x, z, 1.1), -odd(x, z, 1.1), atol=1e-15)
-        assert_allclose(odd(x, -z, 1.1), -odd(x, z, 1.1), atol=1e-15)
+        assert_allclose(pair(odd, -x, z, 1.1), -pair(odd, x, z, 1.1), atol=1e-15)
+        assert_allclose(pair(odd, x, -z, 1.1), -pair(odd, x, z, 1.1), atol=1e-15)
         # vanishes at the origin pair
-        assert_allclose(odd(np.zeros(2), np.zeros(2), 1.1), np.zeros((2, 2)), atol=1e-15)
+        assert_allclose(pair(odd, np.zeros(2), np.zeros(2), 1.1), np.zeros((2, 2)), atol=1e-15)
 
 
 def closed_form_curl_free(u, sigma):
@@ -127,12 +126,15 @@ def test_gram_matrix_helmholtz_kind_sums_both_odd_kernels():
 
 
 def test_dimension_and_sigma_validation():
-    # the per-pair helpers take two vectors of equal length, never point sets
-    for x, z in ((np.zeros(2), np.zeros(3)), (np.zeros((2, 2)), np.zeros((2, 2)))):
-        with pytest.raises(ValueError, match="two vectors"):
-            kn.odd_curl_free_kernel(x, z, 1.0)
-        with pytest.raises(ValueError, match="two vectors"):
-            kn.odd_symplectic_kernel(x, z, 1.0)
+    # X and Z share one state dimension and are finite; each error names the set at fault
+    for X, Z, message in ((np.zeros((2, 2)), np.zeros((3, 3)), r"Z must have shape \(N, 2\)"),
+                          (np.zeros(2), np.zeros(3), r"Z must have shape \(N, 2\)"),
+                          ([[0.0, np.nan]], np.zeros((1, 2)), "X must be a finite"),
+                          (np.zeros((2, 2)), [[1.0, 0.0], [np.inf, 0.0]], "Z must be a finite"),
+                          (np.zeros(2), [np.nan, 0.0], "Z must be a finite")):
+        for kind in ("curl-free", "odd-symplectic", "helmholtz"):
+            with pytest.raises(ValueError, match=message):
+                kn.kernel_blocks(kind, X, Z, 1.0)
     # an infinite width makes every odd kernel zero, so it is refused like a zero one; a bool is not
     # read as 1, and an int past the float range is a ValueError, not an OverflowError
     for sigma in (0.0, -1.0, np.nan, np.inf, None, True, 10**400):
@@ -140,7 +142,7 @@ def test_dimension_and_sigma_validation():
             kn.kernel_blocks("curl-free", np.zeros(2), np.zeros(2), sigma)
     with pytest.raises(ValueError):
         # symplectic structure needs an even state dimension
-        kn.odd_symplectic_kernel(np.zeros(3), np.zeros(3), 1.0)
+        kn.kernel_blocks("odd-symplectic", np.zeros(3), np.zeros(3), 1.0)
     with pytest.raises(ValueError):
         kn.gram_matrix("no-such-kernel", np.zeros((2, 2)), 1.0)
     with pytest.raises(ValueError, match="unknown kernel kind"):

@@ -115,9 +115,15 @@ def test_solve_ridge_matches_stacked_least_squares(problem):
     assert_minimizes_ridge_objective(rg.solve_ridge(design, targets, lam, n_samples), design, targets, lam, n_samples)
 
 
-def point_sets(max_points):
+def point_sets(max_points, n, bound=5.0):
+    """Sets of 1 to max_points states of dimension n, with entries in [-bound, bound]."""
     return st.integers(1, max_points).flatmap(
-        lambda m: arrays(np.float64, (m, 2), elements=st.floats(-5.0, 5.0)))
+        lambda m: arrays(np.float64, (m, n), elements=st.floats(-bound, bound)))
+
+
+# One state dimension per example, shared by every point set it draws, so that code written for
+# the plane, such as a kernel that builds J for one degree of freedom, fails at n = 4.
+state_dims = st.sampled_from((2, 4))
 
 
 widths = st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e)
@@ -125,18 +131,20 @@ ODD_KINDS = ("odd-curl-free", "odd-symplectic", "helmholtz")
 
 
 @properties
-@given(st.sampled_from(ODD_KINDS), point_sets(5), point_sets(5), widths)
-def test_odd_kernels_are_exactly_odd_in_each_argument(kind, X, Z, sigma):
+@given(st.sampled_from(ODD_KINDS), state_dims.flatmap(lambda n: st.tuples(point_sets(5, n), point_sets(5, n))), widths)
+def test_odd_kernels_are_exactly_odd_in_each_argument(kind, XZ, sigma):
+    X, Z = XZ
     K = kn.kernel_blocks(kind, X, Z, sigma)
     assert_array_equal(kn.kernel_blocks(kind, -X, Z, sigma), -K)
     assert_array_equal(kn.kernel_blocks(kind, X, -Z, sigma), -K)
 
 
 @properties
-@given(st.sampled_from(("curl-free", "symplectic") + ODD_KINDS), point_sets(6), widths)
+@given(st.sampled_from(("curl-free", "symplectic") + ODD_KINDS), state_dims.flatmap(lambda n: point_sets(6, n)),
+       widths)
 def test_gram_matrix_is_exactly_symmetric(kind, X, sigma):
     G = kn.gram_matrix(kind, X, sigma)
-    assert G.shape == (2 * len(X), 2 * len(X))
+    assert G.shape == (X.size, X.size)
     assert_array_equal(G, G.T)
 
 
@@ -190,7 +198,7 @@ def test_feature_products_average_to_the_kernel(kind, log_sigma, XZ):
     sigma = 10.0 ** log_sigma
     x, z = XZ * np.sqrt(2.0) * sigma
     basis, weight = quadrature_basis(kind, sigma)
-    estimate = (ft.feature_matrix(x, basis) * weight[:, None]).T @ ft.feature_matrix(z, basis)
+    estimate = (ft.feature_design(basis, x) * weight[:, None]).T @ ft.feature_design(basis, z)
     phi = np.linalg.norm(basis.weights, axis=1).max() * (np.linalg.norm(x) + np.linalg.norm(z))
     tail = max(gauss_hermite_tail(np.max(np.abs(x) + np.abs(z)) / sigma, m) for m in range(3))
     rounding = (basis.d + 8 + 2 * phi) * np.finfo(float).eps
@@ -244,7 +252,7 @@ def fitted_models(*fits):
     return st.builds(
         fit,
         st.sampled_from(fits),
-        st.integers(1, 6).flatmap(lambda N: arrays(np.float64, (N, 4), elements=st.floats(-3.0, 3.0))),
+        point_sets(6, 4, bound=3.0),
         widths,
         st.tuples(st.floats(-8.0, 0.0), st.floats(-8.0, 0.0)).filter(lambda log_lam: log_lam[0] != log_lam[1]),
         st.integers(1, 24),
@@ -267,9 +275,9 @@ def test_fit_solves_the_stacked_ridge_problem_of_its_maps(case):
 
 
 @properties
-@given(st.integers(1, 6).flatmap(lambda N: arrays(np.float64, (N, 4), elements=st.floats(-3.0, 3.0))),
-       point_sets(8), widths, st.floats(-8.0, 0.0), st.integers(1, 24), st.integers(0, 2**32 - 1))
-def test_helmholtz_fit_is_kernel_ridge_with_its_feature_kernel(data, Q, sigma, log_lam, d, seed):
+@given(state_dims.flatmap(lambda n: st.tuples(point_sets(6, 2 * n, bound=3.0), point_sets(8, n))),
+       widths, st.floats(-8.0, 0.0), st.integers(1, 24), st.integers(0, 2**32 - 1))
+def test_helmholtz_fit_is_kernel_ridge_with_its_feature_kernel(data_Q, sigma, log_lam, d, seed):
     """With lambda1 = lambda2 = lambda, the fit predicts P(Q)^T P a with (P^T P + N lambda I) a = xdot,
     P the stacked design of both maps on the data: kernel ridge with the feature kernel P^T P.
 
@@ -282,7 +290,8 @@ def test_helmholtz_fit_is_kernel_ridge_with_its_feature_kernel(data, Q, sigma, l
     examples that steered toward the largest error reached 5.5% of it.  The floor covers
     subnormal states, whose rounding is absolute.
     """
-    dataset, lam = rg.Dataset(data[:, :2], data[:, 2:]), 10.0 ** log_lam
+    (data, Q), lam = data_Q, 10.0 ** log_lam
+    dataset = rg.Dataset(*np.hsplit(data, 2))
     model = rg.fit_helmholtz(dataset, rg.Hyperparameters(sigma, lam, lam, d), seed)
     bases = (model.basis_c, model.basis_s)
     P, P_Q = rg.assemble_design(dataset, *bases), rg.assemble_design(rg.Dataset(Q, Q), *bases)
@@ -337,7 +346,7 @@ def assert_helmholtz_structure(model, Q):
 
 
 @properties
-@given(fitted_models(rg.fit_helmholtz).map(lambda case: case[1]), point_sets(8))
+@given(fitted_models(rg.fit_helmholtz).map(lambda case: case[1]), point_sets(8, 2))
 def test_fitted_helmholtz_model_structure(model, Q):
     assert_helmholtz_structure(model, Q)
     reloaded = rg.HelmholtzModel.from_json(json.loads(json.dumps(model.to_json())))
@@ -358,8 +367,7 @@ OSCILLATORS = rg.Dataset(OSCILLATOR_STATES, coupled_oscillators(OSCILLATOR_STATE
 
 @properties
 @given(widths, st.tuples(st.floats(-8.0, 0.0), st.floats(-8.0, 0.0)), st.integers(1, 24),
-       st.integers(0, 2**32 - 1), st.integers(1, 6).flatmap(lambda m: arrays(np.float64, (m, 4),
-                                                                               elements=st.floats(-5.0, 5.0))))
+       st.integers(0, 2**32 - 1), point_sets(6, 4))
 def test_helmholtz_structure_with_two_degrees_of_freedom(sigma, log_lam, d, seed, Q):
     """At n = 2, J is the only symplectic form up to sign; at n = 4 an interleaved one differs from
     [[0, I2], [-I2, 0]].  So at n = 4 the symplectic part must be J grad H for this J, with H the
