@@ -316,12 +316,14 @@ def simulate_dataset(config: ExperimentConfig, master: int) -> rg.Dataset:
 
 
 def run_protocol(config: ExperimentConfig, master: int, dataset: rg.Dataset | None = None) -> dict:
-    """Tune (unless fixed), fit both models, and evaluate on the test set."""
+    """Tune (unless fixed), fit both models, and evaluate on the test set.  A search whose scores are not
+    finite, as when a ridge weight makes the fold systems overflow, is a ConfigError naming the ridge grid."""
     seeds = _seed_map(master)
     if dataset is None:
         dataset = simulate_dataset(config, master)
     hyper_h, hyper_g = (config.fixed(model) or
-                        ev.cross_validate(dataset, config.search_space(model == "gaussian"), seeds["cv_shuffle"])
+                        _check("search.lambda_grid", ev.cross_validate,
+                               dataset, config.search_space(model == "gaussian"), seeds["cv_shuffle"])
                         for model in FIXED_LAMBDAS)
     models = {"helmholtz": rg.fit_helmholtz(dataset, hyper_h, seeds["helmholtz_fit"]),
               "gaussian": rg.fit_baseline(dataset, hyper_g, seeds["gaussian_fit"])}

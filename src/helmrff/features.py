@@ -207,7 +207,7 @@ def sample_basis(kind: str, d: int, n: int, sigma: float, seed: int) -> FeatureB
 
 
 def feature_design(basis: FeatureBasis, states) -> np.ndarray:
-    """Stack feature matrices for N states, or one state (n,), into a d x (n N) design block.
+    """Stack feature matrices for N finite states, or one state (n,), into a d x (n N) design block.
 
     Column block i holds the feature matrix at states[i]; its row j is entry j
     of basis.values times basis.rows[j]: sin(w_j . x) w_j^T / sqrt(d) for the
@@ -217,7 +217,7 @@ def feature_design(basis: FeatureBasis, states) -> np.ndarray:
     so cross-output products vanish exactly and each diagonal estimates the
     scalar Gaussian kernel k_sigma(x, z).
     """
-    X = np.atleast_2d(np.asarray(states, dtype=float))
+    X = finite_array("feature_design states", np.atleast_2d(states), (None, None))
     return _fill_design(basis, X, np.zeros((basis.d, X.size)))
 
 

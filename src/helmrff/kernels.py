@@ -74,21 +74,7 @@ def _curl_free_blocks(U, sigma: float) -> np.ndarray:
     return scale[..., None, None] * (np.eye(U.shape[-1]) - outer / s2)
 
 
-def _symplectic_blocks(U, sigma: float) -> np.ndarray:
-    n = U.shape[-1]
-    if n % 2:
-        raise ValueError(f"symplectic kernel needs an even state dimension, got {n}")
-    J = symplectic_matrix(n // 2)
-    return J @ _curl_free_blocks(U, sigma) @ J.T
-
-
-_EVEN = {"curl-free": _curl_free_blocks, "symplectic": _symplectic_blocks}
-# Odd kinds antisymmetrize and sum these even kernels.
-_ODD = {
-    "odd-curl-free": ("curl-free",),
-    "odd-symplectic": ("symplectic",),
-    "helmholtz": ("curl-free", "symplectic"),
-}
+_KINDS = ("curl-free", "symplectic", "odd-curl-free", "odd-symplectic", "helmholtz")
 
 
 def kernel_blocks(kind: str, X, Z, sigma: float) -> np.ndarray:
@@ -96,32 +82,37 @@ def kernel_blocks(kind: str, X, Z, sigma: float) -> np.ndarray:
     state (n,) is a set of one, so kernel_blocks(kind, x, z, sigma)[0, 0] is K(x, z).  Raises ValueError
     naming X or Z unless both are finite with one state dimension.
 
-    The even kinds evaluate at u = x - z:
-        curl-free   G_c(u) = (1/sigma^2) exp(-u.u / (2 sigma^2)) (I - u u^T / sigma^2),
-                    the negative Hessian of the scalar Gaussian, so its
-                    columns are gradient fields;
-        symplectic  G_s(u) = J G_c(u) J^T, divergence-free; needs an even n.
-    An odd kind is (G(x - z) - G(x + z)) / 2 summed over its even parts:
-    'odd-curl-free', 'odd-symplectic', and 'helmholtz' for both.
+    Every kind is built from one curl-free evaluation G:
+        curl-free   G = G_c(x - z), with G_c(u) = (1/sigma^2) exp(-u.u / (2 sigma^2)) (I - u u^T / sigma^2),
+                    the negative Hessian of the scalar Gaussian, so its columns are gradient fields;
+        symplectic  J G J^T, divergence-free; needs an even n.
+    The odd kinds take the antisymmetric part G = (G_c(x - z) - G_c(x + z)) / 2 instead: 'odd-curl-free'
+    is G, 'odd-symplectic' J G J^T, and 'helmholtz' G + J G J^T.  J is a signed permutation, so conjugating
+    by it rounds nothing, and 'helmholtz' is the sum of the two odd kinds to the last bit.
     """
-    if kind not in _EVEN and kind not in _ODD:
-        raise ValueError(f"unknown kernel kind {kind!r}; choose from {sorted(_EVEN) + sorted(_ODD)}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown kernel kind {kind!r}; choose from {sorted(_KINDS)}")
     sigma = positive_finite("kernel width", sigma)
     X = finite_array("X", np.atleast_2d(X), (None, None))
     Z = finite_array("Z", np.atleast_2d(Z), (None, X.shape[1]))
-    U = X[:, None, :] - Z[None, :, :]
-    if kind in _EVEN:
-        return _EVEN[kind](U, sigma)
-    V = X[:, None, :] + Z[None, :, :]
-    parts = [0.5 * (_EVEN[p](U, sigma) - _EVEN[p](V, sigma)) for p in _ODD[kind]]
-    return sum(parts[1:], parts[0])
+    n = X.shape[1]
+    if "curl-free" not in kind and n % 2:
+        raise ValueError(f"symplectic kernel needs an even state dimension, got {n}")
+    G = _curl_free_blocks(X[:, None, :] - Z[None, :, :], sigma)
+    if kind.startswith("odd") or kind == "helmholtz":
+        G = 0.5 * (G - _curl_free_blocks(X[:, None, :] + Z[None, :, :], sigma))
+    if "curl-free" in kind:
+        return G
+    J = symplectic_matrix(n // 2)
+    conjugate = J @ G @ J.T
+    return G + conjugate if kind == "helmholtz" else conjugate
 
 
 def gram_matrix(kind: str, points, sigma: float) -> np.ndarray:
-    """Block Gram matrix of a matrix kernel on a point set.
+    """Block Gram matrix of a matrix kernel on a point set, checked as `kernel_blocks` checks X.
 
     Block (i, j) of the (n N) x (n N) result is K(x_i, x_j).
     """
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    N, n = X.shape
-    return kernel_blocks(kind, X, X, sigma).transpose(0, 2, 1, 3).reshape(n * N, n * N)
+    blocks = kernel_blocks(kind, points, points, sigma)
+    N, n = blocks.shape[1:3]
+    return blocks.transpose(0, 2, 1, 3).reshape(n * N, n * N)

@@ -93,10 +93,10 @@ class Hyperparameters:
 
 
 def _batched(method):
-    """Let a model method take one state or an (B, n) batch; one state in, one result out."""
+    """Let a model method take one state or an (B, n) batch of finite numbers; one state in, one result out."""
     @wraps(method)
     def call(self, x):
-        X = np.atleast_2d(np.asarray(x, dtype=float))
+        X = finite_array(f"{method.__name__} states", np.atleast_2d(x), (None, None))
         if X.shape[1] != self.dim:
             raise ValueError(f"state dimension {X.shape[1]} does not match model dimension {self.dim}")
         out = method(self, X)

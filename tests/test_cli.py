@@ -147,6 +147,17 @@ def test_bad_grid_or_bounds_fails_before_reproduce_starts(tmp_path, capsys, key,
     assert not out.exists()
 
 
+def test_a_ridge_weight_that_overflows_the_search_names_the_ridge_grid(tmp_path, capsys):
+    """1e-300 parses as a ridge weight, but G / lambda overflows in the fold systems; only the search sees that,
+    so the output directory exists by then.  reproduce raises it from its worker threads."""
+    config = str(write_config(tmp_path, "msd", **{"search.lambda_grid": [1.0e-300, 1.0e-3]}))
+    for argv in (["fit", "--config", config], ["reproduce", "msd", "--seeds", "2", "--jobs", "2", "--config", config]):
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 1, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config key 'search.lambda_grid': "
+                                                   "cross-validation score is not finite"), (argv, err)
+
+
 def test_end_times_must_be_whole_steps(tmp_path):
     # msd samples every 0.25 to t = 1.0 and tests to t = 20.0 at the same step
     for key, overrides in (("data.t_end", {"data.h": 0.35}),

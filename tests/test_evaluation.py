@@ -290,14 +290,15 @@ def test_cross_validate_rejects_non_finite_scores():
 
 @st.composite
 def cv_searches(draw):
-    """A small random dataset, a search space over 2-3 widths and ridge weights per axis, and a seed."""
+    """A small random dataset of n = 2 or 4, a search space over 2-3 widths and ridge weights per axis with
+    n dividing d (as the baseline's blocks need), and a seed."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_samples = draw(st.integers(6, 12))
-    dataset = rg.Dataset(rng.uniform(-3.0, 3.0, size=(n_samples, 2)), rng.normal(size=(n_samples, 2)))
+    n_samples, n = draw(st.integers(6, 12)), draw(st.sampled_from([2, 4]))
+    dataset = rg.Dataset(rng.uniform(-3.0, 3.0, size=(n_samples, n)), rng.normal(size=(n_samples, n)))
     grid = lambda lo, hi: np.array(draw(st.lists(st.floats(lo, hi), min_size=2, max_size=3)))
     space = ev.SearchSpace(sigmas=grid(0.2, 5.0), lambda1s=grid(1e-4, 1.0),
                            lambda2s=grid(1e-4, 1.0) if draw(st.booleans()) else None,
-                           folds=draw(st.integers(2, 5)), d=2 * draw(st.integers(1, 20)))
+                           folds=draw(st.integers(2, 5)), d=n * draw(st.integers(1, 40 // n)))
     return dataset, space, draw(st.integers(0, 2**32 - 1))
 
 
@@ -313,7 +314,7 @@ def test_cross_validate_matches_explicit_fold_fits(search):
     folds = ev.fold_indices(len(dataset), space.folds, shuffle_seed)
     model = rg.BaselineModel if space.lambda2s is None else rg.HelmholtzModel
     for si, sigma in enumerate(grids[-1]):
-        bases = [ft.sample_basis(kind, space.d, 2, sigma, map_seed)
+        bases = [ft.sample_basis(kind, space.d, dataset.dim, sigma, map_seed)
                  for (_, _, kind, _), map_seed in zip(model.MAPS, map_seeds)]
         fits = [[(part, np.vstack([ft.feature_design(b, part.states) for b in bases]))
                  for part in (dataset.subset(train), dataset.subset(val))] for train, val in folds]
@@ -322,7 +323,7 @@ def test_cross_validate_matches_explicit_fold_fits(search):
             total = 0.0
             for (tr, design), (va, held_out) in fits:
                 xi = rg.solve_ridge(design, tr.target_vector(), lam_diag, len(tr))
-                total += np.mean(np.sum(((held_out.T @ xi).reshape(len(va), 2) - va.derivatives) ** 2, axis=1))
+                total += np.mean(np.sum(((held_out.T @ xi).reshape(va.states.shape) - va.derivatives) ** 2, axis=1))
             assert_allclose(scores[idx + (si,)], total / space.folds, rtol=1e-8, err_msg=str(idx + (si,)))
     pick = ev.cross_validate(dataset, space, seed)
     picked = [pick.lambda1] + ([] if pick.lambda2 is None else [pick.lambda2]) + [pick.sigma]

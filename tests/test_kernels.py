@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -122,7 +124,29 @@ def test_gram_matrix_helmholtz_kind_sums_both_odd_kernels():
     total = kn.gram_matrix("helmholtz", pts, 1.2)
     parts = (kn.gram_matrix("odd-curl-free", pts, 1.2)
              + kn.gram_matrix("odd-symplectic", pts, 1.2))
-    assert_allclose(total, parts, atol=1e-14)
+    # conjugating by the signed permutation J rounds nothing, so the sum is exact
+    assert_array_equal(total, parts)
+
+
+def test_each_kind_evaluates_the_curl_free_blocks_once_per_sign():
+    """An even kind evaluates G_c at x - z only; an odd kind and helmholtz at x - z and x + z.  A profile
+    hook counts the calls however the routine is reached."""
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is kn._curl_free_blocks.__code__:
+            calls.append(frame.f_locals["U"].shape)
+
+    pts = np.random.default_rng(5).normal(size=(3, 4))
+    for kind, expected in (("curl-free", 1), ("symplectic", 1), ("odd-curl-free", 2), ("odd-symplectic", 2),
+                           ("helmholtz", 2)):
+        calls.clear()
+        sys.setprofile(count)
+        try:
+            kn.kernel_blocks(kind, pts, pts[:2], 0.7)
+        finally:
+            sys.setprofile(None)
+        assert calls == [(3, 2, 4)] * expected, kind
 
 
 def test_dimension_and_sigma_validation():
@@ -145,6 +169,9 @@ def test_dimension_and_sigma_validation():
         kn.kernel_blocks("odd-symplectic", np.zeros(3), np.zeros(3), 1.0)
     with pytest.raises(ValueError):
         kn.gram_matrix("no-such-kernel", np.zeros((2, 2)), 1.0)
+    # gram_matrix hands its points to kernel_blocks unconverted, so strings are refused, not parsed
+    with pytest.raises(ValueError, match=r"X must be a numeric \(N, N\) array"):
+        kn.gram_matrix("helmholtz", [["1", "2"]], 1.0)
     with pytest.raises(ValueError, match="unknown kernel kind"):
         kn.kernel_blocks("no-such-kernel", np.zeros(2), np.zeros(2), 1.0)
 

@@ -404,6 +404,8 @@ def _boundaries() -> dict:
         "anchors": (exact.anchors, (None, None), lambda a: replace(exact, anchors=a)),
         "coefficients": (exact.coefficients, (4, 2), lambda c: replace(exact, coefficients=c)),
         "states": (data.states, (None, None), lambda x: rg.Dataset(x, data.derivatives)),
+        "predict states": (data.states, (None, None), helmholtz.predict),
+        "feature_design states": (data.states, (None, None), lambda x: ft.feature_design(baseline, x)),
         "derivatives": (data.derivatives, (4, 2), lambda x: rg.Dataset(data.states, x)),
         "times": (data.times, (4,), lambda t: rg.Dataset(data.states, data.derivatives, t)),
         **{name: (grid, (None,), lambda g, name=name: ev.SearchSpace(**{**grids, name: g}))

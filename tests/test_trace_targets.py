@@ -1,6 +1,6 @@
 """The span tracer in perfbench/spans.py wraps package functions by name,
 and the benchmark's operations in perfbench/op.py call top-level names of
-the package.
+the package and names of its command line.
 
 A rename or a changed signature in the package would only surface when a
 benchmark run crashes; these tests catch it with the regular suite.
@@ -13,6 +13,7 @@ import inspect
 from pathlib import Path
 
 import helmrff
+from helmrff import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -42,9 +43,11 @@ def test_every_traced_target_resolves_to_a_callable():
 
 
 def test_every_package_name_the_benchmark_calls_resolves():
-    """op.py imports the package as `hr`; every `hr.<name>` it reads must exist."""
+    """op.py imports the package as `hr` and its command line as `cli`; every `hr.<name>` and `cli.<name>`
+    it reads must exist."""
     tree = ast.parse((PERFBENCH / "op.py").read_text())
-    names = {node.attr for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "hr"}
-    assert names
-    assert not sorted(name for name in names if not hasattr(helmrff, name))
+    for alias, module in (("hr", helmrff), ("cli", cli)):
+        names = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == alias}
+        assert names, alias
+        assert not sorted(name for name in names if not hasattr(module, name)), alias
