@@ -58,6 +58,13 @@ def finite_array(name: str, value, shape) -> np.ndarray:
     return array.astype(float, copy=False)
 
 
+def finite_states(name: str, value, n: int | None = None) -> np.ndarray:
+    """One state (n,), as a batch of one, or a batch (B, n), checked by `finite_array` as a (N, n) array
+    before numpy converts it, so a bool in a list is refused; a None n is any dimension >= 1."""
+    rank = value.ndim if isinstance(value, np.ndarray) else np.asarray(value, object).ndim  # a ragged list has one
+    return finite_array(name, [value] if rank == 1 else value, (None, n))
+
+
 def symplectic_matrix(m: int) -> np.ndarray:
     """Canonical skew-symmetric block matrix [[0, I_m], [-I_m, 0]]."""
     if m < 1:
@@ -93,8 +100,8 @@ def kernel_blocks(kind: str, X, Z, sigma: float) -> np.ndarray:
     if kind not in _KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}; choose from {sorted(_KINDS)}")
     sigma = positive_finite("kernel width", sigma)
-    X = finite_array("X", np.atleast_2d(X), (None, None))
-    Z = finite_array("Z", np.atleast_2d(Z), (None, X.shape[1]))
+    X = finite_states("X", X)
+    Z = finite_states("Z", Z, X.shape[1])
     n = X.shape[1]
     if "curl-free" not in kind and n % 2:
         raise ValueError(f"symplectic kernel needs an even state dimension, got {n}")

@@ -18,7 +18,8 @@ from functools import reduce, wraps
 import numpy as np
 
 from . import features as ft
-from .kernels import finite_array, gram_matrix, integer_at_least, kernel_blocks, positive_finite, symplectic_matrix
+from .kernels import (finite_array, finite_states, gram_matrix, integer_at_least, kernel_blocks, positive_finite,
+                      symplectic_matrix)
 
 _EXACT_N_LIMIT = 200
 
@@ -96,7 +97,7 @@ def _batched(method):
     """Let a model method take one state or an (B, n) batch of finite numbers; one state in, one result out."""
     @wraps(method)
     def call(self, x):
-        X = finite_array(f"{method.__name__} states", np.atleast_2d(x), (None, None))
+        X = finite_states(f"{method.__name__} states", x)
         if X.shape[1] != self.dim:
             raise ValueError(f"state dimension {X.shape[1]} does not match model dimension {self.dim}")
         out = method(self, X)
@@ -248,12 +249,9 @@ class ExactKernelModel:
 
 
 def assemble_design(dataset: Dataset, *bases: ft.FeatureBasis) -> np.ndarray:
-    """Stack the feature designs of the bases, in order, over all samples: (sum of d) x nN, filled in place."""
-    ends = np.cumsum([basis.d for basis in bases])
-    design = np.zeros((ends[-1], dataset.states.size))
-    for basis, end in zip(bases, ends):
-        ft._fill_design(basis, dataset.states, design[end - basis.d:end])
-    return design
+    """The dense (sum of d) x nN design of the bases, in order, over all samples: `features.factored_design`
+    expanded, for inspection; the fits solve from its two factors."""
+    return ft.factored_design(dataset.states, *bases).dense()
 
 
 def _checked_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -270,30 +268,26 @@ def _checked_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_ridge(design: np.ndarray, targets: np.ndarray, lam_diag: np.ndarray, n_samples: int) -> np.ndarray:
-    """Minimize (1/N)||design^T xi - targets||^2 + xi^T diag(lam) xi.
+def solve_ridge(design: ft.FactoredDesign, targets: np.ndarray, lam_diag: np.ndarray, n_samples: int) -> np.ndarray:
+    """Minimize (1/N)||D^T xi - targets||^2 + xi^T diag(lam) xi for the factored design D.
 
     Solves whichever system is smaller, with _checked_solve.  With at most nN
-    coefficients that is the primal (design design^T + N diag(lam)) xi =
-    design targets; otherwise the dual (design^T W design + N lam_min I) c =
-    targets with W = diag(lam_min / lam), whose solution gives xi = W design c.
-    Weighting by lam_min / lam <= 1 rather than dividing by lam keeps tiny
-    ridge weights from overflowing.  The dual weights row blocks of at most
-    features._BLOCK_ENTRIES entries, never a copy of the whole design; with one
-    block its products are exactly the whole-design ones.
+    coefficients that is the primal (D D^T + N diag(lam)) xi = D targets;
+    otherwise the dual (D^T W D + N lam_min I) c = targets with
+    W = diag(lam_min / lam), whose solution gives xi = W D c.  Weighting by
+    lam_min / lam <= 1 rather than dividing by lam keeps tiny ridge weights
+    from overflowing.  Every product comes from D's two factors
+    (`features.FactoredDesign`); no step forms D.
     """
     if design.shape[0] <= design.shape[1]:
-        A = design @ design.T
+        A = design.outer()
         A[np.diag_indices_from(A)] += n_samples * lam_diag
-        return _checked_solve(A, design @ targets)
+        return _checked_solve(A, design.dot(targets))
     lam_min = lam_diag.min()
     w = lam_min / lam_diag
-    step = max(1, ft._BLOCK_ENTRIES // design.shape[1])
-    blocks = [slice(i, i + step) for i in range(0, design.shape[0], step)]
-    A = reduce(operator.iadd, (design[b].T @ (w[b, None] * design[b]) for b in blocks))
+    A = design.gram(w)
     A[np.diag_indices_from(A)] += n_samples * lam_min
-    c = _checked_solve(A, targets)
-    return np.concatenate([(w[b, None] * design[b]) @ c for b in blocks])
+    return w * design.dot(_checked_solve(A, targets))
 
 
 def _fit(model: type[_FeatureModel], dataset: Dataset, hyper: Hyperparameters, seed: int):
@@ -303,7 +297,7 @@ def _fit(model: type[_FeatureModel], dataset: Dataset, hyper: Hyperparameters, s
     seeds = ft.split_seed(seed, len(model.MAPS))
     bases = [ft.sample_basis(kind, hyper.d, dataset.dim, hyper.sigma, basis_seed)
              for (_, _, kind, _), basis_seed in zip(model.MAPS, seeds)]
-    xi = solve_ridge(assemble_design(dataset, *bases), dataset.target_vector(), lam, len(dataset))
+    xi = solve_ridge(ft.factored_design(dataset.states, *bases), dataset.target_vector(), lam, len(dataset))
     return model._from_parts(np.split(xi, len(bases)), bases, hyper)
 
 

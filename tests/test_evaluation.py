@@ -316,14 +316,15 @@ def test_cross_validate_matches_explicit_fold_fits(search):
     for si, sigma in enumerate(grids[-1]):
         bases = [ft.sample_basis(kind, space.d, dataset.dim, sigma, map_seed)
                  for (_, _, kind, _), map_seed in zip(model.MAPS, map_seeds)]
-        fits = [[(part, np.vstack([ft.feature_design(b, part.states) for b in bases]))
+        fits = [[(part, ft.factored_design(part.states, *bases))
                  for part in (dataset.subset(train), dataset.subset(val))] for train, val in folds]
         for idx in np.ndindex(scores.shape[:-1]):
             lam_diag = np.repeat([grid[i] for grid, i in zip(grids, idx)], space.d)
             total = 0.0
             for (tr, design), (va, held_out) in fits:
                 xi = rg.solve_ridge(design, tr.target_vector(), lam_diag, len(tr))
-                total += np.mean(np.sum(((held_out.T @ xi).reshape(va.states.shape) - va.derivatives) ** 2, axis=1))
+                total += np.mean(np.sum(((held_out.dense().T @ xi).reshape(va.states.shape) - va.derivatives) ** 2,
+                                        axis=1))
             assert_allclose(scores[idx + (si,)], total / space.folds, rtol=1e-8, err_msg=str(idx + (si,)))
     pick = ev.cross_validate(dataset, space, seed)
     picked = [pick.lambda1] + ([] if pick.lambda2 is None else [pick.lambda2]) + [pick.sigma]

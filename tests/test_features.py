@@ -167,6 +167,37 @@ def test_feature_design_dimension_mismatch():
         ft.feature_design(b, np.zeros((3, 4)))
 
 
+def test_feature_design_refuses_a_bool_among_numbers():
+    """The raw states are checked before they are reshaped, so a list that mixes bools with numbers is refused."""
+    b = ft.sample_basis(ft.ODD_CURL_FREE, 8, 2, 1.0, seed=0)
+    for states in ([[True, 1.5]], [True, 1.5]):
+        with pytest.raises(ValueError, match=r"feature_design states must be a numeric \(N, N\) array: got a bool"):
+            ft.feature_design(b, states)
+
+
+@pytest.mark.parametrize("block_rows", [None, 5])
+def test_factored_design_products_match_its_dense_expansion(block_rows, monkeypatch):
+    """The Gram, the outer product and D c from the two factors agree with the dense design to rounding,
+    over one block of rows and several; the baseline's cross-output Gram blocks are exact zeros."""
+    if block_rows:
+        monkeypatch.setattr(ft, "_BLOCK_ENTRIES", block_rows * 14)
+    rng = np.random.default_rng(3)
+    states = rng.normal(size=(7, 2))
+    for d in (6, 12, 40):
+        for kinds in (ft.KINDS[:2], ft.KINDS[2:]):
+            bases = [ft.sample_basis(kind, d, 2, 0.9, seed=i) for i, kind in enumerate(kinds)]
+            design = ft.factored_design(states, *bases)
+            D = design.dense()
+            assert design.shape == D.shape == (d * len(bases), 14)
+            w = rng.uniform(0.1, 1.0, size=D.shape[0])
+            assert_allclose(design.gram(w), D.T @ (w[:, None] * D), rtol=1e-12, atol=1e-13)
+            assert_allclose(design.outer(), D @ D.T, rtol=1e-12, atol=1e-13)
+            c = rng.normal(size=14)
+            assert_allclose(design.dot(c), D @ c, rtol=1e-12, atol=1e-13)
+    cross = ft.factored_design(states, bases[0]).gram(np.ones(d)).reshape(7, 2, 7, 2)[:, 0, :, 1]
+    assert not cross.any() and not np.signbit(cross).any()
+
+
 def test_basis_json_round_trip():
     b = ft.sample_basis(ft.GAUSSIAN_SEPARABLE, 10, 2, 1.5, seed=77)
     doc = json.loads(json.dumps(b.to_json()))

@@ -176,6 +176,14 @@ def test_dimension_and_sigma_validation():
         kn.kernel_blocks("no-such-kernel", np.zeros(2), np.zeros(2), 1.0)
 
 
+def test_kernel_blocks_refuse_a_bool_among_numbers_in_either_point_set():
+    """The raw point sets are checked before they are reshaped, so a list that mixes bools with numbers is refused."""
+    for X, Z, name in (([[True, 1.5]], [[0.5, 1.0]], "X"), ([True, 1.5], [0.5, 1.0], "X"),
+                       ([[0.5, 1.0]], [[0.0, False]], "Z"), ([0.5, 1.0], [np.bool_(True), 1.0], "Z")):
+        with pytest.raises(ValueError, match=f"{name} must be a numeric .* array: got a bool element"):
+            kn.kernel_blocks("helmholtz", X, Z, 1.0)
+
+
 def test_boundary_checks_refuse_what_is_not_a_finite_real_number():
     for value in (1, -2.5, np.float32(3.0), np.int8(4), np.uint64(5), 10**308):
         assert kn.finite_number(value)

@@ -5,8 +5,9 @@ Fields and energies accept one state (n,) or any batch (..., n), and RK4
 steps a batch (B, n) of initial conditions together.  Batched results must
 equal per-state evaluation bit for bit, so artifacts do not depend on how
 states are grouped.  A fitted model's field is its design contracted with
-its coefficients, whatever the block size.  The ridge solve must give the
-least-squares minimizer on either side of its primal/dual switch, and with
+its coefficients, whatever the block size.  The ridge solve of a factored design
+must give the least-squares minimizer of its dense expansion on either side of
+its primal/dual switch, and with
 one ridge weight a Helmholtz fit is kernel ridge with its own feature kernel.  Weighted
 by a Gauss-Hermite rule over their frequencies, feature products average to their kernel.  Oddness,
 evenness and symmetry hold exactly, not to a tolerance: each follows from
@@ -84,17 +85,23 @@ def test_batched_rk4_equals_single_runs(name, X0):
         assert_array_equal(batch.states[:, b], single.states)
 
 
-# (coefficients D, targets nN): the primal side D < nN, the dual side D > nN,
-# and the switch point D = nN, which solves the primal.
-ridge_shapes = st.one_of(st.tuples(st.integers(1, 6), st.integers(7, 14)),
-                         st.tuples(st.integers(7, 14), st.integers(1, 6)),
-                         st.integers(1, 10).map(lambda k: (k, k)))
 unit = st.floats(-1.0, 1.0)
-ridge_problems = ridge_shapes.flatmap(lambda shape: st.tuples(
-    arrays(np.float64, shape, elements=unit),
-    arrays(np.float64, shape[1], elements=unit),
-    arrays(np.float64, shape[0], elements=st.floats(-3.0, 1.0)),
-    st.integers(1, 4)))
+
+
+def _ridge_problem(n, N):
+    """A factored design of Sigma d features at N states of dimension n, nN targets, Sigma d log ridge weights
+    and a sample count.  Sigma d is drawn on the primal side, Sigma d <= nN with the switch point Sigma d = nN,
+    or on the dual side, Sigma d > nN."""
+    side = st.one_of(st.integers(1, n * N), st.integers(n * N + 1, 3 * n * N))
+    return side.flatmap(lambda d: st.tuples(
+        st.builds(ft.FactoredDesign, arrays(np.float64, (d, N), elements=unit),
+                  arrays(np.float64, (d, n), elements=unit)),
+        arrays(np.float64, n * N, elements=unit),
+        arrays(np.float64, d, elements=st.floats(-3.0, 1.0)),
+        st.integers(1, 4)))
+
+
+ridge_problems = st.tuples(st.sampled_from((2, 4)), st.integers(1, 4)).flatmap(lambda nN: _ridge_problem(*nN))
 
 
 def assert_minimizes_ridge_objective(xi, design, targets, lam, n_samples):
@@ -112,7 +119,8 @@ def assert_minimizes_ridge_objective(xi, design, targets, lam, n_samples):
 def test_solve_ridge_matches_stacked_least_squares(problem):
     design, targets, log_lam, n_samples = problem
     lam = 10.0 ** log_lam
-    assert_minimizes_ridge_objective(rg.solve_ridge(design, targets, lam, n_samples), design, targets, lam, n_samples)
+    xi = rg.solve_ridge(design, targets, lam, n_samples)
+    assert_minimizes_ridge_objective(xi, design.dense(), targets, lam, n_samples)
 
 
 def point_sets(max_points, n, bound=5.0):

@@ -3,13 +3,19 @@ and the benchmark's operations in perfbench/op.py call top-level names of
 the package and names of its command line.
 
 A rename or a changed signature in the package would only surface when a
-benchmark run crashes; these tests catch it with the regular suite.
+benchmark run crashes; these tests catch it with the regular suite.  A
+counter that binds but then fails on what it reads, such as the ridge
+solve's `design.shape`, fails the traced operation, so one traced oracle
+operation runs end to end as well.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import helmrff
@@ -51,3 +57,12 @@ def test_every_package_name_the_benchmark_calls_resolves():
                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == alias}
         assert names, alias
         assert not sorted(name for name in names if not hasattr(module, name)), alias
+
+
+def test_a_traced_oracle_operation_counts_both_ridge_solves(tmp_path):
+    run = subprocess.run([sys.executable, str(PERFBENCH / "op.py"), "oracle", "0", str(tmp_path), "--trace"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    solves = json.loads((tmp_path / "result.json").read_text())["layers"]["regression.solve_ridge"]
+    assert solves["calls"] == 2
+    assert solves["primal_calls"] + solves["dual_calls"] == 2
