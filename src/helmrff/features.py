@@ -21,9 +21,10 @@ ODD_SYMPLECTIC = "odd-symplectic"
 GAUSSIAN_SEPARABLE = "gaussian-separable"
 KINDS = (ODD_CURL_FREE, ODD_SYMPLECTIC, GAUSSIAN_SEPARABLE)
 
-# The most entries of any (states, features) or (both grid axes, features) array that a fitted field
-# or a factored design forms, and of any block of a design's rows that its products take: 1 MiB of float64,
-# 2 MiB of complex.  It bounds memory only; a block's product may still run on several BLAS threads.
+# The most entries of any (states, features) array that a fitted field or a factored design forms, of the
+# two (both grid axes, features) arrays of a grid block together, and of any block of a design's rows that
+# its products take: 1 MiB of float64, 2 MiB of complex.  It bounds memory only; a block's product may
+# still run on several BLAS threads.
 _BLOCK_ENTRIES = 2**17
 
 
@@ -127,13 +128,11 @@ class FeatureBasis:
         a = np.multiply(self.rows.T, coef, order="C") * (1j * self.scale if baseline else self.scale)
         lo, h = limits[:, :1], np.diff(limits) / (resolution - 1)  # (2, 1) columns: q and p
         offset = np.outer([1.0, 0.0], self.phases if baseline else np.zeros(self.d))
-        step = max(1, _BLOCK_ENTRIES // (2 * resolution))
         total = np.zeros((2, resolution, resolution), dtype=complex)
-        for block in (slice(i, i + step) for i in range(0, self.d, step)):
+        for block in _blocks(self.d, 4 * resolution):  # two (2, resolution, s) complex arrays live at once
             W = self.weights[block].T
             E_q, E_p = _progressions(W * lo + offset[:, block], W * h, resolution)
-            left = a[:, block][:, None, :] * E_q
-            total += (left.reshape(-1, E_q.shape[1]) @ E_p.T).reshape(2, resolution, -1)
+            total += ((a[:, block][:, None, :] * E_q).reshape(-1, E_q.shape[1]) @ E_p.T).reshape(2, resolution, -1)
         return np.moveaxis(total.imag, 0, -1)
 
     def potential(self, X, coef) -> np.ndarray:
@@ -242,9 +241,6 @@ class FactoredDesign:
     def shape(self) -> tuple[int, int]:
         return self.values.shape[0], self.values.shape[1] * self.rows.shape[1]
 
-    def _row_blocks(self) -> list[slice]:
-        return _blocks(*self.shape)
-
     def gram(self, weights) -> np.ndarray:
         """D^T diag(weights) D, (n N, n N): its block of outputs (o, p) is V^T diag(weights rows_o rows_p) V,
         summed over the row blocks.  A block whose weights are all zero is skipped, so outputs that no
@@ -252,7 +248,7 @@ class FactoredDesign:
         N, n = self.values.shape[1], self.rows.shape[1]
         gram = np.zeros((N, n, N, n))
         pairs = [(o, p) for o in range(n) for p in range(o, n)]
-        for b in self._row_blocks():
+        for b in _blocks(*self.shape):
             V = self.values[b]
             for o, p in pairs:
                 g = weights[b] * self.rows[b, o] * self.rows[b, p]
@@ -271,15 +267,12 @@ class FactoredDesign:
         row blocks.  On a 2-core machine one product of all of V at d = 20000 ran on both BLAS threads,
         whose packing buffers raised the fit's peak RSS by 6.9 MB; the blocks raised it by 1.0 MB."""
         C = c.reshape(self.values.shape[1], -1)
-        return np.concatenate([np.einsum("io,io->i", self.rows[b], self.values[b] @ C) for b in self._row_blocks()])
+        return np.concatenate([np.einsum("io,io->i", self.rows[b], self.values[b] @ C) for b in _blocks(*self.shape)])
 
     def dense(self) -> np.ndarray:
-        """D itself, written through a (sum d, N, n) view; an entry whose row entry is 0 is +0.0."""
-        (d, N), n = self.values.shape, self.rows.shape[1]
-        design = np.zeros((d, N, n))
-        for o in range(n):
-            np.multiply(self.rows[:, o, None], self.values, out=design[:, :, o], where=self.rows[:, o, None] != 0)
-        return design.reshape(d, N * n)
+        """D itself, the product of each value with each row entry, so a zero entry may be -0.0: a negative
+        value times a zero row entry, or +0.0 times a negative one."""
+        return (self.values[:, :, None] * self.rows[:, None, :]).reshape(self.shape)
 
 
 def factored_design(X: np.ndarray, *bases: FeatureBasis) -> FactoredDesign:

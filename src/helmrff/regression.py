@@ -248,16 +248,12 @@ class ExactKernelModel:
         return np.einsum("bnij,nj->bi", blocks, self.coefficients)
 
 
-def assemble_design(dataset: Dataset, *bases: ft.FeatureBasis) -> np.ndarray:
-    """The dense (sum of d) x nN design of the bases, in order, over all samples: `features.factored_design`
-    expanded, for inspection; the fits solve from its two factors."""
-    return ft.factored_design(dataset.states, *bases).dense()
-
-
-def _checked_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(A, b), accepted when x is finite and its normwise backward error
-    ||b - A x|| / (||A||_F ||x|| + ||b||) is within tolerance; anything else,
+def _checked_solve(A: np.ndarray, shift: float | np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Add `shift`, a scalar or one entry per row, to A's diagonal in place, then solve (A + diag(shift)) x = b
+    with np.linalg.solve, accepted when x is finite and its normwise backward error
+    ||b - A x|| / (||A||_F ||x|| + ||b||) against the shifted A is within tolerance; anything else,
     non-finite input included, raises rather than returning a bad solution."""
+    A[np.diag_indices_from(A)] += shift
     x = np.linalg.solve(A, b)
     residual = np.linalg.norm(b - A @ x)
     scale = np.linalg.norm(A) * np.linalg.norm(x) + np.linalg.norm(b)
@@ -280,14 +276,10 @@ def solve_ridge(design: ft.FactoredDesign, targets: np.ndarray, lam_diag: np.nda
     (`features.FactoredDesign`); no step forms D.
     """
     if design.shape[0] <= design.shape[1]:
-        A = design.outer()
-        A[np.diag_indices_from(A)] += n_samples * lam_diag
-        return _checked_solve(A, design.dot(targets))
+        return _checked_solve(design.outer(), n_samples * lam_diag, design.dot(targets))
     lam_min = lam_diag.min()
     w = lam_min / lam_diag
-    A = design.gram(w)
-    A[np.diag_indices_from(A)] += n_samples * lam_min
-    return w * design.dot(_checked_solve(A, targets))
+    return w * design.dot(_checked_solve(design.gram(w), n_samples * lam_min, targets))
 
 
 def _fit(model: type[_FeatureModel], dataset: Dataset, hyper: Hyperparameters, seed: int):
@@ -323,5 +315,5 @@ def fit_exact_kernel(dataset: Dataset, kind: str, sigma: float, lam: float) -> E
             f"exact-kernel fit is dense in nN; N={len(dataset)} exceeds the guard {_EXACT_N_LIMIT}")
     lam = positive_finite("lambda", lam)
     G = gram_matrix(kind, dataset.states, sigma)
-    coeffs = _checked_solve(G + len(dataset) * lam * np.eye(G.shape[0]), dataset.target_vector())
+    coeffs = _checked_solve(G, len(dataset) * lam, dataset.target_vector())
     return ExactKernelModel(coeffs.reshape(len(dataset), dataset.dim), dataset.states.copy(), kind, sigma)

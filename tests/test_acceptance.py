@@ -193,7 +193,7 @@ def test_criterion_7_closed_form_matches_iterative_optimum():
     model = hr.fit_helmholtz(ds, hyper, seed=6)
     xi = np.concatenate([model.alpha, model.beta])
 
-    Phi = rg.assemble_design(ds, model.basis_c, model.basis_s)
+    Phi = ft.factored_design(ds.states, model.basis_c, model.basis_s).dense()
     lam = np.concatenate([np.full(64, hyper.lambda1), np.full(64, hyper.lambda2)])
     A = np.vstack([Phi.T, np.diag(np.sqrt(len(ds) * lam))])
     b = np.concatenate([ds.target_vector(), np.zeros(128)])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,3 +249,25 @@ def test_grid_field_takes_two_exponentials_per_feature_per_axis(kind, monkeypatc
         entries.update(cos=0, sin=0)
         basis.grid_field(((-1.0, 1.0), (-2.0, 3.0)), resolution, np.ones(d))
         assert entries == {"cos": 4 * d, "sin": 4 * d}, (resolution, entries)
+
+
+@pytest.mark.parametrize("kind", ft.KINDS)
+def test_grid_field_blocks_hold_two_wave_arrays_within_the_budget(kind):
+    """A d = 20000 grid at resolution 25 peaks under tracemalloc within the sum of:
+    - 16 _BLOCK_ENTRIES bytes: two (2, 25, s) complex arrays live at once, a block's waves beside its product
+      with a or beside the previous block's waves, with s = _BLOCK_ENTRIES // 100 so both fit the budget;
+    - _BLOCK_ENTRIES bytes: a block's (2, s) phases, steps and step waves, under 100 s bytes;
+    - 48 d bytes: the (2, d) amplitudes a, complex for the baseline, and the phase offsets;
+    - 64 np.getbufsize() bytes: numpy's ufunc buffers, up to four complex operands.
+    Blocks that fit each wave array, not both, within the budget peaked at 6.9-7.2 MiB, over the bound."""
+    d = 20000
+    basis = ft.sample_basis(kind, d, 2, 1.0, 0)
+    coef = np.random.default_rng(0).normal(size=d)
+    tracemalloc.start()
+    try:
+        basis.grid_field(((-3.0, 3.0), (-4.0, 4.0)), 25, coef)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 17 * ft._BLOCK_ENTRIES + 48 * d + 64 * np.getbufsize()
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > {bound / 2**20:.2f} MiB"

@@ -125,18 +125,19 @@ def test_assemble_design_shapes():
     ds = random_dataset(1, 1)
     bc = ft.sample_basis(ft.ODD_CURL_FREE, 3, 2, 1.0, seed=0)
     bs = ft.sample_basis(ft.ODD_SYMPLECTIC, 3, 2, 1.0, seed=1)
-    assert rg.assemble_design(ds, bc, bs).shape == (6, 2)
+    assert ft.factored_design(ds.states, bc, bs).dense().shape == (6, 2)
 
 
 def test_assemble_design_vanishes_at_origin():
     ds = rg.Dataset(np.zeros((4, 2)), np.ones((4, 2)))
     bc = ft.sample_basis(ft.ODD_CURL_FREE, 5, 2, 1.0, seed=0)
     bs = ft.sample_basis(ft.ODD_SYMPLECTIC, 5, 2, 1.0, seed=1)
-    assert_array_equal(rg.assemble_design(ds, bc, bs), np.zeros((10, 8)))
+    assert_array_equal(ft.factored_design(ds.states, bc, bs).dense(), np.zeros((10, 8)))
 
 
 def test_assemble_design_is_the_stack_of_feature_designs_bit_for_bit():
-    """Filling the stacked array in place gives vstack's bits, signed zeros included."""
+    """The dense view of bases stacked by factored_design is vstack of their feature designs, signed zeros
+    included, so each basis's values and rows land at its own offset."""
     rng = np.random.default_rng(21)
     states = rng.normal(size=(5, 2))
     states[1] = 0.0  # sin(0) = +0.0 and cos(b) at the origin
@@ -147,12 +148,12 @@ def test_assemble_design_is_the_stack_of_feature_designs_bit_for_bit():
         basis = ft.sample_basis(kind, 6, 2, 0.8, seed=i)
         weights = basis.weights.copy()
         weights[0] = 0.0     # a feature that is 0 at every state
-        weights[1, 0] = 0.0  # an exactly-zero weight: its output column is never written
+        weights[1, 0] = 0.0  # an exactly-zero weight: a zero row entry, whose products are signed zeros
         bases.append(ft.FeatureBasis(kind, weights, basis.sigma, basis.seed, basis.phases))
     zeros = ft.feature_design(bases[0], ds.states)[:, 2:4]  # the origin's columns
     assert np.signbit(zeros).any() and (zeros == 0).all()    # hold -0.0 as well as +0.0
     for stack in (bases, bases[:2], bases[2:], bases[::-1]):
-        design = rg.assemble_design(ds, *stack)
+        design = ft.factored_design(ds.states, *stack).dense()
         reference = np.vstack([ft.feature_design(basis, ds.states) for basis in stack])
         assert design.tobytes() == reference.tobytes()
 
@@ -168,7 +169,7 @@ def dual_reference(design, targets, lam_diag, n_samples):
     weighted = (lam_min / lam_diag)[:, None] * design
     A = design.T @ weighted
     A[np.diag_indices_from(A)] += n_samples * lam_min
-    return weighted @ rg._checked_solve(A, targets)
+    return weighted @ rg._checked_solve(A, 0.0, targets)
 
 
 def test_blocked_dual_solve_matches_the_whole_design_solve():
@@ -217,7 +218,7 @@ def test_assemble_design_gram_block():
     ds = random_dataset(4, 7)
     bc = ft.sample_basis(ft.ODD_CURL_FREE, 6, 2, 0.9, seed=0)
     bs = ft.sample_basis(ft.ODD_SYMPLECTIC, 6, 2, 0.9, seed=1)
-    Phi = rg.assemble_design(ds, bc, bs)
+    Phi = ft.factored_design(ds.states, bc, bs).dense()
     gram = Phi.T @ Phi
     i = 2
     block = gram[2 * i:2 * i + 2, 2 * i:2 * i + 2]
@@ -263,7 +264,7 @@ def test_normal_equation_residual_postcondition():
     ds = msd_dataset()
     hyp = rg.Hyperparameters(3.0, 1e-8, 1e-8, d=200)
     model = hr.fit_helmholtz(ds, hyp, seed=11)
-    Phi = rg.assemble_design(ds, model.basis_c, model.basis_s)
+    Phi = ft.factored_design(ds.states, model.basis_c, model.basis_s).dense()
     lam = np.concatenate([np.full(200, hyp.lambda1), np.full(200, hyp.lambda2)])
     xi = np.concatenate([model.alpha, model.beta])
     rhs = Phi @ ds.target_vector()
@@ -278,7 +279,7 @@ def test_closed_form_matches_iterative_solver():
     model = hr.fit_helmholtz(ds, hyp, seed=6)
     xi = np.concatenate([model.alpha, model.beta])
 
-    Phi = rg.assemble_design(ds, model.basis_c, model.basis_s)
+    Phi = ft.factored_design(ds.states, model.basis_c, model.basis_s).dense()
     lam = np.concatenate([np.full(64, hyp.lambda1), np.full(64, hyp.lambda2)])
     A = np.vstack([Phi.T, np.diag(np.sqrt(len(ds) * lam))])
     b = np.concatenate([ds.target_vector(), np.zeros(128)])
