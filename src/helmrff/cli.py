@@ -15,7 +15,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from importlib import resources
 from pathlib import Path
 
@@ -69,16 +69,35 @@ def _fail(key: str, message: str):
 _REQUIRED = object()
 
 
-def _lookup(doc: dict, key: str, default=_REQUIRED):
-    """Follow a dotted key through nested mappings; a missing key fails unless defaulted."""
-    node = doc
-    for part in key.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if default is _REQUIRED:
-                _fail(key, "missing")
-            return default
-        node = node[part]
+def _merge(template, node, key: str = ""):
+    """`node` merged into `template`, the shape of the resolved document: where the template holds a mapping,
+    `node` must be one whose keys it holds, each merged in turn, and a key `node` lacks keeps the template's
+    value (its default, or _REQUIRED); anywhere else `node` is the value."""
+    if not isinstance(template, dict):
+        return node
+    if not isinstance(node, dict):
+        _fail(key, f"expected a mapping, got {node!r}")
+    prefix = f"{key}." if key else ""
+    for part in node:
+        if part not in template:
+            _fail(f"{prefix}{part}", f"unknown key; expected one of {sorted(template)}")
+    return {part: _merge(value, node[part], f"{prefix}{part}") if part in node else value
+            for part, value in template.items()}
+
+
+def _get(doc: dict, key: str):
+    """The value at a dotted key of a merged document; a required key the config lacks fails as missing."""
+    node = reduce(dict.__getitem__, key.split("."), doc)
+    if node is _REQUIRED:
+        _fail(key, "missing")
     return node
+
+
+def _put(doc: dict, key: str, value):
+    """Write `value` back at a dotted key of a merged document, and return it."""
+    *above, last = key.split(".")
+    reduce(dict.__getitem__, above, doc)[last] = value
+    return value
 
 
 def _check(key: str, check, *args):
@@ -89,35 +108,22 @@ def _check(key: str, check, *args):
         _fail(key, str(err))
 
 
-def _number(doc: dict, key: str, minimum=None, default=_REQUIRED, integer=False) -> float | int:
-    """A finite number as a float, or with `integer` a whole number (such as 25 or 25.0) as an int."""
-    node = _lookup(doc, key, default)
-    if not finite_number(node) or integer and not float(node).is_integer():
-        _fail(key, f"expected {'an integer' if integer else 'a finite number'}, got {node!r}")
+def _number(doc: dict, key: str, minimum=None, integer=False) -> float | int:
+    """The number at `key`, written back as a float that holds it exactly, or with `integer` as an int from a
+    whole number (such as 25 or 25.0)."""
+    node = _get(doc, key)
+    if not (finite_number(node) and (float(node).is_integer() if integer else float(node) == node)):
+        _fail(key, f"expected {'an integer' if integer else 'a finite number that a double holds exactly'}, "
+                   f"got {node!r}")
     if minimum is not None and node < minimum:
         _fail(key, f"must be >= {minimum}, got {node}")
-    return int(node) if integer else float(node)
+    return _put(doc, key, int(node) if integer else float(node))
 
 
-def _point(node, key: str) -> np.ndarray:
+def _point(node, key: str) -> list:
     if not isinstance(node, (list, tuple)) or len(node) != 2 or not all(map(finite_number, node)):
         _fail(key, f"expected a [q, p] pair of finite numbers, got {node!r}")
-    return np.asarray(node, dtype=float)
-
-
-def _end_time(doc: dict, key: str, h: float) -> float:
-    t_end = _number(doc, key, minimum=h)
-    _check(key, sy.whole_steps, h, t_end)
-    return t_end
-
-
-def _reject_unknown(doc: dict, known: dict, prefix: str = ""):
-    """Fail on the first key of `doc` missing from `known`, at every level where both are mappings."""
-    for key, node in doc.items():
-        if key not in known:
-            _fail(f"{prefix}{key}", f"unknown key; expected one of {sorted(known)}")
-        if isinstance(node, dict) and isinstance(known[key], dict):
-            _reject_unknown(node, known[key], f"{prefix}{key}.")
+    return np.asarray(node, dtype=float).tolist()
 
 
 def _check_sigma_range(key: str, values):
@@ -133,7 +139,7 @@ FIXED_LAMBDAS = {"helmholtz": ("lambda1", "lambda2"), "gaussian": ("lambda",)}
 
 def _key(dotted: str, convert=lambda node: node) -> property:
     """A read-only attribute holding one dotted key of the resolved document."""
-    return property(lambda self: convert(_lookup(self.doc, dotted)))
+    return property(lambda self: convert(_get(self.doc, dotted)))
 
 
 @dataclass(frozen=True)
@@ -194,19 +200,17 @@ class ExperimentConfig:
         return copy.deepcopy(self.doc)
 
 
-def _log_grid(doc: dict, key: str, default) -> np.ndarray:
-    """The search grid at `key`: a list, or a log-grid mapping expanded to one, of positive finite numbers."""
-    node = _lookup(doc, key, None)
-    if node is None:
-        return default
+def _log_grid(doc: dict, key: str) -> list:
+    """The search grid at `key`, a list or a log-grid mapping expanded to one, of positive finite numbers."""
+    node = _get(doc, key)
     if isinstance(node, dict):
-        _reject_unknown(node, dict.fromkeys(("log10_start", "log10_stop", "count")), f"{key}.")
+        _put(doc, key, _merge(dict.fromkeys(("log10_start", "log10_stop", "count"), _REQUIRED), node, key))
         count = _number(doc, f"{key}.count", minimum=1, integer=True)
         with np.errstate(over="ignore"):  # an overflow to inf fails the check below
             node = np.logspace(_number(doc, f"{key}.log10_start"), _number(doc, f"{key}.log10_stop"), count).tolist()
     if not (isinstance(node, list) and node and all(finite_number(v) and v > 0 for v in node)):
         _fail(key, f"expected a non-empty list of positive finite numbers, got {node!r}")
-    return np.asarray(node, dtype=float)
+    return _put(doc, key, np.asarray(node, dtype=float).tolist())
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -228,73 +232,65 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def _resolve(doc: dict) -> ExperimentConfig:
-    """Check every key of a config document and fill in the defaults."""
-    name = _lookup(doc, "system.name")
-    if name not in sy.SYSTEM_FACTORIES:
-        _fail("system.name", f"unknown system {name!r}; choose from {sorted(sy.SYSTEM_FACTORIES)}")
+    """Merge a config document into the template of its echo, which holds every default and marks each required
+    key _REQUIRED, then check each value and write it back normalized.  Only a missing key takes its default."""
+    system = doc.get("system", {})
+    if not isinstance(system, dict):
+        _fail("system", f"expected a mapping, got {system!r}")
+    name = system.get("name", _REQUIRED)
+    if not (isinstance(name, str) and name in sy.SYSTEM_FACTORIES):
+        _fail("system.name", "missing" if name is _REQUIRED else
+              f"unknown system {name!r}; choose from {sorted(sy.SYSTEM_FACTORIES)}")
     factory = sy.SYSTEM_FACTORIES[name]
-    params = {p: _number(doc, f"system.{p}") for p in inspect.signature(factory).parameters}
-    _check("system", factory, *params.values())
-
-    ic_node = _lookup(doc, "data.initial_conditions")
-    if not isinstance(ic_node, list) or not ic_node:
-        _fail("data.initial_conditions", "expected a non-empty list of [q, p] pairs")
-    ics = np.array([_point(ic, f"data.initial_conditions[{i}]") for i, ic in enumerate(ic_node)])
-
-    h = _number(doc, "data.h", minimum=1e-12)
-    t_end = _end_time(doc, "data.t_end", h)
-    include_t0 = _lookup(doc, "data.include_t0", True)
-    if not isinstance(include_t0, bool):
-        _fail("data.include_t0", f"expected a boolean, got {include_t0!r}")
-    noise_sigma = _number(doc, "data.noise_sigma", minimum=0.0)
-
-    test_x0 = _point(_lookup(doc, "test.x0"), "test.x0")
-    test_h = _number(doc, "test.h", minimum=1e-12, default=h)
-    test_t_end = _end_time(doc, "test.t_end", test_h)
-
-    d = _number(doc, "model.d", minimum=1, default=200.0, integer=True)
-    if d % 2:
-        _fail("model.d", f"feature budget must be even so the baseline map splits over both outputs, got {d}")
-
-    folds = _number(doc, "search.folds", minimum=2, default=5.0, integer=True)
+    params = inspect.signature(factory).parameters
     defaults = ev.default_search_space()
-    sigma_grid = _log_grid(doc, "search.sigma_grid", defaults.sigmas)
-    lambda_grid = _log_grid(doc, "search.lambda_grid", defaults.lambda1s)
-    _check_sigma_range("search.sigma_grid", sigma_grid)
+    doc = _merge({
+        "system": {"name": name, **dict.fromkeys(params, _REQUIRED)},
+        "data": {**dict.fromkeys(("initial_conditions", "h", "t_end", "noise_sigma"), _REQUIRED), "include_t0": True},
+        "test": dict.fromkeys(("x0", "h", "t_end"), _REQUIRED),
+        "model": {"d": 200},
+        "search": {"folds": 5, "sigma_grid": defaults.sigmas.tolist(), "lambda_grid": defaults.lambda1s.tolist()},
+        # A fixed block in the keys the reader takes; a tuned one as null.
+        "hyperparameters": dict.fromkeys(FIXED_LAMBDAS),
+        "seed": 0, "output_dir": "out",
+        "figure": {"bounds": [[-4.0, 4.0], [-4.0, 4.0]], "resolution": 25},
+    }, doc)
+    _check("system", factory, *(_number(doc, f"system.{p}") for p in params))
 
-    fixed = dict.fromkeys(FIXED_LAMBDAS)
+    ics = _get(doc, "data.initial_conditions")
+    if not isinstance(ics, list) or not ics:
+        _fail("data.initial_conditions", "expected a non-empty list of [q, p] pairs")
+    _put(doc, "data.initial_conditions", [_point(ic, f"data.initial_conditions[{i}]") for i, ic in enumerate(ics)])
+    _put(doc, "test.x0", _point(_get(doc, "test.x0"), "test.x0"))
+    if doc["test"]["h"] is _REQUIRED:  # test.h defaults to data.h
+        doc["test"]["h"] = doc["data"]["h"]
+    for section in ("data", "test"):
+        h = _number(doc, f"{section}.h", minimum=1e-12)
+        _check(f"{section}.t_end", sy.whole_steps, h, _number(doc, f"{section}.t_end", minimum=h))
+    if not isinstance(include_t0 := _get(doc, "data.include_t0"), bool):
+        _fail("data.include_t0", f"expected a boolean, got {include_t0!r}")
+    _number(doc, "data.noise_sigma", minimum=0.0)
+
+    if (d := _number(doc, "model.d", minimum=1, integer=True)) % 2:
+        _fail("model.d", f"feature budget must be even so the baseline map splits over both outputs, got {d}")
+    _number(doc, "search.folds", minimum=2, integer=True)
+    _check_sigma_range("search.sigma_grid", _log_grid(doc, "search.sigma_grid"))
+    _log_grid(doc, "search.lambda_grid")
+
     for model, lambda_keys in FIXED_LAMBDAS.items():
         key = f"hyperparameters.{model}"
-        if _lookup(doc, key, None) is not None:
-            sigma = _number(doc, f"{key}.sigma", minimum=SIGMA_RANGE[0])
-            _check_sigma_range(f"{key}.sigma", sigma)
-            fixed[model] = {"sigma": sigma, **{k: _number(doc, f"{key}.{k}", minimum=1e-300) for k in lambda_keys}}
+        if _get(doc, key) is not None:
+            _put(doc, key, _merge(dict.fromkeys(("sigma", *lambda_keys), _REQUIRED), _get(doc, key), key))
+            _check_sigma_range(f"{key}.sigma", _number(doc, f"{key}.sigma", minimum=SIGMA_RANGE[0]))
+            for k in lambda_keys:
+                _number(doc, f"{key}.{k}", minimum=1e-300)
 
-    seed = _number(doc, "seed", minimum=0.0, default=0.0, integer=True)
-    output_dir = doc.get("output_dir", "out")
-    if not isinstance(output_dir, str) or not output_dir:
+    _number(doc, "seed", minimum=0.0, integer=True)
+    if not isinstance(output_dir := _get(doc, "output_dir"), str) or not output_dir:
         _fail("output_dir", f"expected a non-empty string, got {output_dir!r}")
-
-    resolution = _number(doc, "figure.resolution", minimum=2, default=25.0, integer=True)
-    bounds = _lookup(doc, "figure.bounds", [[-4.0, 4.0], [-4.0, 4.0]])
-    bounds = _check("figure.bounds", grid_limits, bounds, resolution).tolist()
-
-    resolved = {
-        "system": {"name": name, **params},
-        "data": {"initial_conditions": ics.tolist(), "h": h, "t_end": t_end,
-                 "include_t0": include_t0, "noise_sigma": noise_sigma},
-        "test": {"x0": test_x0.tolist(), "h": test_h, "t_end": test_t_end},
-        "model": {"d": d},
-        "search": {"folds": folds, "sigma_grid": sigma_grid.tolist(), "lambda_grid": lambda_grid.tolist()},
-        # A fixed block in the keys the reader takes; a tuned one as null.
-        "hyperparameters": fixed,
-        "seed": seed,
-        "output_dir": output_dir,
-        "figure": {"bounds": bounds, "resolution": resolution},
-    }
-    # The echo holds every key the reader takes, defaults included.
-    _reject_unknown(doc, resolved)
-    return ExperimentConfig(resolved)
+    resolution = _number(doc, "figure.resolution", minimum=2, integer=True)
+    _put(doc, "figure.bounds", _check("figure.bounds", grid_limits, _get(doc, "figure.bounds"), resolution).tolist())
+    return ExperimentConfig(doc)
 
 
 def bundled_config_path(experiment: str) -> Path:

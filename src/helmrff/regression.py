@@ -244,8 +244,9 @@ class ExactKernelModel:
 
     @_batched
     def predict(self, X) -> np.ndarray:
-        blocks = kernel_blocks(self.kind, X, self.anchors, self.sigma)
-        return np.einsum("bnij,nj->bi", blocks, self.coefficients)
+        """The field at X over state blocks whose (B, N, n, n) kernel blocks hold at most _BLOCK_ENTRIES entries."""
+        return ft._over_blocks(X, self.anchors.size * self.dim, lambda B: np.einsum(
+            "bnij,nj->bi", kernel_blocks(self.kind, B, self.anchors, self.sigma), self.coefficients))
 
 
 def _checked_solve(A: np.ndarray, shift: float | np.ndarray, b: np.ndarray) -> np.ndarray:

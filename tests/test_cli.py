@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helmrff import cli
+from helmrff import evaluation as ev
 from helmrff import features as ft
 from helmrff import regression as rg
 from helmrff import systems as sy
@@ -60,6 +61,18 @@ BAD_GRIDS_AND_BOUNDS = [
     ("figure.bounds", [[-4.0, 4.0, 99], [-4.0, 4.0]]),
     ("search.lambda_grid", {"log10_start": -400.0, "log10_stop": 0.0, "count": 3}),
     ("search.sigma_grid", [1.0, "wide"]),
+]
+# Each of these ran the defaults without a word, or (a name that is a list or a mapping) ended in a TypeError
+# traceback; and a null grid read as the default grid.  Only a missing key takes its default.
+MISSHAPEN = [
+    ("system.name", ["msd"]),
+    ("system.name", {"a": 1}),
+    ("figure", 2.5),
+    ("search", 7),
+    ("model", "x"),
+    ("hyperparameters", []),
+    ("hyperparameters.helmholtz", 5),
+    ("search.sigma_grid", None),
 ]
 
 
@@ -126,6 +139,11 @@ def test_parse_errors_name_the_offending_key(tmp_path):
     # an integer past 2**53 is read as an int, not rounded through a float to 2**53
     big = cli.parse_config(write_config(tmp_path, "msd", seed=2**53 + 1))
     assert big.seed == 2**53 + 1 and f'"seed": {2**53 + 1}' in json.dumps(big.resolved())
+    # a float key refuses one, rather than echo it rounded to 2**53; one that a double holds is read exactly
+    with pytest.raises(cli.ConfigError, match=rf"config key 'system.m': expected a finite number that a double "
+                                              rf"holds exactly, got {2**53 + 1}"):
+        cli.parse_config(write_config(tmp_path, "msd", **{"system.m": 2**53 + 1}))
+    assert cli.parse_config(write_config(tmp_path, "msd", **{"system.m": 2**53})).resolved()["system"]["m"] == 2.0**53
     # shape checks of the document, the initial conditions, include_t0 and output_dir
     listed = tmp_path / "listed.yaml"
     listed.write_text(yaml.safe_dump([{"system": {"name": "msd"}}]))
@@ -137,7 +155,7 @@ def test_parse_errors_name_the_offending_key(tmp_path):
             cli.parse_config(write_config(tmp_path, "msd", **{key: value}))
 
 
-@pytest.mark.parametrize("key, value", BAD_GRIDS_AND_BOUNDS)
+@pytest.mark.parametrize("key, value", BAD_GRIDS_AND_BOUNDS + MISSHAPEN)
 def test_bad_grid_or_bounds_fails_before_reproduce_starts(tmp_path, capsys, key, value):
     out = tmp_path / "o"
     argv = ["reproduce", "msd", "--seeds", "2", "--config", str(write_config(tmp_path, "msd", **{key: value}))]
@@ -483,6 +501,80 @@ def test_data_file_mutants_load_exactly_or_fail_at_the_boundary(saved, op, data)
     else:
         for column in ("states", "derivatives", "times", "traj_ids"):
             assert_array_equal(getattr(loaded, column), getattr(saved.dataset, column))
+
+
+@pytest.fixture(scope="module")
+def echoes(tmp_path_factory):
+    """The resolved documents of both bundled configs and of msd with both models fixed, and a scratch directory."""
+    msd = cli.parse_config(cli.bundled_config_path("msd"))
+    docs = [msd.resolved(), cli.parse_config(cli.bundled_config_path("pendulum")).resolved(),
+            cli._fix_hypers(msd, "0.5,1e-4,1e-6").resolved()]
+    return SimpleNamespace(root=tmp_path_factory.mktemp("echoes"), docs=docs)
+
+
+# What a dropped optional key reads as; a dropped test.h reads as data.h.
+CONFIG_DEFAULTS = {"data": {"include_t0": True}, "model": {"d": 200},
+                   "search": {"folds": 5, "sigma_grid": ev.default_search_space().sigmas.tolist(),
+                              "lambda_grid": ev.default_search_space().lambda1s.tolist()},
+                   "hyperparameters": {"helmholtz": None, "gaussian": None}, "seed": 0, "output_dir": "out",
+                   "figure": {"bounds": [[-4.0, 4.0], [-4.0, 4.0]], "resolution": 25}}
+CONFIG_VALUES = {"null": None, "nan": float("nan"), "inf": float("inf"), "bool": True, "fraction": 2.5,
+                 "huge": 10**400}
+
+
+def shown(path) -> str:
+    """A document path as a config error names it: data.initial_conditions[0], say."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.integers(0, 2), st.sampled_from(("drop", "retype", "unknown", *CONFIG_VALUES)), st.data())
+def test_config_file_mutants_parse_exactly_or_fail_at_the_boundary(echoes, index, op, data):
+    """Drop a node of a resolved config, null it, retype it, set it to NaN, inf, a bool, a fraction or
+    10**400, or add an unknown key beside it: the file fails with a ConfigError naming the key, an ancestor, or
+    a key inside what was dropped or retyped (a step and its end are checked together, under the end's key),
+    or it parses to a config whose echo holds the mutated value, or the default of a dropped optional key, and
+    parses back to itself."""
+    doc = copy.deepcopy(echoes.docs[index])
+
+    def at(path):
+        return reduce(lambda n, k: n[k], path, doc)
+
+    path = ()  # a walk down from the root, so that each level of the document gets its share of the draws
+    while isinstance(at(path), (dict, list)) and at(path) and (not path or data.draw(st.booleans())):
+        path += (data.draw(st.sampled_from(list(at(path)) if isinstance(at(path), dict) else range(len(at(path))))),)
+    if op == "unknown":
+        while not isinstance(at(path), dict):
+            path = path[:-1]
+        path += ("unknown",)
+    *above, key = path
+    parent = at(above)
+    if op == "drop":
+        del parent[key]
+    elif op == "retype":
+        old = parent[key]
+        parent[key] = data.draw(st.sampled_from([v for v in ("x", 3, [old], {"x": old}) if type(v) is not type(old)]))
+    else:
+        parent[key] = 1 if op == "unknown" else CONFIG_VALUES[op]
+    mutant = echoes.root / "mutant.yaml"
+    mutant.write_text(yaml.safe_dump(doc))
+
+    try:
+        config = cli.parse_config(mutant)
+    except cli.ConfigError as err:
+        named = re.match(r"config key '([^']*)': ", str(err))
+        assert named, err
+        named, mutated = named.group(1), shown(path)
+        one_line = any(a == b or a.startswith((b + ".", b + "[")) for a, b in ((mutated, named), (named, mutated)))
+        step = path in (("data", "h"), ("test", "h")) and named == f"{path[0]}.t_end"
+        assert one_line or step, err
+    else:
+        if op == "drop" and isinstance(parent, dict):  # a KeyError for a required key, which must have failed
+            parent[key] = doc["data"]["h"] if path == ("test", "h") else reduce(dict.__getitem__, path, CONFIG_DEFAULTS)
+        assert config.resolved() == doc
+        echo = echoes.root / "echo.yaml"
+        echo.write_text(yaml.safe_dump(config.resolved()))
+        assert cli.parse_config(echo).resolved() == config.resolved()
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from scipy.sparse.linalg import lsqr
 import helmrff as hr
 from helmrff import evaluation as ev
 from helmrff import features as ft
+from helmrff import kernels as kn
 from helmrff import regression as rg
 
 
@@ -550,6 +551,28 @@ def test_exact_kernel_solves_the_block_system():
     model = hr.fit_exact_kernel(ds, "helmholtz", sigma=1.5, lam=lam)
     lhs = model.predict(ds.states) + len(ds) * lam * model.coefficients
     assert_allclose(lhs, ds.derivatives, atol=1e-10)
+
+
+def test_exact_kernel_predict_is_evaluated_in_bounded_blocks():
+    """5,000 states against 200 anchors peaked at 145 MiB when predict formed the (B, N, n, n) kernel blocks of
+    the whole batch.  A block of states now holds at most _BLOCK_ENTRIES kernel entries, kernel_blocks keeps at
+    most six arrays of that size alive at once (it peaks near five), and the blocks' fields and their
+    concatenation add two (B, n) arrays."""
+    rng = np.random.default_rng(22)
+    anchors = rng.normal(size=(200, 2))
+    model = rg.ExactKernelModel(rng.normal(size=(200, 2)), anchors, "helmholtz", 1.0)
+    X = rng.normal(size=(5000, 2))
+    tracemalloc.start()
+    try:
+        field = model.predict(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 6 * 8 * ft._BLOCK_ENTRIES + 2 * X.nbytes
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
+    # blocks split the states only, so the field is the one-batch field to the bit
+    batch = np.einsum("bnij,nj->bi", kn.kernel_blocks("helmholtz", X[:400], anchors, 1.0), model.coefficients)
+    assert_array_equal(field[:400], batch)
 
 
 # ---------------------------------------------------------- serialization
