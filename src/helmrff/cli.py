@@ -6,9 +6,7 @@ re-running a command with the same inputs rewrites identical files.
 """
 
 import argparse
-import contextlib
 import copy
-import ctypes
 import inspect
 import json
 import os
@@ -26,7 +24,7 @@ from . import evaluation as ev
 from . import regression as rg
 from . import systems as sy
 from .features import grid_limits, split_seed
-from .kernels import finite_number
+from .kernels import finite_number, one_blas_thread
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -108,11 +106,26 @@ def _check(key: str, check, *args):
         _fail(key, str(err))
 
 
+def _double(node) -> bool:
+    """Whether `node` is a finite number that a double holds exactly: the check of a float key and a list entry."""
+    return finite_number(node) and float(node) == node
+
+
+def _doubles(node: list, key: str) -> None:
+    """Fail at the first number in the nested lists `node` that a double cannot hold exactly, naming it by its
+    index, as in `figure.bounds[0][1]`; the caller checks the shape and that every entry is a finite number."""
+    for i, entry in enumerate(node):
+        if isinstance(entry, (list, tuple)):
+            _doubles(entry, f"{key}[{i}]")
+        elif not _double(entry):
+            _fail(f"{key}[{i}]", f"expected a finite number that a double holds exactly, got {entry!r}")
+
+
 def _number(doc: dict, key: str, minimum=None, integer=False) -> float | int:
     """The number at `key`, written back as a float that holds it exactly, or with `integer` as an int from a
     whole number (such as 25 or 25.0)."""
     node = _get(doc, key)
-    if not (finite_number(node) and (float(node).is_integer() if integer else float(node) == node)):
+    if not ((finite_number(node) and float(node).is_integer()) if integer else _double(node)):
         _fail(key, f"expected {'an integer' if integer else 'a finite number that a double holds exactly'}, "
                    f"got {node!r}")
     if minimum is not None and node < minimum:
@@ -123,6 +136,7 @@ def _number(doc: dict, key: str, minimum=None, integer=False) -> float | int:
 def _point(node, key: str) -> list:
     if not isinstance(node, (list, tuple)) or len(node) != 2 or not all(map(finite_number, node)):
         _fail(key, f"expected a [q, p] pair of finite numbers, got {node!r}")
+    _doubles(node, key)
     return np.asarray(node, dtype=float).tolist()
 
 
@@ -210,6 +224,7 @@ def _log_grid(doc: dict, key: str) -> list:
             node = np.logspace(_number(doc, f"{key}.log10_start"), _number(doc, f"{key}.log10_stop"), count).tolist()
     if not (isinstance(node, list) and node and all(finite_number(v) and v > 0 for v in node)):
         _fail(key, f"expected a non-empty list of positive finite numbers, got {node!r}")
+    _doubles(node, key)
     return _put(doc, key, np.asarray(node, dtype=float).tolist())
 
 
@@ -289,7 +304,9 @@ def _resolve(doc: dict) -> ExperimentConfig:
     if not isinstance(output_dir := _get(doc, "output_dir"), str) or not output_dir:
         _fail("output_dir", f"expected a non-empty string, got {output_dir!r}")
     resolution = _number(doc, "figure.resolution", minimum=2, integer=True)
-    _put(doc, "figure.bounds", _check("figure.bounds", grid_limits, _get(doc, "figure.bounds"), resolution).tolist())
+    limits = _check("figure.bounds", grid_limits, bounds := _get(doc, "figure.bounds"), resolution)
+    _doubles(bounds, "figure.bounds")
+    _put(doc, "figure.bounds", limits.tolist())
     return ExperimentConfig(doc)
 
 
@@ -543,51 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _openblas_thread_controls():
-    """(get, set), the thread-count functions of the OpenBLAS numpy links, or None if none is found.
-
-    dlsym on numpy's linalg extension searches the libraries it links too. numpy's wheel exports
-    `scipy_openblas_get_num_threads64_`; a system OpenBLAS usually has neither prefix nor suffix.
-    """
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except OSError:
-        return None
-    for get_name, set_name in ((f"{prefix}openblas_{op}_num_threads{suffix}" for op in ("get", "set"))
-                               for prefix in ("scipy_", "") for suffix in ("64_", "")):
-        if hasattr(lib, get_name) and hasattr(lib, set_name):
-            get, put = getattr(lib, get_name), getattr(lib, set_name)
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore the count.
-
-    The solves and eigendecompositions of every command are small, so BLAS
-    threads only contend with `reproduce`'s worker threads; and a fixed count
-    makes the results independent of OPENBLAS_NUM_THREADS.
-    """
-    controls = _openblas_thread_controls()
-    if controls is None:
-        yield
-        return
-    get, put = controls
-    previous = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(previous)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with _one_blas_thread():
+        with one_blas_thread:
             return args.func(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

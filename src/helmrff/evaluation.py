@@ -14,7 +14,7 @@ from itertools import groupby
 import numpy as np
 
 from . import features as ft
-from .kernels import finite_array, integer_at_least, positive_finite
+from .kernels import finite_array, integer_at_least, one_blas_thread, positive_finite
 from .regression import BaselineModel, Dataset, HelmholtzModel, Hyperparameters
 from .systems import SystemSpec, sample_flow, write_csv
 
@@ -82,6 +82,7 @@ def fold_indices(n_samples: int, folds: int, seed: int) -> list[tuple[np.ndarray
             for i, val in enumerate(parts)]
 
 
+@one_blas_thread
 def cross_validate(dataset: Dataset, space: SearchSpace, seed: int) -> Hyperparameters:
     """Pick the grid point with the lowest mean validation MSE over k folds (`_cv_scores`).
 

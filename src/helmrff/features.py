@@ -23,8 +23,8 @@ KINDS = (ODD_CURL_FREE, ODD_SYMPLECTIC, GAUSSIAN_SEPARABLE)
 
 # The most entries of any (states, features) array that a fitted field or a factored design forms, of the
 # two (both grid axes, features) arrays of a grid block together, and of any block of a design's rows that
-# its products take: 1 MiB of float64, 2 MiB of complex.  It bounds memory only; a block's product may
-# still run on several BLAS threads.
+# its products take: 1 MiB of float64, 2 MiB of complex.  It bounds memory; the products run on one BLAS
+# thread, as every public compute entry point enters `kernels.one_blas_thread`.
 _BLOCK_ENTRIES = 2**17
 
 
@@ -264,8 +264,9 @@ class FactoredDesign:
 
     def dot(self, c) -> np.ndarray:
         """D c for a length-(n N) vector c: the row sums of rows * (V C), C the (N, n) view of c, over the
-        row blocks.  On a 2-core machine one product of all of V at d = 20000 ran on both BLAS threads,
-        whose packing buffers raised the fit's peak RSS by 6.9 MB; the blocks raised it by 1.0 MB."""
+        row blocks, which bound its temporaries.  (Measured at d = 20000 on a 2-core machine with two BLAS
+        threads: one product of all of V raised the fit's peak RSS by 6.9 MB through the threads' packing
+        buffers, the blocks by 1.0 MB.)"""
         C = c.reshape(self.values.shape[1], -1)
         return np.concatenate([np.einsum("io,io->i", self.rows[b], self.values[b] @ C) for b in _blocks(*self.shape)])
 

@@ -4,11 +4,16 @@ These closed-form kernels are the ground truth that the random-feature
 maps in :mod:`helmrff.features` approximate, and they back the small-N
 exact-kernel solver in :mod:`helmrff.regression`.  The module also holds
 the boundary checks every other module, the config reader included,
-applies to numbers, widths and ridge weights, integer budgets, and arrays.
+applies to numbers, widths and ridge weights, integer budgets, and arrays,
+and `one_blas_thread`, which every public compute entry point enters.
 """
 
+import contextlib
+import ctypes
+import functools
 import numbers
 import sys
+import threading
 
 import numpy as np
 
@@ -63,6 +68,63 @@ def finite_states(name: str, value, n: int | None = None) -> np.ndarray:
     before numpy converts it, so a bool in a list is refused; a None n is any dimension >= 1."""
     rank = value.ndim if isinstance(value, np.ndarray) else np.asarray(value, object).ndim  # a ragged list has one
     return finite_array(name, [value] if rank == 1 else value, (None, n))
+
+
+@functools.cache
+def _openblas_thread_controls():
+    """(get, set), the thread-count functions of the OpenBLAS numpy links, or None if none is found.
+
+    dlsym on numpy's linalg extension searches the libraries it links too. numpy's wheel exports
+    `scipy_openblas_get_num_threads64_`; a system OpenBLAS usually has neither prefix nor suffix.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
+    for get_name, set_name in ((f"{prefix}openblas_{op}_num_threads{suffix}" for op in ("get", "set"))
+                               for prefix in ("scipy_", "") for suffix in ("64_", "")):
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, put = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Compute on one OpenBLAS thread, as a context manager or a decorator, then restore the count.
+
+    The products are skinny (random features keep N small), so a second BLAS thread buys no wall time; it
+    spins through the call, doubling its CPU time, and it makes the results depend on the thread count.
+    A lock-guarded depth count makes this re-entrant and thread-safe: the first caller in saves the count
+    and sets 1, nested and concurrent callers (the `reproduce` pool, a user's own threads) only count, and
+    the last caller out restores it, also on an exception.  A count of 1 is left alone.  The count is
+    process-wide, so while any call runs, numpy in every thread computes on one BLAS thread.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._restore = None  # the count to set when the last caller leaves, or None to leave it
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0 and (controls := _openblas_thread_controls()) is not None:
+                get, put = controls
+                if (count := get()) != 1:
+                    put(1)
+                    self._restore = count
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._restore is not None:
+                _openblas_thread_controls()[1](self._restore)
+                self._restore = None
+
+
+one_blas_thread = _OneBlasThread()
 
 
 def symplectic_matrix(m: int) -> np.ndarray:

@@ -18,8 +18,8 @@ from functools import reduce, wraps
 import numpy as np
 
 from . import features as ft
-from .kernels import (finite_array, finite_states, gram_matrix, integer_at_least, kernel_blocks, positive_finite,
-                      symplectic_matrix)
+from .kernels import (finite_array, finite_states, gram_matrix, integer_at_least, kernel_blocks, one_blas_thread,
+                      positive_finite, symplectic_matrix)
 
 _EXACT_N_LIMIT = 200
 
@@ -94,13 +94,15 @@ class Hyperparameters:
 
 
 def _batched(method):
-    """Let a model method take one state or an (B, n) batch of finite numbers; one state in, one result out."""
+    """Let a model method take one state or an (B, n) batch of finite numbers; one state in, one result out.
+    The method computes on one BLAS thread (`kernels.one_blas_thread`)."""
     @wraps(method)
     def call(self, x):
         X = finite_states(f"{method.__name__} states", x)
         if X.shape[1] != self.dim:
             raise ValueError(f"state dimension {X.shape[1]} does not match model dimension {self.dim}")
-        out = method(self, X)
+        with one_blas_thread:
+            out = method(self, X)
         return out[0] if np.ndim(x) == 1 else out
     return call
 
@@ -146,6 +148,7 @@ class _FeatureModel:
     def predict(self, X) -> np.ndarray:
         return reduce(operator.add, (basis.field(X, coef) for coef, basis in self._parts()))
 
+    @one_blas_thread
     def predict_grid(self, limits, resolution) -> np.ndarray:
         """predict on the evenly spaced grid of `FeatureBasis.grid_field`, shape (resolution, resolution, 2)."""
         return reduce(operator.add, (basis.grid_field(limits, resolution, coef) for coef, basis in self._parts()))
@@ -283,6 +286,7 @@ def solve_ridge(design: ft.FactoredDesign, targets: np.ndarray, lam_diag: np.nda
     return w * design.dot(_checked_solve(design.gram(w), n_samples * lam_min, targets))
 
 
+@one_blas_thread
 def _fit(model: type[_FeatureModel], dataset: Dataset, hyper: Hyperparameters, seed: int):
     """Fit `model`: draw the basis of each map from its own child seed, then solve for the
     coefficients of every map at once, each penalised by its own ridge weight."""
@@ -304,6 +308,7 @@ def fit_baseline(dataset: Dataset, hyper: Hyperparameters, seed: int) -> Baselin
     return _fit(BaselineModel, dataset, hyper, seed)
 
 
+@one_blas_thread
 def fit_exact_kernel(dataset: Dataset, kind: str, sigma: float, lam: float) -> ExactKernelModel:
     """Solve the dense representer system K a + N lambda a = xdot.
 

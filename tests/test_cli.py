@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from functools import reduce
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,6 +20,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from helmrff import cli
 from helmrff import evaluation as ev
 from helmrff import features as ft
+from helmrff import kernels
 from helmrff import regression as rg
 from helmrff import systems as sy
 
@@ -144,6 +146,15 @@ def test_parse_errors_name_the_offending_key(tmp_path):
                                               rf"holds exactly, got {2**53 + 1}"):
         cli.parse_config(write_config(tmp_path, "msd", **{"system.m": 2**53 + 1}))
     assert cli.parse_config(write_config(tmp_path, "msd", **{"system.m": 2**53})).resolved()["system"]["m"] == 2.0**53
+    # so does a list entry, named by its index
+    for key, value, where in (("test.x0", [2**53 + 1, 0.0], "test.x0[0]"),
+                              ("figure.bounds", [[-(2**53 + 1), 4.0], [-4.0, 4.0]], "figure.bounds[0][0]"),
+                              ("data.initial_conditions", [[1.0, 0.0], [2.0, 2**53 + 1]],
+                               "data.initial_conditions[1][1]"),
+                              ("search.lambda_grid", [1e-3, 2**53 + 1], "search.lambda_grid[1]")):
+        with pytest.raises(cli.ConfigError, match=rf"config key '{re.escape(where)}': expected a finite number "
+                                                  rf"that a double holds exactly, got -?{2**53 + 1}"):
+            cli.parse_config(write_config(tmp_path, "msd", **{key: value}))
     # shape checks of the document, the initial conditions, include_t0 and output_dir
     listed = tmp_path / "listed.yaml"
     listed.write_text(yaml.safe_dump([{"system": {"name": "msd"}}]))
@@ -755,11 +766,11 @@ def test_reproduce_flags_threshold_failures(tmp_path):
 
 
 def blas_thread_controls():
-    """The CLI's OpenBLAS thread controls: a skip only where numpy's build names another BLAS."""
+    """The library's OpenBLAS thread controls: a skip only where numpy's build names another BLAS."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     if "openblas" not in blas.lower():
         pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS")
-    controls = cli._openblas_thread_controls()
+    controls = kernels._openblas_thread_controls()
     assert controls is not None, f"numpy's BLAS is {blas}, but no OpenBLAS thread controls were found"
     return controls
 
@@ -800,6 +811,117 @@ def test_reproduce_is_byte_identical_across_blas_threads_and_jobs(tmp_path, mani
     assert sorted(first) == sorted(manifests[here])
     for name, files in runs.items():
         assert files == first, name
+
+
+@pytest.fixture(scope="module")
+def blas_models():
+    """A small msd dataset, a Helmholtz model fitted on the dual side (2d > nN) and an exact model."""
+    data = cli.simulate_dataset(cli.parse_config(cli.bundled_config_path("msd")), 0)
+    return (data, rg.fit_helmholtz(data, rg.Hyperparameters(1.0, 1e-2, 1e-2, d=200), 0),
+            rg.fit_exact_kernel(data, "helmholtz", 1.0, 1e-2))
+
+
+class Spied(Exception):
+    """Raised by a spy after it records the BLAS thread count, to check the restore on an exception."""
+
+
+LIBRARY_CALLS = {
+    "fit_helmholtz": lambda data, model, exact: rg.fit_helmholtz(data, model.hyper, 0),
+    "fit_exact_kernel": lambda data, model, exact: rg.fit_exact_kernel(data, "helmholtz", 1.0, 1e-2),
+    "cross_validate": lambda data, model, exact: ev.cross_validate(
+        data, ev.SearchSpace(sigmas=[1.0, 2.0], lambda1s=[1e-2], lambda2s=[1e-3, 1e-2], folds=3, d=20), 0),
+    "stream_grid of a feature model": lambda data, model, exact: ev.stream_grid(model, [[-1, 1], [-1, 1]], 5),
+    "stream_grid of an exact model": lambda data, model, exact: ev.stream_grid(exact, [[-1, 1], [-1, 1]], 5),
+    "predict": lambda data, model, exact: model.predict(data.states),
+}
+
+
+@pytest.mark.parametrize("raising", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("call", sorted(LIBRARY_CALLS))
+def test_library_calls_run_on_one_blas_thread_and_restore_the_count(monkeypatch, blas_models, call, raising):
+    get, put = blas_thread_controls()
+    seen = []
+
+    def spy(original):
+        def recording(*args, **kwargs):
+            seen.append(get())
+            if raising:
+                raise Spied
+            return original(*args, **kwargs)
+        return recording
+    for owner, name in ((ft.FactoredDesign, "gram"), (ft.FeatureBasis, "grid_field"), (ft.FeatureBasis, "field"),
+                        (rg, "_checked_solve"), (rg, "kernel_blocks")):
+        monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
+    found = get()
+    try:
+        put(2)
+        with pytest.raises(Spied) if raising else contextlib.nullcontext():
+            LIBRARY_CALLS[call](*blas_models)
+        assert seen and set(seen) == {1}
+        assert get() == 2
+    finally:
+        put(found)
+
+
+def test_concurrent_library_calls_hold_one_blas_thread_until_the_last_leaves(monkeypatch, blas_models):
+    get, put = blas_thread_controls()
+    _, model, _ = blas_models
+    inside, leave = ({name: threading.Event() for name in "ab"} for _ in range(2))
+    field, errors = ft.FeatureBasis.field, []
+
+    def held(self, X, coef):  # holds each thread inside predict until the test lets it leave
+        name = threading.current_thread().name
+        inside[name].set()
+        assert leave[name].wait(60)
+        return field(self, X, coef)
+
+    def run():
+        try:
+            model.predict([0.5, -0.5])
+        except BaseException as err:  # reported by the main thread
+            errors.append(err)
+    monkeypatch.setattr(ft.FeatureBasis, "field", held)
+    threads = {name: threading.Thread(target=run, name=name) for name in "ab"}
+    found = get()
+    try:
+        put(2)
+        for name, thread in threads.items():
+            thread.start()
+            assert inside[name].wait(60)
+            assert get() == 1
+        leave["a"].set()
+        threads["a"].join(60)
+        assert get() == 1  # b is still inside
+        leave["b"].set()
+        threads["b"].join(60)
+        assert get() == 2
+    finally:
+        for event in leave.values():
+            event.set()
+        for thread in threads.values():
+            thread.join(60)
+        put(found)
+    assert not errors
+
+
+def test_large_fit_and_grid_are_bit_identical_across_blas_threads():
+    """At d = 20000 the dual Gram and the grid take long skinny products, which two BLAS threads sum in
+    another order; the library computes them on one thread whatever OPENBLAS_NUM_THREADS says."""
+    blas_thread_controls()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import hashlib; from helmrff import cli, regression as rg; "
+            "config = cli.parse_config(cli.bundled_config_path('pendulum')); "
+            "data = cli.simulate_dataset(config, 0); "
+            "model = rg.fit_helmholtz(data, rg.Hyperparameters(1.0, 1e-2, 1e-2, d=20000), 0); "
+            "grid = model.predict_grid(config.figure_bounds, config.figure_resolution); "
+            "print(*(hashlib.sha256(a.tobytes()).hexdigest() for a in (model.alpha, model.beta, grid)))")
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        digests.add(subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True,
+                                   text=True, timeout=300).stdout)
+    assert len(digests) == 1
 
 
 def test_runtime_imports_no_scipy():
