@@ -200,6 +200,12 @@ class ExperimentConfig:
         """Noiseless samples along the test trajectory; the same for every seed, so built once."""
         return ev.make_test_set(self.make_system(), self.test_x0, self.test_h, self.test_t_end)
 
+    @cached_property
+    def training_flow(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Noiseless times, states and derivatives of the training trajectories (`systems.sample_flow`); only
+        the noise differs between seeds, so built once."""
+        return sy.sample_flow(self.make_system(), self.initial_conditions, self.h, self.t_end)
+
     def search_space(self, baseline: bool) -> ev.SearchSpace:
         return ev.SearchSpace(
             sigmas=self.sigma_grid,
@@ -321,11 +327,9 @@ def _seed_map(master: int) -> dict:
 
 
 def simulate_dataset(config: ExperimentConfig, master: int) -> rg.Dataset:
-    seeds = _seed_map(master)
-    return sy.generate_dataset(
-        config.make_system(), config.initial_conditions, config.h, config.t_end,
-        sy.NoiseSpec(config.noise_sigma, seeds["noise"]), config.include_t0,
-    )
+    """`systems.generate_dataset`'s training set for a master seed: its noise added to the shared `training_flow`."""
+    noise = sy.NoiseSpec(config.noise_sigma, _seed_map(master)["noise"])
+    return sy.add_noise(config.training_flow, noise, config.include_t0)
 
 
 def run_protocol(config: ExperimentConfig, master: int, dataset: rg.Dataset | None = None) -> dict:
@@ -476,8 +480,17 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _median(values: list[float]) -> float:
+    """np.median's bits without its lazy import of numpy.ma: the middle value, or of an even count the mean
+    (a + b) / 2 of the middle two, as np.mean of two computes it; NaN if any value is NaN."""
+    if any(v != v for v in values):
+        return float("nan")
+    ordered, mid = sorted(values), len(values) // 2
+    return float(ordered[mid] if len(values) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def _median_summary(reports: list[dict]) -> dict:
-    return {kind: {mse: float(np.median([r[mse] for r in reports if r["model"] == kind]))
+    return {kind: {mse: _median([r[mse] for r in reports if r["model"] == kind])
                    for mse in ("train_mse", "test_mse")}
             for kind in ("helmholtz", "gaussian")}
 
@@ -493,9 +506,9 @@ def cmd_reproduce(args) -> int:
     base_seed, out = _setup(args, config)
     masters = [base_seed + i for i in range(args.seeds)]
 
-    # Per-seed runs are pure; gather in seed order so aggregation is stable.  The shared
-    # test set is built first: from Python 3.12 cached_property takes no lock.
-    config.test_set
+    # Per-seed runs are pure; gather in seed order so aggregation is stable.  What the seeds share,
+    # `test_set` and `training_flow`, is built first: from Python 3.12 cached_property takes no lock.
+    config.test_set, config.training_flow
     with ThreadPoolExecutor(max_workers=min(args.jobs, len(masters))) as pool:
         results = list(pool.map(lambda m: run_protocol(config, m), masters))
 

@@ -8,7 +8,7 @@ differ by less than a relative CV_TIE_RTOL count as tied, so last-digit
 rounding cannot change the pick.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 
 import numpy as np
@@ -115,9 +115,12 @@ def _cv_scores(dataset: Dataset, space: SearchSpace, seed: int) -> tuple[np.ndar
 
     scores = np.zeros(tuple(lam.size for lam in lams) + (sigmas.size,))
     ones = np.ones(space.d)
+    # Each map is drawn once at unit width; its weights over sigma are `sample_basis`'s at sigma, bit for bit.
+    units = [ft.sample_basis(kind, space.d, n, 1.0, map_seed)
+             for (_, _, kind, _), map_seed in zip(model.MAPS, (seed_a, seed_b))]
     for si, sigma in enumerate(sigmas):
-        designs = (ft.factored_design(dataset.states, ft.sample_basis(kind, space.d, n, sigma, map_seed))
-                   for (_, _, kind, _), map_seed in zip(model.MAPS, (seed_a, seed_b)))
+        designs = (ft.factored_design(dataset.states, replace(unit, weights=unit.weights / sigma, sigma=sigma))
+                   for unit in units)
         not_finite = ValueError(f"cross-validation score is not finite at sigma={sigma:g}; "
                                 "check the data and the ridge-weight grids")
         # A ridge weight so small that G / lambda overflows has no usable score.

@@ -132,22 +132,30 @@ def generate_dataset(system: SystemSpec, ics, h: float, t_end: float, noise: Noi
     """Simulate all initial conditions as one batch and sample a noisy training set.
 
     Samples come from `sample_flow`: derivatives are the exact field at the
-    noiseless states; i.i.d. Gaussian noise is then added to the states, then
-    to the derivatives, from one child seed per trajectory, so the result is
-    reproducible point for point.
+    noiseless states, to which `add_noise` adds the noise.
     """
     ics = finite_array("initial conditions", ics, (None, None))
-    times, states, derivs = sample_flow(system, ics, h, t_end)
+    return add_noise(sample_flow(system, ics, h, t_end), noise, include_t0)
+
+
+def add_noise(flow, noise: NoiseSpec, include_t0: bool = True) -> Dataset:
+    """The noisy training set of a batch flow, `sample_flow`'s times (T,), states and derivatives (T, B, n).
+
+    i.i.d. Gaussian noise is added to the states, then to the derivatives, from
+    one child seed per trajectory, so the result is reproducible point for
+    point; the flow itself is left as it is, so one flow serves every seed.
+    """
+    times, states, derivs = flow
     if not include_t0:
         times, states, derivs = times[1:], states[1:], derivs[1:]
-    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(noise.seed).spawn(len(ics))]
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(noise.seed).spawn(states.shape[1])]
     noisy = [[x[:, b] + rng.normal(0.0, noise.sigma_n, size=x[:, b].shape) for x in (states, derivs)]
              for b, rng in enumerate(rngs)]
     return Dataset(
         states=np.vstack([s for s, _ in noisy]),
         derivatives=np.vstack([d for _, d in noisy]),
-        times=np.tile(times, len(ics)),
-        traj_ids=np.repeat(np.arange(len(ics)), len(times)),
+        times=np.tile(times, len(rngs)),
+        traj_ids=np.repeat(np.arange(len(rngs)), len(times)),
     )
 
 

@@ -652,6 +652,55 @@ def test_simulate_without_noise_matches_true_field(tmp_path):
     assert_allclose(doc["data"]["derivatives"], field(np.asarray(doc["data"]["states"])), atol=1e-12)
 
 
+@pytest.mark.parametrize("include_t0", [True, False])
+def test_simulate_dataset_is_generate_dataset_bit_for_bit(tmp_path, include_t0):
+    """simulate_dataset adds each seed's noise to the config's one noiseless training flow; that is
+    generate_dataset's training set of the seed, bit for bit in every array."""
+    for name in ("msd", "pendulum"):
+        config = cli.parse_config(write_config(tmp_path, name, **{"data.include_t0": include_t0}))
+        for master in range(10):
+            want = sy.generate_dataset(config.make_system(), config.initial_conditions, config.h, config.t_end,
+                                       sy.NoiseSpec(config.noise_sigma, cli._seed_map(master)["noise"]), include_t0)
+            got = cli.simulate_dataset(config, master)
+            for key in ("states", "derivatives", "times", "traj_ids"):
+                a, b = getattr(got, key), getattr(want, key)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (name, master, key)
+
+
+def test_reproduce_integrates_the_shared_trajectories_once(tmp_path, monkeypatch):
+    """reproduce integrates the test trajectory once and the training trajectories once, whatever the number
+    of seeds: the seeds differ only in the noise added to one shared training flow."""
+    spans = []
+    integrate_rk4 = sy.integrate_rk4
+    monkeypatch.setattr(sy, "integrate_rk4", lambda *args: spans.append(args[2:]) or integrate_rk4(*args))
+    assert cli.main(["reproduce", "msd", "--seeds", "3", "--jobs", "2", "--out", str(tmp_path / "rep")]) == 0
+    config = cli.parse_config(cli.bundled_config_path("msd"))
+    assert sorted(spans) == sorted([(config.test_h / sy.SIM_REFINE, config.test_t_end),
+                                    (config.h / sy.SIM_REFINE, config.t_end)])
+
+
+def test_reproduce_imports_no_numpy_ma(tmp_path):
+    """The medians are taken without np.median, which imports numpy.ma when first called and so raised
+    the resident memory of a reproduce run."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["reproduce", "msd", "--seeds", "2", "--jobs", "1", "--out", str(tmp_path / "rep")]
+    code = f"import sys; from helmrff import cli; code = cli.main({argv!r}); print(code, 'numpy.ma' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=300)
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.floats(0.0, 1e300).map(abs), min_size=1, max_size=21))
+def test_median_is_np_median_bit_for_bit(values):
+    """The medians of reproduce, over MSEs (>= 0, so no -0.0 ties with 0.0 whose order np.partition picks),
+    hold np.median's bits for an odd and an even count, and are NaN when a value is NaN."""
+    assert np.float64(cli._median(values)).tobytes() == np.median(values).tobytes()
+    for at in {0, len(values) // 2, len(values)}:
+        assert np.isnan(cli._median(values[:at] + [float("nan")] + values[at:]))
+
+
 def test_fit_with_fixed_hypers_and_determinism(tmp_path, manifests):
     out1 = assert_rewrites_its_manifest(tmp_path, manifests, ["fit", "--config", str(cli.bundled_config_path("msd")),
                                                               "--fixed-hypers", "2.0,1e-4,1e-4"])

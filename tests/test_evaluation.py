@@ -269,6 +269,22 @@ def test_cross_validate_is_deterministic():
     assert ev.cross_validate(ds, space, seed=9) == ev.cross_validate(ds, space, seed=9)
 
 
+def test_cross_validate_draws_each_map_once(monkeypatch):
+    """A search draws each of its maps once, however many widths it scores: twice for the Helmholtz
+    model, once for the baseline, each at unit width (the widths divide its weights)."""
+    drawn = []
+    sample_basis = ft.sample_basis
+    monkeypatch.setattr(ft, "sample_basis", lambda *args: drawn.append(args) or sample_basis(*args))
+    ds = pendulum_dataset()
+    for lambda2s, kinds in ((np.array([1e-5, 1e-3]), [ft.ODD_CURL_FREE, ft.ODD_SYMPLECTIC]),
+                            (None, [ft.GAUSSIAN_SEPARABLE])):
+        drawn.clear()
+        space = ev.SearchSpace(sigmas=np.logspace(-1.0, 1.0, 13), lambda1s=np.array([1e-5, 1e-3]),
+                               lambda2s=lambda2s, folds=4, d=16)
+        ev.cross_validate(ds, space, seed=9)
+        assert [(kind, sigma) for kind, _, _, sigma, _ in drawn] == [(kind, 1.0) for kind in kinds]
+
+
 def test_cross_validate_needs_enough_points():
     ds = toy_dataset(n=4)
     space = ev.SearchSpace(sigmas=np.array([1.0]), lambda1s=np.array([1e-3]),

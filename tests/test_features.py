@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,22 @@ def test_weights_scale_inversely_with_sigma():
     narrow = ft.sample_basis(ft.ODD_SYMPLECTIC, 16, 2, 1.0, seed=9)
     wide = ft.sample_basis(ft.ODD_SYMPLECTIC, 16, 2, 2.0, seed=9)
     assert_allclose(wide.weights, narrow.weights / 2.0, atol=1e-15)
+
+
+def test_a_width_divides_the_unit_width_draw_bit_for_bit():
+    """The CV draws each map once at unit width and divides its weights by each width; that is the draw
+    at the width itself, bit for bit, phases included."""
+    for kind in ft.KINDS:
+        unit = ft.sample_basis(kind, 24, 2, 1.0, seed=31)
+        for sigma in [*np.logspace(-1.0, 1.0, 13), 0.3, 1.0, 7.0]:
+            drawn = ft.sample_basis(kind, 24, 2, sigma, seed=31)
+            scaled = replace(unit, weights=unit.weights / sigma, sigma=sigma)
+            assert drawn.weights.tobytes() == scaled.weights.tobytes(), (kind, sigma)
+            assert (drawn.sigma, drawn.seed) == (scaled.sigma, scaled.seed)
+            if kind == ft.GAUSSIAN_SEPARABLE:
+                assert drawn.phases.tobytes() == scaled.phases.tobytes()
+            else:
+                assert drawn.phases is scaled.phases is None
 
 
 def test_sample_basis_validation():
