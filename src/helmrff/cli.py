@@ -234,15 +234,31 @@ def _log_grid(doc: dict, key: str) -> list:
     return _put(doc, key, np.asarray(node, dtype=float).tolist())
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, refusing a key repeated within one mapping, which PyYAML reads as its last value.
+    Each mapping is checked as written, when it is composed, so a key that a `<<` merge brings in may still be
+    overridden, even in a merged mapping that itself overrides a merged key."""
+
+    def compose_mapping_node(self, anchor):
+        node, seen = super().compose_mapping_node(anchor), set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                if (key := self.construct_object(key_node)) in seen:
+                    raise yaml.constructor.ConstructorError(None, None, f"found repeated key {key!r}",
+                                                            key_node.start_mark)
+                seen.add(key)
+        return node
+
+
 def parse_config(path) -> ExperimentConfig:
     """Load and validate a YAML experiment file.
 
-    Syntax errors keep PyYAML's line/column marks; semantic errors name the
-    offending key.
+    Syntax errors and repeated keys keep PyYAML's line/column marks; semantic
+    errors name the offending key.
     """
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as err:
         raise ConfigError(f"cannot parse {path}: {err}")
     except (OSError, UnicodeDecodeError) as err:
@@ -357,15 +373,23 @@ def _read(flag: str, path, load):
         raise ConfigError(f"{flag}: cannot load {path}: {type(err).__name__}: {err}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, refusing a repeated key, which `json.loads` reads as its last value."""
+    if len(doc := dict(pairs)) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(key for key in keys if keys.count(key) > 1)!r}")
+    return doc
+
+
 def _load_dataset(path) -> rg.Dataset:
     if Path(path).suffix == ".csv":
         return sy.dataset_from_csv(path)
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     return sy.dataset_from_json(doc["data"] if "data" in doc else doc)
 
 
 def _load_model(path) -> rg.HelmholtzModel | rg.BaselineModel:
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     return rg.MODELS[doc["model"]].from_json(doc)
 
 
@@ -376,11 +400,11 @@ def _check_data(config: ExperimentConfig, dataset: rg.Dataset | None, model=None
     for flag, source in (("--data", dataset), ("--model", model)):
         if source is not None and source.dim != n:
             raise ConfigError(f"{flag}: state dimension {source.dim} does not match the config's {n}")
-    count = len(dataset) if dataset is not None else len(config.initial_conditions) * (
-        sy.whole_steps(config.h, config.t_end) + config.include_t0)
-    if model is None and None in config.doc["hyperparameters"].values() and count < config.folds:
-        where = "--data" if dataset is not None else "config key 'search.folds'"
-        raise ConfigError(f"{where}: {count} training sample(s) cannot fill the {config.folds} folds of the search")
+    if model is None and None in config.doc["hyperparameters"].values():
+        count = len(dataset if dataset is not None else simulate_dataset(config, config.seed))
+        if count < config.folds:
+            where = "--data" if dataset is not None else "config key 'search.folds'"
+            raise ConfigError(f"{where}: {count} training sample(s) cannot fill the {config.folds} folds of the search")
 
 
 def _summary_lines(rows: list[dict], title: str) -> list[str]:

@@ -264,9 +264,9 @@ class FactoredDesign:
 
     def dot(self, c) -> np.ndarray:
         """D c for a length-(n N) vector c: the row sums of rows * (V C), C the (N, n) view of c, over the
-        row blocks, which bound its temporaries.  (Measured at d = 20000 on a 2-core machine with two BLAS
-        threads: one product of all of V raised the fit's peak RSS by 6.9 MB through the threads' packing
-        buffers, the blocks by 1.0 MB.)"""
+        row blocks, which bound its temporaries.  (Measured on the one BLAS thread every fit runs on: a
+        d = 20000 pendulum fit peaked at 49.2 MB max RSS with the blocks against 49.7-49.9 MB with one product
+        of all of V, in 3 processes each.)"""
         C = c.reshape(self.values.shape[1], -1)
         return np.concatenate([np.einsum("io,io->i", self.rows[b], self.values[b] @ C) for b in _blocks(*self.shape)])
 

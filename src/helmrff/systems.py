@@ -20,11 +20,25 @@ SIM_REFINE = 25
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """A benchmark system: its name, exact field and exact energy."""
+    """A benchmark system: one degree of freedom with energy H(q, p) = p²/(2M) + V(q) and linear damping d on
+    the momentum, that is x' = (J - R) grad H with R = diag(0, d).  States are 2-D, (q, p): `field` and
+    `hamiltonian` take one state (2,) or any batch (..., 2)."""
 
     name: str
-    field: Callable[[np.ndarray], np.ndarray]        # states (..., n) -> derivatives (..., n)
-    hamiltonian: Callable[[np.ndarray], np.ndarray]  # states (..., n) -> energies (...)
+    mass: float                                     # M
+    damping: float                                  # d >= 0
+    potential: Callable[[np.ndarray], np.ndarray]   # V(q)
+    dpotential: Callable[[np.ndarray], np.ndarray]  # V'(q)
+
+    def field(self, x):
+        """(qdot, pdot) = (p/M, -V'(q) - (d/M) p): derivatives (..., 2)."""
+        q, p = np.asarray(x, dtype=float).T
+        return np.array([p / self.mass, -self.dpotential(q) - (self.damping / self.mass) * p]).T
+
+    def hamiltonian(self, x):
+        """H = p²/(2M) + V(q): energies (...)."""
+        q, p = np.asarray(x, dtype=float).T
+        return (0.5 * (p * p) / self.mass + self.potential(q)).T
 
 
 @dataclass(frozen=True)
@@ -44,34 +58,16 @@ class NoiseSpec:
 
 
 def mass_spring_damper(m: float = 0.5, k: float = 1.0, d: float = 0.25) -> SystemSpec:
-    """Mass-spring-damper: qdot = p/m, pdot = -k q - (d/m) p."""
+    """Mass-spring-damper, M = m and V = k q²/2: qdot = p/m, pdot = -k q - (d/m) p."""
     m, k, d = positive_finite("m", m), positive_finite("k", k), positive_finite("damping d", d, zero_ok=True)
-
-    def field(x):
-        q, p = np.asarray(x, dtype=float).T
-        return np.array([p / m, -k * q - (d / m) * p]).T
-
-    def hamiltonian(x):
-        q, p = np.asarray(x, dtype=float).T
-        return (0.5 * (p * p) / m + 0.5 * k * (q * q)).T
-
-    return SystemSpec("msd", field, hamiltonian)
+    return SystemSpec("msd", m, d, lambda q: 0.5 * k * (q * q), lambda q: k * q)
 
 
 def damped_pendulum(m: float = 1.0, l: float = 1.0, d: float = 1.2, g: float = 9.81) -> SystemSpec:
-    """Damped pendulum: qdot = p/(m l^2), pdot = -m g l sin q - (d/(m l^2)) p."""
+    """Damped pendulum, M = m l² and V = m g l (1 - cos q): qdot = p/(m l²), pdot = -m g l sin q - (d/(m l²)) p."""
     m, l, g = (positive_finite(name, value) for name, value in (("m", m), ("l", l), ("g", g)))
     d = positive_finite("damping d", d, zero_ok=True)
-
-    def field(x):
-        q, p = np.asarray(x, dtype=float).T
-        return np.array([p / (m * l**2), -m * g * l * np.sin(q) - (d / (m * l**2)) * p]).T
-
-    def hamiltonian(x):
-        q, p = np.asarray(x, dtype=float).T
-        return (0.5 * (p * p) / (m * l**2) + m * g * l * (1.0 - np.cos(q))).T
-
-    return SystemSpec("pendulum", field, hamiltonian)
+    return SystemSpec("pendulum", m * l**2, d, lambda q: m * g * l * (1.0 - np.cos(q)), lambda q: m * g * l * np.sin(q))
 
 
 SYSTEM_FACTORIES = {"msd": mass_spring_damper, "pendulum": damped_pendulum}

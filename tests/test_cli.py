@@ -283,6 +283,56 @@ def test_yaml_syntax_errors_carry_location(tmp_path):
         cli.parse_config(path)
 
 
+@pytest.mark.parametrize("kind", ["config", "data", "model"])
+def test_a_repeated_key_is_refused_in_every_input_file(tmp_path, capsys, kind):
+    """PyYAML and json.loads read a repeated key as its last value, which would run m = 5.0 here or load the
+    doubled array.  Each file fails with one `error:` line naming the key, and the flag for a JSON file, before
+    the output directory exists; a config's error keeps PyYAML's mark of the second key."""
+    msd = cli.bundled_config_path("msd")
+    if kind == "config":
+        path = tmp_path / "msd.yaml"
+        path.write_text(msd.read_text().replace("  m: 0.5\n", "  m: 0.5\n  m: 5.0\n"))
+        argv, want = ["fit", "--config", str(path)], f"error: cannot parse {path}: found repeated key 'm'"
+    else:
+        flag, key = {"data": ("--data", "states"), "model": ("--model", "alpha")}[kind]
+        if kind == "data":
+            doc = sy.dataset_to_json(cli.simulate_dataset(cli.parse_config(msd), 0))
+        else:
+            assert cli.main(["fit", "--config", str(msd), "--fixed-hypers", "0.5,1e-4,1e-6",
+                             "--out", str(tmp_path / "fit")]) == 0
+            doc = json.loads((tmp_path / "fit" / "model_helmholtz.json").read_text())
+        path, doubled = tmp_path / f"{kind}.json", (2 * np.array(doc[key])).tolist()
+        path.write_text(f"{json.dumps(doc)[:-1]}, {json.dumps(key)}: {json.dumps(doubled)}}}")
+        assert json.loads(path.read_text())[key] == doubled
+        argv = ["fit" if kind == "data" else "eval", flag, str(path), "--config", str(msd)]
+        want = f"error: {flag}: cannot load {path}: ValueError: repeated key '{key}'"
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == [want] == err[:1], err
+    assert kind != "config" or err[1].endswith(", line 5, column 3"), err
+    assert not out.exists()
+
+
+def test_a_yaml_merge_is_not_a_repeated_key(tmp_path):
+    """A key written after a `<<` merge overrides the merged one, also where the merged mapping itself overrides
+    a key it merged; only a key written twice in one mapping is refused."""
+    text = cli.bundled_config_path("msd").read_text()
+    path = tmp_path / "merged.yaml"
+    path.write_text(text.replace("sigma_grid: {", "sigma_grid: &grid {")
+                        .replace("lambda_grid: {log10_start: -8.0, log10_stop: 0.0, count: 17}",
+                                 "lambda_grid: {<<: *grid, log10_start: -8.0, log10_stop: 0.0}"))
+    assert "<<: *grid" in path.read_text()
+    # the merge brings in the width grid's count, 13; the explicit keys override its two ends
+    written_out = write_config(tmp_path, "msd", **{"search.lambda_grid": {"log10_start": -8.0, "log10_stop": 0.0,
+                                                                          "count": 13}})
+    assert cli.parse_config(path).resolved() == cli.parse_config(written_out).resolved()
+    nested = "a: &a {x: 1, y: 1}\ndefs:\n  b: &b {<<: *a, x: 2}\nc: {<<: *b, y: 3}\n"
+    assert yaml.load(nested, Loader=cli._UniqueKeyLoader) == {
+        "a": {"x": 1, "y": 1}, "defs": {"b": {"x": 2, "y": 1}}, "c": {"x": 2, "y": 3}}
+
+
 def test_invalid_config_exits_1(tmp_path, capsys):
     path = write_config(tmp_path, "msd", **{"system.name": "vortex"})
     code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])

@@ -67,6 +67,34 @@ def test_batched_field_and_energy_equal_per_state_evaluation(name, X):
     assert_array_equal(energy, per_state(system.hamiltonian, X))
 
 
+def assert_same_bits(a, b):
+    """Equal bit for bit, so -0.0 differs from 0.0, as assert_array_equal does not tell."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (a, b)
+
+
+parameters = st.floats(1e-3, 1e3)
+signed_coords = st.one_of(st.sampled_from([0.0, -0.0]), coords)
+single_or_batch = st.one_of(st.just((2,)), st.tuples(st.integers(1, 6), st.just(2))).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=signed_coords))
+
+
+@properties
+@given(parameters, parameters, parameters, parameters, st.one_of(st.just(0.0), parameters), single_or_batch)
+# As above: in place of `p * p`, then of `q * q`, a scalar `np.float64 ** 2` rounds differently here.
+@example(0.5, 1.0, 1.0, 9.81, 0.25, np.array([6.21539061583826, -7.253990778484905]))
+@example(0.5, 1.0, 1.0, 9.81, 0.25, np.array([-7.253990778484905, 0.0]))
+def test_systems_are_their_written_out_formulas_bit_for_bit(m, k, l, g, d, X):
+    """Both systems are H = p²/(2M) + V(q) with damping d on p; evaluated term for term as written out here,
+    for one state (2,) or a batch (B, 2), with q and p of both signs and zeros of both signs."""
+    q, p = X.T
+    msd, pendulum = hr.mass_spring_damper(m, k, d), hr.damped_pendulum(m, l, d, g)
+    assert_same_bits(msd.field(X), np.array([p / m, -k * q - (d / m) * p]).T)
+    assert_same_bits(msd.hamiltonian(X), 0.5 * (p * p) / m + 0.5 * k * (q * q))
+    assert_same_bits(pendulum.field(X), np.array([p / (m * l**2), -m * g * l * np.sin(q) - (d / (m * l**2)) * p]).T)
+    assert_same_bits(pendulum.hamiltonian(X), 0.5 * (p * p) / (m * l**2) + m * g * l * (1.0 - np.cos(q)))
+
+
 @properties
 @given(systems, batches)
 def test_fields_are_exactly_odd(name, X):
