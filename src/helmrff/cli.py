@@ -201,9 +201,9 @@ class ExperimentConfig:
         return ev.make_test_set(self.make_system(), self.test_x0, self.test_h, self.test_t_end)
 
     @cached_property
-    def training_flow(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Noiseless times, states and derivatives of the training trajectories (`systems.sample_flow`); only
-        the noise differs between seeds, so built once."""
+    def training_flow(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, sy.Trajectory]:
+        """Noiseless times, states and derivatives of the training trajectories, and the fine trajectory they
+        are sampled from (`systems.sample_flow`); only the noise differs between seeds, so built once."""
         return sy.sample_flow(self.make_system(), self.initial_conditions, self.h, self.t_end)
 
     def search_space(self, baseline: bool) -> ev.SearchSpace:
@@ -453,8 +453,7 @@ def cmd_simulate(args) -> int:
     config = parse_config(args.config)
     master, out = _setup(args, config)
     dataset = simulate_dataset(config, master)
-    fine = sy.integrate_rk4(config.make_system().field, config.initial_conditions,
-                            config.h / sy.SIM_REFINE, config.t_end)
+    fine = config.training_flow[-1]
     plot = [sy.Trajectory(fine.times[::5], states) for states in fine.states[::5].swapaxes(0, 1)]
     _write(out, config, _seed_map(master), {"train.csv": (sy.dataset_to_csv, dataset),
                                             "train.json": {"data": sy.dataset_to_json(dataset)},

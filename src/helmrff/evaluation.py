@@ -67,7 +67,7 @@ def pointwise_residuals(model, dataset: Dataset) -> np.ndarray:
 
 def make_test_set(system: SystemSpec, x0, h: float, t_end: float) -> Dataset:
     """Noiseless (state, true-field) samples along one long test trajectory."""
-    times, states, derivs = sample_flow(system, x0, h, t_end)
+    times, states, derivs, _ = sample_flow(system, x0, h, t_end)
     return Dataset(states=states, derivatives=derivs, times=times,
                    traj_ids=np.zeros(len(times), dtype=int))
 

@@ -224,7 +224,8 @@ def feature_design(basis: FeatureBasis, states) -> np.ndarray:
     so cross-output products vanish exactly and each diagonal estimates the
     scalar Gaussian kernel k_sigma(x, z).
     """
-    return factored_design(finite_states("feature_design states", states), basis).dense()
+    design = factored_design(finite_states("feature_design states", states), basis)
+    return (design.values[:, :, None] * design.rows[:, None, :]).reshape(design.shape)
 
 
 @dataclass(frozen=True)
@@ -269,11 +270,6 @@ class FactoredDesign:
         of all of V, in 3 processes each.)"""
         C = c.reshape(self.values.shape[1], -1)
         return np.concatenate([np.einsum("io,io->i", self.rows[b], self.values[b] @ C) for b in _blocks(*self.shape)])
-
-    def dense(self) -> np.ndarray:
-        """D itself, the product of each value with each row entry, so a zero entry may be -0.0: a negative
-        value times a zero row entry, or +0.0 times a negative one."""
-        return (self.values[:, :, None] * self.rows[:, None, :]).reshape(self.shape)
 
 
 def factored_design(X: np.ndarray, *bases: FeatureBasis) -> FactoredDesign:

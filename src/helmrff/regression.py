@@ -58,11 +58,6 @@ class Dataset:
     def dim(self) -> int:
         return self.states.shape[1]
 
-    def subset(self, idx) -> "Dataset":
-        idx = np.asarray(idx)
-        return Dataset(*(None if column is None else column[idx]
-                         for column in (self.states, self.derivatives, self.times, self.traj_ids)))
-
     def target_vector(self) -> np.ndarray:
         """Derivatives stacked sample-by-sample into one length-nN vector."""
         return self.derivatives.reshape(-1)

@@ -111,7 +111,8 @@ def integrate_rk4(field, x0, h: float, t_end: float) -> Trajectory:
 
 
 def sample_flow(system: SystemSpec, x0, h: float, t_end: float):
-    """Times, states and exact derivatives every h from x0, one state (n,) or a batch (B, n).
+    """Times, states and exact derivatives every h from x0, one state (n,) or a batch (B, n), and the
+    fine `Trajectory` they are sampled from.
 
     The system is integrated at step h/SIM_REFINE and downsampled, so the
     samples track the continuous dynamics rather than coarse-step
@@ -120,7 +121,7 @@ def sample_flow(system: SystemSpec, x0, h: float, t_end: float):
     whole_steps(h, t_end)  # the fine grid alone would pass a t_end off the sampling grid
     fine = integrate_rk4(system.field, x0, h / SIM_REFINE, t_end)
     states = fine.states[::SIM_REFINE]
-    return fine.times[::SIM_REFINE], states, system.field(states)
+    return fine.times[::SIM_REFINE], states, system.field(states), fine
 
 
 def generate_dataset(system: SystemSpec, ics, h: float, t_end: float, noise: NoiseSpec,
@@ -135,13 +136,14 @@ def generate_dataset(system: SystemSpec, ics, h: float, t_end: float, noise: Noi
 
 
 def add_noise(flow, noise: NoiseSpec, include_t0: bool = True) -> Dataset:
-    """The noisy training set of a batch flow, `sample_flow`'s times (T,), states and derivatives (T, B, n).
+    """The noisy training set of a batch flow, `sample_flow`'s times (T,), states and derivatives (T, B, n)
+    and its fine trajectory, which is not read.
 
     i.i.d. Gaussian noise is added to the states, then to the derivatives, from
     one child seed per trajectory, so the result is reproducible point for
     point; the flow itself is left as it is, so one flow serves every seed.
     """
-    times, states, derivs = flow
+    times, states, derivs, _ = flow
     if not include_t0:
         times, states, derivs = times[1:], states[1:], derivs[1:]
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(noise.seed).spawn(states.shape[1])]

@@ -202,7 +202,8 @@ def test_criterion_6_oracle_equivalence():
                     [19 * np.pi / 20, -4.0]])
     full = hr.generate_dataset(system, ics, 0.1, 0.7, hr.NoiseSpec(0.01, 3),
                                include_t0=True)
-    sub = full.subset(np.arange(0, 24, 3))
+    every_third = np.arange(0, 24, 3)
+    sub = rg.Dataset(full.states[every_third], full.derivatives[every_third])
     assert len(sub) == 8
 
     lam = 1e-2
@@ -226,7 +227,7 @@ def test_criterion_7_closed_form_matches_iterative_optimum():
     model = hr.fit_helmholtz(ds, hyper, seed=6)
     xi = np.concatenate([model.alpha, model.beta])
 
-    Phi = ft.factored_design(ds.states, model.basis_c, model.basis_s).dense()
+    Phi = np.vstack([ft.feature_design(basis, ds.states) for basis in (model.basis_c, model.basis_s)])
     lam = np.concatenate([np.full(64, hyper.lambda1), np.full(64, hyper.lambda2)])
     A = np.vstack([Phi.T, np.diag(np.sqrt(len(ds) * lam))])
     b = np.concatenate([ds.target_vector(), np.zeros(128)])

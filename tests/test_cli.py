@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import os
@@ -262,14 +263,17 @@ def test_unknown_keys_are_rejected(tmp_path, key, overrides):
 
 
 def test_kernel_width_range_is_enforced(tmp_path):
-    path = write_config(tmp_path, "msd", **{"search.sigma_grid": [1e-7, 1.0]})
-    with pytest.raises(cli.ConfigError, match="sigma_grid"):
-        cli.parse_config(path)
-    huge = write_config(tmp_path, "msd",
-                        **{"hyperparameters.helmholtz": {"sigma": 1e7, "lambda1": 1e-3,
-                                                         "lambda2": 1e-3}})
-    with pytest.raises(cli.ConfigError, match="sigma"):
-        cli.parse_config(huge)
+    """Widths from 1e-6 to 1e6 are accepted, both ends included; the next double past either end fails,
+    naming the grid or the fixed width."""
+    lo, hi = cli.SIGMA_RANGE
+    for key, overrides in (("search.sigma_grid", lambda width: {"search.sigma_grid": [width, 1.0]}),
+                           ("hyperparameters.helmholtz.sigma", lambda width: {"hyperparameters.helmholtz": {
+                               "sigma": width, "lambda1": 1e-3, "lambda2": 1e-3}})):
+        for width in (lo, hi):
+            cli.parse_config(write_config(tmp_path, "msd", **overrides(width)))
+        for width in (np.nextafter(lo, 0.0), np.nextafter(hi, np.inf), 1e-7, 1e7):
+            with pytest.raises(cli.ConfigError, match=rf"config key '{key}'"):
+                cli.parse_config(write_config(tmp_path, "msd", **overrides(float(width))))
 
 
 def test_yaml_syntax_errors_carry_location(tmp_path):
@@ -349,10 +353,13 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
     stringly.write_text(json.dumps({**doc, "states": [[str(v) for v in row] for row in doc["states"]]}))
     # data the protocol cannot use: fewer samples than search.folds when tuning, or 4-D states
     tiny = tmp_path / "tiny.csv"
-    sy.dataset_to_csv(cli.simulate_dataset(cli.parse_config(msd), 0).subset([0, 1, 2]), tiny)
+    first = cli.simulate_dataset(cli.parse_config(msd), 0)
+    sy.dataset_to_csv(rg.Dataset(first.states[:3], first.derivatives[:3]), tiny)
     (tmp_path / "small").mkdir()
     small = write_config(tmp_path / "small", "msd", **{"data.initial_conditions": [[1.0, 0.0]],
                                                         "data.t_end": 0.25, "data.include_t0": False})
+    (tmp_path / "folds").mkdir()
+    one_short = write_config(tmp_path / "folds", "msd", **{"search.folds": 16})  # the 15 msd samples
     d4 = tmp_path / "d4.json"
     d4.write_text(json.dumps({"states": np.eye(4).tolist(), "derivatives": np.eye(4).tolist()}))
     m4 = tmp_path / "m4.json"
@@ -372,6 +379,8 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
         (["fit", "--config", msd, "--data", str(tiny)], "--data"),
         (["reproduce", "msd", "--config", str(small)], "search.folds"),
         (["fit", "--config", str(small)], "search.folds"),
+        (["reproduce", "msd", "--config", str(one_short)], "search.folds"),
+        (["fit", "--config", str(one_short)], "search.folds"),
         (["fit", "--config", msd, "--data", str(d4), "--fixed-hypers", "0.5,1e-4,1e-6"], "--data"),
         (["eval", "--config", msd, "--model", str(m4)], "--model: state dimension 4 does not match the config's 2"),
     ]
@@ -719,14 +728,25 @@ def test_simulate_dataset_is_generate_dataset_bit_for_bit(tmp_path, include_t0):
 
 def test_reproduce_integrates_the_shared_trajectories_once(tmp_path, monkeypatch):
     """reproduce integrates the test trajectory once and the training trajectories once, whatever the number
-    of seeds: the seeds differ only in the noise added to one shared training flow."""
+    of seeds: the seeds differ only in the noise added to one shared training flow.  simulate integrates the
+    training trajectories once: trajectories.csv holds every 5th state of the integration train.csv samples."""
     spans = []
     integrate_rk4 = sy.integrate_rk4
     monkeypatch.setattr(sy, "integrate_rk4", lambda *args: spans.append(args[2:]) or integrate_rk4(*args))
+    msd = cli.bundled_config_path("msd")
+    config = cli.parse_config(msd)
+    train = (config.h / sy.SIM_REFINE, config.t_end)
     assert cli.main(["reproduce", "msd", "--seeds", "3", "--jobs", "2", "--out", str(tmp_path / "rep")]) == 0
-    config = cli.parse_config(cli.bundled_config_path("msd"))
-    assert sorted(spans) == sorted([(config.test_h / sy.SIM_REFINE, config.test_t_end),
-                                    (config.h / sy.SIM_REFINE, config.t_end)])
+    assert sorted(spans) == sorted([(config.test_h / sy.SIM_REFINE, config.test_t_end), train])
+    spans.clear()
+    assert cli.main(["simulate", "--config", str(msd), "--out", str(tmp_path / "sim")]) == 0
+    assert spans == [train]
+    times, states, _, _ = config.training_flow
+    with open(tmp_path / "sim" / "trajectories.csv", newline="") as fh:
+        rows = np.array([row for row in csv.reader(fh) if not row[0].startswith("#")][1:], dtype=float)
+    for b in range(states.shape[1]):
+        t, q, p, _ = rows[rows[:, 3] == b][::5].T
+        assert (t.tobytes(), np.column_stack([q, p]).tobytes()) == (times.tobytes(), states[:, b].tobytes())
 
 
 def test_reproduce_imports_no_numpy_ma(tmp_path):

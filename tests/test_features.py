@@ -205,7 +205,7 @@ def test_factored_design_products_match_its_dense_expansion(block_rows, monkeypa
         for kinds in (ft.KINDS[:2], ft.KINDS[2:]):
             bases = [ft.sample_basis(kind, d, 2, 0.9, seed=i) for i, kind in enumerate(kinds)]
             design = ft.factored_design(states, *bases)
-            D = design.dense()
+            D = np.vstack([ft.feature_design(basis, states) for basis in bases])
             assert design.shape == D.shape == (d * len(bases), 14)
             w = rng.uniform(0.1, 1.0, size=D.shape[0])
             assert_allclose(design.gram(w), D.T @ (w[:, None] * D), rtol=1e-12, atol=1e-13)

@@ -149,7 +149,10 @@ def test_solve_ridge_matches_stacked_least_squares(problem):
     design, targets, log_lam, n_samples = problem
     lam = 10.0 ** log_lam
     xi = rg.solve_ridge(design, targets, lam, n_samples)
-    assert_minimizes_ridge_objective(xi, design.dense(), targets, lam, n_samples)
+    # D column by column, as D e_k: each entry is one value times one row entry, so exact; D c itself is
+    # checked against the stacked feature designs in test_features
+    dense = np.column_stack([design.dot(e) for e in np.eye(design.shape[1])])
+    assert_minimizes_ridge_objective(xi, dense, targets, lam, n_samples)
 
 
 def point_sets(max_points, n, bound=5.0):
@@ -329,8 +332,9 @@ def test_fit_solves_the_stacked_ridge_problem_of_its_maps(case):
     else:
         maps = [(model.alpha, model.basis, model.hyper.lambda1)]
     coefs, bases, lams = zip(*maps)
-    assert_minimizes_ridge_objective(np.concatenate(coefs), ft.factored_design(dataset.states, *bases).dense(),
-                                     dataset.target_vector(), np.repeat(lams, model.hyper.d), len(dataset))
+    design = np.vstack([ft.feature_design(basis, dataset.states) for basis in bases])
+    assert_minimizes_ridge_objective(np.concatenate(coefs), design, dataset.target_vector(),
+                                     np.repeat(lams, model.hyper.d), len(dataset))
 
 
 @properties
@@ -353,7 +357,7 @@ def test_helmholtz_fit_is_kernel_ridge_with_its_feature_kernel(data_Q, sigma, lo
     dataset = rg.Dataset(*np.hsplit(data, 2))
     model = rg.fit_helmholtz(dataset, rg.Hyperparameters(sigma, lam, lam, d), seed)
     bases = (model.basis_c, model.basis_s)
-    P, P_Q = (ft.factored_design(X, *bases).dense() for X in (dataset.states, Q))
+    P, P_Q = (np.vstack([ft.feature_design(basis, X) for basis in bases]) for X in (dataset.states, Q))
     mu = len(dataset) * lam
     A = P.T @ P + mu * np.eye(P.shape[1])
     a = rg._checked_solve(A, 0.0, dataset.target_vector())

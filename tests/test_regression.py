@@ -68,9 +68,6 @@ def test_dataset_validation():
     listed = rg.Dataset(zeros.tolist(), zeros.tolist(), [0, 1, 2], [0, 0, 1])
     assert listed.times.dtype == float and listed.traj_ids.dtype.kind == "i"
     ds = random_dataset(5, 0)
-    sub = ds.subset([0, 2])
-    assert len(sub) == 2
-    assert_array_equal(sub.states, ds.states[[0, 2]])
     # target vector interleaves the coordinates point by point
     assert_array_equal(ds.target_vector(), ds.derivatives.reshape(-1))
 
@@ -122,23 +119,23 @@ def test_hyperparameter_validation():
 # ----------------------------------------------------------- design matrix
 
 
-def test_assemble_design_shapes():
+def test_factored_design_shape_is_the_summed_budget_by_n_times_N():
     ds = random_dataset(1, 1)
     bc = ft.sample_basis(ft.ODD_CURL_FREE, 3, 2, 1.0, seed=0)
     bs = ft.sample_basis(ft.ODD_SYMPLECTIC, 3, 2, 1.0, seed=1)
-    assert ft.factored_design(ds.states, bc, bs).dense().shape == (6, 2)
+    assert ft.factored_design(ds.states, bc, bs).shape == (6, 2)
 
 
-def test_assemble_design_vanishes_at_origin():
+def test_odd_feature_designs_vanish_at_the_origin():
     ds = rg.Dataset(np.zeros((4, 2)), np.ones((4, 2)))
     bc = ft.sample_basis(ft.ODD_CURL_FREE, 5, 2, 1.0, seed=0)
     bs = ft.sample_basis(ft.ODD_SYMPLECTIC, 5, 2, 1.0, seed=1)
-    assert_array_equal(ft.factored_design(ds.states, bc, bs).dense(), np.zeros((10, 8)))
+    assert_array_equal(np.vstack([ft.feature_design(basis, ds.states) for basis in (bc, bs)]), np.zeros((10, 8)))
 
 
-def test_assemble_design_is_the_stack_of_feature_designs_bit_for_bit():
-    """The dense view of bases stacked by factored_design is vstack of their feature designs, signed zeros
-    included, so each basis's values and rows land at its own offset."""
+def test_factored_design_stacks_each_basis_at_its_own_offset_bit_for_bit():
+    """The values and rows of bases stacked by factored_design are those of each basis alone, stacked, so
+    their products are vstack of the bases' feature designs; those hold signed zeros, -0.0 as well as +0.0."""
     rng = np.random.default_rng(21)
     states = rng.normal(size=(5, 2))
     states[1] = 0.0  # sin(0) = +0.0 and cos(b) at the origin
@@ -154,9 +151,11 @@ def test_assemble_design_is_the_stack_of_feature_designs_bit_for_bit():
     zeros = ft.feature_design(bases[0], ds.states)[:, 2:4]  # the origin's columns
     assert np.signbit(zeros).any() and (zeros == 0).all()    # hold -0.0 as well as +0.0
     for stack in (bases, bases[:2], bases[2:], bases[::-1]):
-        design = ft.factored_design(ds.states, *stack).dense()
-        reference = np.vstack([ft.feature_design(basis, ds.states) for basis in stack])
-        assert design.tobytes() == reference.tobytes()
+        design = ft.factored_design(ds.states, *stack)
+        alone = [ft.factored_design(ds.states, basis) for basis in stack]
+        for factor in ("values", "rows"):
+            reference = np.vstack([getattr(one, factor) for one in alone])
+            assert getattr(design, factor).tobytes() == reference.tobytes()
 
 
 def random_factors(rng, d, N, n):
@@ -182,7 +181,9 @@ def test_blocked_dual_solve_matches_the_whole_design_solve():
         targets = rng.normal(size=n * N)
         lam_diag = np.where(np.arange(d) < d // 2, 1e-3, 1e-7)
         xi = rg.solve_ridge(design, targets, lam_diag, N)
-        reference = dual_reference(design.dense(), targets, lam_diag, N)
+        # D column by column, as D e_k (see test_properties::test_solve_ridge_matches_stacked_least_squares)
+        dense = np.column_stack([design.dot(e) for e in np.eye(n * N)])
+        reference = dual_reference(dense, targets, lam_diag, N)
         assert_allclose(xi, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
 
 
@@ -215,12 +216,11 @@ def test_large_budget_baseline_fit_peaks_near_one_design():
     assert peak <= 0.75, f"peak {peak:.2f} designs"
 
 
-def test_assemble_design_gram_block():
+def test_factored_gram_block_sums_the_feature_products_of_both_maps():
     ds = random_dataset(4, 7)
     bc = ft.sample_basis(ft.ODD_CURL_FREE, 6, 2, 0.9, seed=0)
     bs = ft.sample_basis(ft.ODD_SYMPLECTIC, 6, 2, 0.9, seed=1)
-    Phi = ft.factored_design(ds.states, bc, bs).dense()
-    gram = Phi.T @ Phi
+    gram = ft.factored_design(ds.states, bc, bs).gram(np.ones(12))
     i = 2
     block = gram[2 * i:2 * i + 2, 2 * i:2 * i + 2]
     psi_c = ft.feature_design(bc, ds.states[i])
@@ -265,7 +265,7 @@ def test_normal_equation_residual_postcondition():
     ds = msd_dataset()
     hyp = rg.Hyperparameters(3.0, 1e-8, 1e-8, d=200)
     model = hr.fit_helmholtz(ds, hyp, seed=11)
-    Phi = ft.factored_design(ds.states, model.basis_c, model.basis_s).dense()
+    Phi = np.vstack([ft.feature_design(basis, ds.states) for basis in (model.basis_c, model.basis_s)])
     lam = np.concatenate([np.full(200, hyp.lambda1), np.full(200, hyp.lambda2)])
     xi = np.concatenate([model.alpha, model.beta])
     rhs = Phi @ ds.target_vector()
@@ -280,7 +280,7 @@ def test_closed_form_matches_iterative_solver():
     model = hr.fit_helmholtz(ds, hyp, seed=6)
     xi = np.concatenate([model.alpha, model.beta])
 
-    Phi = ft.factored_design(ds.states, model.basis_c, model.basis_s).dense()
+    Phi = np.vstack([ft.feature_design(basis, ds.states) for basis in (model.basis_c, model.basis_s)])
     lam = np.concatenate([np.full(64, hyp.lambda1), np.full(64, hyp.lambda2)])
     A = np.vstack([Phi.T, np.diag(np.sqrt(len(ds) * lam))])
     b = np.concatenate([ds.target_vector(), np.zeros(128)])

@@ -89,6 +89,10 @@ def test_rk4_takes_whole_steps_only():
             hr.integrate_rk4(zero, np.zeros(2), h, 1.0)
     with pytest.raises(ValueError, match="h <= t_end"):
         hr.integrate_rk4(zero, np.zeros(2), 2.0, 1.0)
+    # a ratio within a relative 1e-9 of a whole number is whole, as rounding leaves it; one 1e-6 off is not
+    assert len(hr.integrate_rk4(zero, np.zeros(2), 0.1, 0.7 * (1 + 1e-12)).times) == 8
+    with pytest.raises(ValueError, match=r"is not a whole number of steps h=0.1 \(t_end / h = 7.000007"):
+        hr.integrate_rk4(zero, np.zeros(2), 0.1, 0.7 * (1 + 1e-6))
 
 
 def test_sampling_ends_at_t_end():
