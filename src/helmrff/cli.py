@@ -393,20 +393,6 @@ def _load_model(path) -> rg.HelmholtzModel | rg.BaselineModel:
     return rg.MODELS[doc["model"]].from_json(doc)
 
 
-def _check_data(config: ExperimentConfig, dataset: rg.Dataset | None, model=None) -> None:
-    """Fail on training data or a saved `model` of another state dimension than the config's, naming `--data` or
-    `--model`, and, when tuning (no `model`), on fewer samples than folds, naming `--data` or `search.folds`."""
-    n = config.initial_conditions.shape[1]
-    for flag, source in (("--data", dataset), ("--model", model)):
-        if source is not None and source.dim != n:
-            raise ConfigError(f"{flag}: state dimension {source.dim} does not match the config's {n}")
-    if model is None and None in config.doc["hyperparameters"].values():
-        count = len(dataset if dataset is not None else simulate_dataset(config, config.seed))
-        if count < config.folds:
-            where = "--data" if dataset is not None else "config key 'search.folds'"
-            raise ConfigError(f"{where}: {count} training sample(s) cannot fill the {config.folds} folds of the search")
-
-
 def _summary_lines(rows: list[dict], title: str) -> list[str]:
     lines = [title, f"{'model':<12}{'train MSE':>14}{'test MSE':>14}"]
     for row in rows:
@@ -414,18 +400,36 @@ def _summary_lines(rows: list[dict], title: str) -> list[str]:
     return lines
 
 
-def _setup(args, config: ExperimentConfig) -> tuple[int, Path]:
-    """Resolve the master seed and create the output directory, once every flag has been checked."""
+def _prepare(args, config: ExperimentConfig, dataset=None, model=None, test=True) -> tuple[int, Path, rg.Dataset]:
+    """Check a command's flags against its config, build the flows it computes from, then create the output
+    directory; returns the master seed, the directory and the training set, `dataset` or the one simulated.
+    Each failure is a ConfigError, naming `data.h` or `test.h` for a trajectory the RK4 cannot follow.  `test`
+    false, for a command that fits nothing, builds no test set and skips the check that tuning fills the folds."""
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    n = config.initial_conditions.shape[1]
+    for flag, source in (("--data", dataset), ("--model", model)):
+        if source is not None and source.dim != n:
+            raise ConfigError(f"{flag}: state dimension {source.dim} does not match the config's {n}")
+    for key, flow in [("data.h", "training_flow")] * (dataset is None) + [("test.h", "test_set")] * test:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # a diverging step overflows before it fails
+                getattr(config, flow)
+        except FloatingPointError as err:
+            _fail(key, f"the fixed-step RK4 cannot follow the system: {err}")
     master = config.seed if args.seed is None else args.seed
+    where = "--data" if dataset is not None else "config key 'search.folds'"
+    dataset = simulate_dataset(config, master) if dataset is None else dataset
+    if test and model is None and None in config.doc["hyperparameters"].values() and len(dataset) < config.folds:
+        raise ConfigError(f"{where}: {len(dataset)} training sample(s) cannot fill the {config.folds} folds "
+                          "of the search")
     out = Path(args.out or config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         where = "--out" if args.out else "config key 'output_dir'"
         raise ConfigError(f"{where}: cannot create {out}: {type(err).__name__}: {err}")
-    return master, out
+    return master, out, dataset
 
 
 def _write(out: Path, config: ExperimentConfig, seeds, files: dict) -> None:
@@ -451,8 +455,7 @@ def _write(out: Path, config: ExperimentConfig, seeds, files: dict) -> None:
 
 def cmd_simulate(args) -> int:
     config = parse_config(args.config)
-    master, out = _setup(args, config)
-    dataset = simulate_dataset(config, master)
+    master, out, dataset = _prepare(args, config, test=False)
     fine = config.training_flow[-1]
     plot = [sy.Trajectory(fine.times[::5], states) for states in fine.states[::5].swapaxes(0, 1)]
     _write(out, config, _seed_map(master), {"train.csv": (sy.dataset_to_csv, dataset),
@@ -479,8 +482,7 @@ def _fix_hypers(config: ExperimentConfig, text: str) -> ExperimentConfig:
 def cmd_fit(args) -> int:
     dataset = _read("--data", args.data, _load_dataset) if args.data else None
     config = _fix_hypers(parse_config(args.config), args.fixed_hypers)
-    _check_data(config, dataset)
-    master, out = _setup(args, config)
+    master, out, dataset = _prepare(args, config, dataset)
     result = run_protocol(config, master, dataset)
     reports = [result[f"report_{kind}"] for kind in FIXED_LAMBDAS]
     _write(out, config, result["seeds"], {**{f"model_{kind}.json": result[kind].to_json() for kind in FIXED_LAMBDAS},
@@ -493,10 +495,7 @@ def cmd_eval(args) -> int:
     model = _read("--model", args.model, _load_model)
     dataset = _read("--data", args.data, _load_dataset) if args.data else None
     config = parse_config(args.config)
-    _check_data(config, dataset, model)
-    master, out = _setup(args, config)
-    if dataset is None:
-        dataset = simulate_dataset(config, master)
+    master, out, dataset = _prepare(args, config, dataset, model)
     reports = [ev.evaluate_model(model, dataset, config.test_set, config.system_name, master, NOTES)]
     _write(out, config, _seed_map(master), {"eval_report.json": {"reports": reports}})
     print("\n".join(_summary_lines(reports, f"system: {config.system_name}  seed: {master}")))
@@ -525,13 +524,11 @@ def cmd_reproduce(args) -> int:
     config = parse_config(args.config or bundled_config_path(args.experiment))
     if config.system_name != args.experiment:
         raise ConfigError(f"--config is for system {config.system_name!r}, not {args.experiment!r}")
-    _check_data(config, None)
-    base_seed, out = _setup(args, config)
+    base_seed, out, _ = _prepare(args, config)
     masters = [base_seed + i for i in range(args.seeds)]
 
-    # Per-seed runs are pure; gather in seed order so aggregation is stable.  What the seeds share,
-    # `test_set` and `training_flow`, is built first: from Python 3.12 cached_property takes no lock.
-    config.test_set, config.training_flow
+    # Per-seed runs are pure; gather in seed order so aggregation is stable.  `_prepare` built what the seeds
+    # share before the pool: from Python 3.12 cached_property takes no lock.
     with ThreadPoolExecutor(max_workers=min(args.jobs, len(masters))) as pool:
         results = list(pool.map(lambda m: run_protocol(config, m), masters))
 

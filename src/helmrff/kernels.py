@@ -70,25 +70,27 @@ def finite_states(name: str, value, n: int | None = None) -> np.ndarray:
     return finite_array(name, [value] if rank == 1 else value, (None, n))
 
 
-@functools.cache
-def _openblas_thread_controls():
-    """(get, set), the thread-count functions of the OpenBLAS numpy links, or None if none is found.
-
-    dlsym on numpy's linalg extension searches the libraries it links too. numpy's wheel exports
-    `scipy_openblas_get_num_threads64_`; a system OpenBLAS usually has neither prefix nor suffix.
-    """
+def _openblas_function(name: str):
+    """The ctypes function `openblas_<name>` of the OpenBLAS numpy links, or None if none is found.  dlsym on
+    numpy's linalg extension searches the libraries it links too: numpy's wheel exports
+    `scipy_openblas_<name>64_`, and a system OpenBLAS usually has neither prefix nor suffix."""
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except OSError:
         return None
-    for get_name, set_name in ((f"{prefix}openblas_{op}_num_threads{suffix}" for op in ("get", "set"))
-                               for prefix in ("scipy_", "") for suffix in ("64_", "")):
-        if hasattr(lib, get_name) and hasattr(lib, set_name):
-            get, put = getattr(lib, get_name), getattr(lib, set_name)
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
+    symbols = (f"{prefix}openblas_{name}{suffix}" for prefix in ("scipy_", "") for suffix in ("64_", ""))
+    return next((getattr(lib, symbol) for symbol in symbols if hasattr(lib, symbol)), None)
+
+
+@functools.cache
+def _openblas_thread_controls():
+    """(get, set), the thread-count functions of the OpenBLAS numpy links, or None if either is missing."""
+    get, put = (_openblas_function(f"{op}_num_threads") for op in ("get", "set"))
+    if get is None or put is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
 
 class _OneBlasThread(contextlib.ContextDecorator):

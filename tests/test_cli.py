@@ -365,8 +365,24 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
     m4 = tmp_path / "m4.json"
     m4.write_text(json.dumps(rg.fit_helmholtz(sy.dataset_from_json(json.loads(d4.read_text())),
                                               rg.Hyperparameters(1.0, 1e-2, 1e-2, d=4), seed=0).to_json()))
+    m2 = tmp_path / "m2.json"
+    m2.write_text(json.dumps(rg.fit_helmholtz(first, rg.Hyperparameters(2.0, 1e-4, 1e-4, d=200), seed=0).to_json()))
+    # systems the fixed-step RK4 cannot follow: the training trajectories overflow, or only the test trajectory
+    (tmp_path / "stiff").mkdir()
+    stiff = str(write_config(tmp_path / "stiff", "msd", **{"system.d": 1.0e6}))
+    (tmp_path / "coarse").mkdir()
+    coarse = str(write_config(tmp_path / "coarse", "msd", **{"system.k": 400.0, "test.h": 5.0, "test.t_end": 60.0}))
+    fixed = ["--fixed-hypers", "2.0,1e-4,1e-4"]
     out = tmp_path / "o"
     cases = [
+        *((argv, "config key 'data.h': the fixed-step RK4 cannot follow the system: integration diverged at step 20 "
+                 "(t=0.2)") for argv in (
+            ["simulate", "--config", stiff], ["fit", "--config", stiff], ["fit", "--config", stiff, *fixed],
+            ["eval", "--config", stiff, "--model", str(m2)], ["reproduce", "msd", "--config", stiff])),
+        *((argv, "config key 'test.h': the fixed-step RK4 cannot follow the system: integration diverged at step 196 "
+                 "(t=39.2)") for argv in (
+            ["fit", "--config", coarse, *fixed], ["eval", "--config", coarse, "--model", str(m2)],
+            ["reproduce", "msd", "--config", coarse])),
         (["reproduce", "msd", "--jobs", "0"], "--jobs"),
         (["simulate", "--config", msd, "--seed", "-1"], "--seed"),
         (["fit", "--config", msd, "--data", str(tmp_path / "missing.csv")], "--data"),

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helmrff import cli
+from helmrff import cli, kernels
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 
@@ -55,18 +55,11 @@ def digests(root: Path) -> dict:
 
 
 def _openblas_core() -> str | None:
-    """The CPU kernel set the OpenBLAS numpy links picked at load time, found as the library's thread
-    controls are (`kernels._openblas_thread_controls`), or None without OpenBLAS."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except OSError:
+    """The CPU kernel set the OpenBLAS numpy links picked at load time, or None without OpenBLAS."""
+    if (corename := kernels._openblas_function("get_corename")) is None:
         return None
-    for name in (f"{prefix}openblas_get_corename{suffix}" for prefix in ("scipy_", "") for suffix in ("64_", "")):
-        if hasattr(lib, name):
-            corename = getattr(lib, name)
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            return corename().decode()
-    return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def environment() -> dict:

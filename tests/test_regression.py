@@ -331,6 +331,21 @@ def test_repeated_state_fit_passes_the_backward_error_check():
     assert np.all(np.isfinite(model.alpha)) and np.all(np.isfinite(model.beta))
 
 
+def test_gepp_growth_fails_the_backward_error_check():
+    """Wilkinson's matrix, 1 on the diagonal, -1 below it and 1 in the last column, makes partial pivoting's
+    element growth 2^(n-1).  At n = 46 the solve's normwise backward error lies between the check's 1e-8 and
+    1e-3, so the check must refuse it, and a tolerance loosened to 1e-3 would not."""
+    n = 46
+    A = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    A[:, -1] = 1.0
+    b = np.random.default_rng(0).standard_normal(n)
+    x = np.linalg.solve(A, b)
+    rel = np.linalg.norm(b - A @ x) / (np.linalg.norm(A) * np.linalg.norm(x) + np.linalg.norm(b))
+    assert 1e-8 < rel < 1e-3, rel
+    with pytest.raises(RuntimeError, match="residual"):
+        rg._checked_solve(A.copy(), 0.0, b)
+
+
 # ------------------------------------------------------ model predictions
 
 
