@@ -31,6 +31,7 @@ EXIT_CONFIG = 1
 EXIT_THRESHOLD = 2
 
 SIGMA_RANGE = (1e-6, 1e6)
+_LAMBDA_MIN = 1e-300  # the smallest ridge weight, fixed or in the search grid
 
 NOTES = {
     "test_mse": "field-space MSE at noiseless states along the test trajectory",
@@ -106,45 +107,26 @@ def _check(key: str, check, *args):
         _fail(key, str(err))
 
 
-def _double(node) -> bool:
-    """Whether `node` is a finite number that a double holds exactly: the check of a float key and a list entry."""
-    return finite_number(node) and float(node) == node
+def _number(doc: dict, key: str, minimum=None, maximum=None, integer=False, shape=()):
+    """The number at `key`, or with `shape` the nested lists of numbers, such as (None, 2), where a None axis is
+    any length >= 1.  Each entry must be a finite number that a double holds exactly, or with `integer` a whole
+    number (such as 25 or 25.0), within [minimum, maximum] where given; it is written back as a float, or an int.
+    A failure names the entry by its index, as in `figure.bounds[0][1]`."""
+    def read(node, where: str, shape: tuple):
+        if shape:
+            if not (isinstance(node, list) and node and shape[0] in (None, len(node))):
+                _fail(where, f"expected a list of {shape[0] or 'one or more'} entries, got {node!r}")
+            return [read(entry, f"{where}[{i}]", shape[1:]) for i, entry in enumerate(node)]
+        if not (finite_number(node) and (float(node).is_integer() if integer else float(node) == node)):
+            _fail(where, f"expected {'an integer' if integer else 'a finite number that a double holds exactly'}, "
+                         f"got {node!r}")
+        if maximum is not None and not minimum <= node <= maximum:
+            _fail(where, f"must be in [{minimum:g}, {maximum:g}], got {node}")
+        if minimum is not None and node < minimum:
+            _fail(where, f"must be >= {minimum}, got {node}")
+        return int(node) if integer else float(node)
 
-
-def _doubles(node: list, key: str) -> None:
-    """Fail at the first number in the nested lists `node` that a double cannot hold exactly, naming it by its
-    index, as in `figure.bounds[0][1]`; the caller checks the shape and that every entry is a finite number."""
-    for i, entry in enumerate(node):
-        if isinstance(entry, (list, tuple)):
-            _doubles(entry, f"{key}[{i}]")
-        elif not _double(entry):
-            _fail(f"{key}[{i}]", f"expected a finite number that a double holds exactly, got {entry!r}")
-
-
-def _number(doc: dict, key: str, minimum=None, integer=False) -> float | int:
-    """The number at `key`, written back as a float that holds it exactly, or with `integer` as an int from a
-    whole number (such as 25 or 25.0)."""
-    node = _get(doc, key)
-    if not ((finite_number(node) and float(node).is_integer()) if integer else _double(node)):
-        _fail(key, f"expected {'an integer' if integer else 'a finite number that a double holds exactly'}, "
-                   f"got {node!r}")
-    if minimum is not None and node < minimum:
-        _fail(key, f"must be >= {minimum}, got {node}")
-    return _put(doc, key, int(node) if integer else float(node))
-
-
-def _point(node, key: str) -> list:
-    if not isinstance(node, (list, tuple)) or len(node) != 2 or not all(map(finite_number, node)):
-        _fail(key, f"expected a [q, p] pair of finite numbers, got {node!r}")
-    _doubles(node, key)
-    return np.asarray(node, dtype=float).tolist()
-
-
-def _check_sigma_range(key: str, values):
-    lo, hi = SIGMA_RANGE
-    for v in np.atleast_1d(values):
-        if not (lo <= v <= hi):
-            _fail(key, f"kernel width {v:g} outside the supported range [{lo:g}, {hi:g}]")
+    return _put(doc, key, read(_get(doc, key), key, shape))
 
 
 # The ridge-weight keys of a fixed hyperparameter block, by model.
@@ -220,18 +202,15 @@ class ExperimentConfig:
         return copy.deepcopy(self.doc)
 
 
-def _log_grid(doc: dict, key: str) -> list:
-    """The search grid at `key`, a list or a log-grid mapping expanded to one, of positive finite numbers."""
-    node = _get(doc, key)
-    if isinstance(node, dict):
+def _log_grid(doc: dict, key: str, minimum, maximum=None) -> None:
+    """Read the search grid at `key`, a list or a log-grid mapping expanded to one, each entry in range."""
+    if isinstance(node := _get(doc, key), dict):
         _put(doc, key, _merge(dict.fromkeys(("log10_start", "log10_stop", "count"), _REQUIRED), node, key))
         count = _number(doc, f"{key}.count", minimum=1, integer=True)
-        with np.errstate(over="ignore"):  # an overflow to inf fails the check below
-            node = np.logspace(_number(doc, f"{key}.log10_start"), _number(doc, f"{key}.log10_stop"), count).tolist()
-    if not (isinstance(node, list) and node and all(finite_number(v) and v > 0 for v in node)):
-        _fail(key, f"expected a non-empty list of positive finite numbers, got {node!r}")
-    _doubles(node, key)
-    return _put(doc, key, np.asarray(node, dtype=float).tolist())
+        with np.errstate(over="ignore"):  # an overflow to inf fails the entry's check
+            _put(doc, key, np.logspace(_number(doc, f"{key}.log10_start"), _number(doc, f"{key}.log10_stop"),
+                                       count).tolist())
+    _number(doc, key, minimum, maximum, shape=(None,))
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
@@ -294,11 +273,8 @@ def _resolve(doc: dict) -> ExperimentConfig:
     }, doc)
     _check("system", factory, *(_number(doc, f"system.{p}") for p in params))
 
-    ics = _get(doc, "data.initial_conditions")
-    if not isinstance(ics, list) or not ics:
-        _fail("data.initial_conditions", "expected a non-empty list of [q, p] pairs")
-    _put(doc, "data.initial_conditions", [_point(ic, f"data.initial_conditions[{i}]") for i, ic in enumerate(ics)])
-    _put(doc, "test.x0", _point(_get(doc, "test.x0"), "test.x0"))
+    _number(doc, "data.initial_conditions", shape=(None, 2))
+    _number(doc, "test.x0", shape=(2,))
     if doc["test"]["h"] is _REQUIRED:  # test.h defaults to data.h
         doc["test"]["h"] = doc["data"]["h"]
     for section in ("data", "test"):
@@ -311,24 +287,22 @@ def _resolve(doc: dict) -> ExperimentConfig:
     if (d := _number(doc, "model.d", minimum=1, integer=True)) % 2:
         _fail("model.d", f"feature budget must be even so the baseline map splits over both outputs, got {d}")
     _number(doc, "search.folds", minimum=2, integer=True)
-    _check_sigma_range("search.sigma_grid", _log_grid(doc, "search.sigma_grid"))
-    _log_grid(doc, "search.lambda_grid")
+    _log_grid(doc, "search.sigma_grid", *SIGMA_RANGE)
+    _log_grid(doc, "search.lambda_grid", _LAMBDA_MIN)
 
     for model, lambda_keys in FIXED_LAMBDAS.items():
         key = f"hyperparameters.{model}"
         if _get(doc, key) is not None:
             _put(doc, key, _merge(dict.fromkeys(("sigma", *lambda_keys), _REQUIRED), _get(doc, key), key))
-            _check_sigma_range(f"{key}.sigma", _number(doc, f"{key}.sigma", minimum=SIGMA_RANGE[0]))
+            _number(doc, f"{key}.sigma", *SIGMA_RANGE)
             for k in lambda_keys:
-                _number(doc, f"{key}.{k}", minimum=1e-300)
+                _number(doc, f"{key}.{k}", _LAMBDA_MIN)
 
     _number(doc, "seed", minimum=0.0, integer=True)
     if not isinstance(output_dir := _get(doc, "output_dir"), str) or not output_dir:
         _fail("output_dir", f"expected a non-empty string, got {output_dir!r}")
     resolution = _number(doc, "figure.resolution", minimum=2, integer=True)
-    limits = _check("figure.bounds", grid_limits, bounds := _get(doc, "figure.bounds"), resolution)
-    _doubles(bounds, "figure.bounds")
-    _put(doc, "figure.bounds", limits.tolist())
+    _check("figure.bounds", grid_limits, _number(doc, "figure.bounds", shape=(2, 2)), resolution)
     return ExperimentConfig(doc)
 
 
@@ -403,7 +377,8 @@ def _summary_lines(rows: list[dict], title: str) -> list[str]:
 def _prepare(args, config: ExperimentConfig, dataset=None, model=None, test=True) -> tuple[int, Path, rg.Dataset]:
     """Check a command's flags against its config, build the flows it computes from, then create the output
     directory; returns the master seed, the directory and the training set, `dataset` or the one simulated.
-    Each failure is a ConfigError, naming `data.h` or `test.h` for a trajectory the RK4 cannot follow.  `test`
+    Each failure is a ConfigError, naming `data.h` or `test.h` for a trajectory the RK4 cannot follow, as one
+    whose squared derivatives overflow, and `--data` or `data.noise_sigma` for a training set whose do.  `test`
     false, for a command that fits nothing, builds no test set and skips the check that tuning fills the folds."""
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
@@ -411,17 +386,22 @@ def _prepare(args, config: ExperimentConfig, dataset=None, model=None, test=True
     for flag, source in (("--data", dataset), ("--model", model)):
         if source is not None and source.dim != n:
             raise ConfigError(f"{flag}: state dimension {source.dim} does not match the config's {n}")
-    for key, flow in [("data.h", "training_flow")] * (dataset is None) + [("test.h", "test_set")] * test:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # a diverging step overflows before it fails
-                getattr(config, flow)
-        except FloatingPointError as err:
-            _fail(key, f"the fixed-step RK4 cannot follow the system: {err}")
     master = config.seed if args.seed is None else args.seed
-    where = "--data" if dataset is not None else "config key 'search.folds'"
-    dataset = simulate_dataset(config, master) if dataset is None else dataset
+    data, folds = (("--data",) * 2 if dataset is not None
+                   else ("config key 'data.noise_sigma'", "config key 'search.folds'"))
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging step overflows before it fails, as do squares
+        for key, flow in [("data.h", "training_flow")] * (dataset is None) + [("test.h", "test_set")] * test:
+            try:
+                built = getattr(config, flow)
+                if not np.isfinite(np.sum(np.square(built[2] if flow == "training_flow" else built.derivatives))):
+                    raise FloatingPointError("the sum of squared derivatives overflows")
+            except FloatingPointError as err:
+                _fail(key, f"the fixed-step RK4 cannot follow the system: {err}")
+        dataset = simulate_dataset(config, master) if dataset is None else dataset
+        if not np.isfinite(np.sum(np.square(dataset.derivatives))):  # every MSE against them would overflow too
+            raise ConfigError(f"{data}: the sum of squared derivatives overflows")
     if test and model is None and None in config.doc["hyperparameters"].values() and len(dataset) < config.folds:
-        raise ConfigError(f"{where}: {len(dataset)} training sample(s) cannot fill the {config.folds} folds "
+        raise ConfigError(f"{folds}: {len(dataset)} training sample(s) cannot fill the {config.folds} folds "
                           "of the search")
     out = Path(args.out or config.output_dir)
     try:

@@ -59,11 +59,12 @@ def test_bundled_configs_parse():
 # Each passed the config reader once: the bounds failed in the figure grid after every seed
 # had run (or, with a third entry, were cut to two), a grid of 0 or 1e-200 failed the
 # search after --out existed, and a non-numeric grid entry raised a bare ValueError.
+# The third element is the entry the error names.
 BAD_GRIDS_AND_BOUNDS = [
-    ("figure.bounds", [[float("-inf"), 4.0], [-4.0, 4.0]]),
-    ("figure.bounds", [[-4.0, 4.0, 99], [-4.0, 4.0]]),
-    ("search.lambda_grid", {"log10_start": -400.0, "log10_stop": 0.0, "count": 3}),
-    ("search.sigma_grid", [1.0, "wide"]),
+    ("figure.bounds", [[float("-inf"), 4.0], [-4.0, 4.0]], "figure.bounds[0][0]"),
+    ("figure.bounds", [[-4.0, 4.0, 99], [-4.0, 4.0]], "figure.bounds[0]"),
+    ("search.lambda_grid", {"log10_start": -400.0, "log10_stop": 0.0, "count": 3}, "search.lambda_grid[0]"),
+    ("search.sigma_grid", [1.0, "wide"], "search.sigma_grid[1]"),
 ]
 # Each of these ran the defaults without a word, or (a name that is a list or a mapping) ended in a TypeError
 # traceback; and a null grid read as the default grid.  Only a missing key takes its default.
@@ -119,15 +120,16 @@ def test_parse_errors_name_the_offending_key(tmp_path):
     with pytest.raises(cli.ConfigError, match="data.noise_sigma"):
         cli.parse_config(noise)
     # an integer past the float range, as a number, a point and a grid entry
-    for key, value in (("data.h", 10**400), ("test.x0", [10**400, 0.0]), ("search.lambda_grid", [1e-3, 10**400])):
-        with pytest.raises(cli.ConfigError, match=rf"config key '{key}': "):
+    for key, value, named in (("data.h", 10**400, "data.h"), ("test.x0", [10**400, 0.0], "test.x0[0]"),
+                              ("search.lambda_grid", [1e-3, 10**400], "search.lambda_grid[1]")):
+        with pytest.raises(cli.ConfigError, match=rf"config key '{re.escape(named)}': "):
             cli.parse_config(write_config(tmp_path, "msd", **{key: value}))
     ridge = write_config(tmp_path, "msd", **{"hyperparameters.helmholtz": {
         "sigma": 1.0, "lambda1": float("nan"), "lambda2": 1e-3}})
     with pytest.raises(cli.ConfigError, match="hyperparameters.helmholtz.lambda1"):
         cli.parse_config(ridge)
-    for key, value in BAD_GRIDS_AND_BOUNDS:
-        with pytest.raises(cli.ConfigError, match=rf"config key '{key}': "):
+    for key, value, named in BAD_GRIDS_AND_BOUNDS:
+        with pytest.raises(cli.ConfigError, match=rf"config key '{re.escape(named)}': "):
             cli.parse_config(write_config(tmp_path, "msd", **{key: value}))
     # integer keys took a fractional value and truncated it (to 2, 200, 3, 1 and 12)
     for key, value in (("figure.resolution", 2.5), ("model.d", 200.9), ("search.folds", 3.7), ("seed", 1.5),
@@ -167,13 +169,14 @@ def test_parse_errors_name_the_offending_key(tmp_path):
             cli.parse_config(write_config(tmp_path, "msd", **{key: value}))
 
 
-@pytest.mark.parametrize("key, value", BAD_GRIDS_AND_BOUNDS + MISSHAPEN)
+@pytest.mark.parametrize("key, value", [case[:2] for case in BAD_GRIDS_AND_BOUNDS] + MISSHAPEN)
 def test_bad_grid_or_bounds_fails_before_reproduce_starts(tmp_path, capsys, key, value):
+    named = next((name for k, v, name in BAD_GRIDS_AND_BOUNDS if (k, v) == (key, value)), key)
     out = tmp_path / "o"
     argv = ["reproduce", "msd", "--seeds", "2", "--config", str(write_config(tmp_path, "msd", **{key: value}))]
     assert cli.main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: config key '{key}': "), err
+    assert len(err) == 1 and err[0].startswith(f"error: config key '{named}': "), err
     assert not out.exists()
 
 
@@ -264,15 +267,15 @@ def test_unknown_keys_are_rejected(tmp_path, key, overrides):
 
 def test_kernel_width_range_is_enforced(tmp_path):
     """Widths from 1e-6 to 1e6 are accepted, both ends included; the next double past either end fails,
-    naming the grid or the fixed width."""
+    naming the grid's entry or the fixed width."""
     lo, hi = cli.SIGMA_RANGE
-    for key, overrides in (("search.sigma_grid", lambda width: {"search.sigma_grid": [width, 1.0]}),
+    for key, overrides in (("search.sigma_grid[0]", lambda width: {"search.sigma_grid": [width, 1.0]}),
                            ("hyperparameters.helmholtz.sigma", lambda width: {"hyperparameters.helmholtz": {
                                "sigma": width, "lambda1": 1e-3, "lambda2": 1e-3}})):
         for width in (lo, hi):
             cli.parse_config(write_config(tmp_path, "msd", **overrides(width)))
         for width in (np.nextafter(lo, 0.0), np.nextafter(hi, np.inf), 1e-7, 1e7):
-            with pytest.raises(cli.ConfigError, match=rf"config key '{key}'"):
+            with pytest.raises(cli.ConfigError, match=rf"config key '{re.escape(key)}'"):
                 cli.parse_config(write_config(tmp_path, "msd", **overrides(float(width))))
 
 
@@ -372,6 +375,15 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
     stiff = str(write_config(tmp_path / "stiff", "msd", **{"system.d": 1.0e6}))
     (tmp_path / "coarse").mkdir()
     coarse = str(write_config(tmp_path / "coarse", "msd", **{"system.k": 400.0, "test.h": 5.0, "test.t_end": 60.0}))
+    # a test trajectory that stays finite (to 3.7e157) but whose squared field overflows, and training sets like it
+    (tmp_path / "blowup").mkdir()
+    blowup = str(write_config(tmp_path / "blowup", "msd", **{"system.k": 400.0, "test.h": 5.0}))
+    huge = tmp_path / "huge.csv"
+    derivatives = first.derivatives.copy()
+    derivatives[0, 0] = 1e200  # the first qdot
+    sy.dataset_to_csv(rg.Dataset(first.states, derivatives), huge)
+    (tmp_path / "noisy").mkdir()
+    noisy = str(write_config(tmp_path / "noisy", "msd", **{"data.noise_sigma": 1.0e200}))
     fixed = ["--fixed-hypers", "2.0,1e-4,1e-4"]
     out = tmp_path / "o"
     cases = [
@@ -383,6 +395,13 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
                  "(t=39.2)") for argv in (
             ["fit", "--config", coarse, *fixed], ["eval", "--config", coarse, "--model", str(m2)],
             ["reproduce", "msd", "--config", coarse])),
+        *((argv, "config key 'test.h': the fixed-step RK4 cannot follow the system: the sum of squared derivatives "
+                 "overflows") for argv in (
+            ["fit", "--config", blowup, *fixed], ["eval", "--config", blowup, "--model", str(m2)],
+            ["reproduce", "msd", "--seeds", "2", "--config", blowup])),
+        *((argv, "--data: the sum of squared derivatives overflows") for argv in (
+            ["fit", "--config", msd, "--data", str(huge), *fixed], ["fit", "--config", msd, "--data", str(huge)])),
+        (["fit", "--config", noisy, *fixed], "config key 'data.noise_sigma': the sum of squared derivatives overflows"),
         (["reproduce", "msd", "--jobs", "0"], "--jobs"),
         (["simulate", "--config", msd, "--seed", "-1"], "--seed"),
         (["fit", "--config", msd, "--data", str(tmp_path / "missing.csv")], "--data"),
@@ -619,8 +638,8 @@ def test_config_file_mutants_parse_exactly_or_fail_at_the_boundary(echoes, index
     """Drop a node of a resolved config, null it, retype it, set it to NaN, inf, a bool, a fraction or
     10**400, or add an unknown key beside it: the file fails with a ConfigError naming the key, an ancestor, or
     a key inside what was dropped or retyped (a step and its end are checked together, under the end's key),
-    or it parses to a config whose echo holds the mutated value, or the default of a dropped optional key, and
-    parses back to itself."""
+    and exactly the entry when it mutated a list's entry without dropping it; or it parses to a config whose
+    echo holds the mutated value, or the default of a dropped optional key, and parses back to itself."""
     doc = copy.deepcopy(echoes.docs[index])
 
     def at(path):
@@ -654,6 +673,8 @@ def test_config_file_mutants_parse_exactly_or_fail_at_the_boundary(echoes, index
         one_line = any(a == b or a.startswith((b + ".", b + "[")) for a, b in ((mutated, named), (named, mutated)))
         step = path in (("data", "h"), ("test", "h")) and named == f"{path[0]}.t_end"
         assert one_line or step, err
+        # every list in a config holds numbers, and a mutated entry of one is named exactly, by its index
+        assert op == "drop" or not any(isinstance(k, int) for k in path) or named == mutated, err
     else:
         if op == "drop" and isinstance(parent, dict):  # a KeyError for a required key, which must have failed
             parent[key] = doc["data"]["h"] if path == ("test", "h") else reduce(dict.__getitem__, path, CONFIG_DEFAULTS)
