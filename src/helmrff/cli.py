@@ -359,7 +359,7 @@ def _load_dataset(path) -> rg.Dataset:
     if Path(path).suffix == ".csv":
         return sy.dataset_from_csv(path)
     doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
-    return sy.dataset_from_json(doc["data"] if "data" in doc else doc)
+    return rg.Dataset.from_json(doc["data"] if "data" in doc else doc)
 
 
 def _load_model(path) -> rg.HelmholtzModel | rg.BaselineModel:
@@ -439,7 +439,7 @@ def cmd_simulate(args) -> int:
     fine = config.training_flow[-1]
     plot = [sy.Trajectory(fine.times[::5], states) for states in fine.states[::5].swapaxes(0, 1)]
     _write(out, config, _seed_map(master), {"train.csv": (sy.dataset_to_csv, dataset),
-                                            "train.json": {"data": sy.dataset_to_json(dataset)},
+                                            "train.json": {"data": dataset.to_json()},
                                             "trajectories.csv": (sy.trajectories_to_csv, plot)})
     print(f"N = {len(dataset)}")
     return EXIT_OK

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import finite_array, finite_states, integer_at_least, positive_finite, symplectic_matrix
+from .kernels import JsonDocument, finite_array, finite_states, integer_at_least, positive_finite, symplectic_matrix
 
 ODD_CURL_FREE = "odd-curl-free"
 ODD_SYMPLECTIC = "odd-symplectic"
@@ -35,7 +35,7 @@ def split_seed(seed: int, count: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class FeatureBasis:
+class FeatureBasis(JsonDocument):
     """Frozen set of d frequency vectors defining one feature map.
 
     Weights are drawn i.i.d. from N(0, sigma^-2 I_n); the uniform phases are
@@ -142,20 +142,8 @@ class FeatureBasis:
             return -(np.cos(phase, out=phase) @ coef)
         return _over_blocks(X, self.d, reduce) * self.scale
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "d": self.d,
-            "n": self.n,
-            "sigma": self.sigma,
-            "seed": self.seed,
-            "weights": self.weights.tolist(),
-            "phases": None if self.phases is None else self.phases.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FeatureBasis":
-        return cls(doc["kind"], doc["weights"], doc["sigma"], doc["seed"], doc["phases"])
+    def to_json(self) -> dict:  # with the derived d and n, which `from_json` ignores
+        return {**super().to_json(), "d": self.d, "n": self.n}
 
 
 def _blocks(count: int, width: int) -> list[slice]:

@@ -5,11 +5,13 @@ maps in :mod:`helmrff.features` approximate, and they back the small-N
 exact-kernel solver in :mod:`helmrff.regression`.  The module also holds
 the boundary checks every other module, the config reader included,
 applies to numbers, widths and ridge weights, integer budgets, and arrays,
-and `one_blas_thread`, which every public compute entry point enters.
+`JsonDocument`, the one JSON codec of every saved type, and
+`one_blas_thread`, which every public compute entry point enters.
 """
 
 import contextlib
 import ctypes
+import dataclasses
 import functools
 import numbers
 import sys
@@ -68,6 +70,25 @@ def finite_states(name: str, value, n: int | None = None) -> np.ndarray:
     before numpy converts it, so a bool in a list is refused; a None n is any dimension >= 1."""
     rank = value.ndim if isinstance(value, np.ndarray) else np.asarray(value, object).ndim  # a ragged list has one
     return finite_array(name, [value] if rank == 1 else value, (None, n))
+
+
+class JsonDocument:
+    """Mixin of a dataclass saved as the JSON document of its fields, one key each: an array is written as its
+    `tolist()`, and a field that is itself a document as its `to_json()`.  `from_json` reads each field by name,
+    a field typed as a document class through that class's `from_json`; a field whose default is None may be
+    missing, and other keys are ignored.  The constructor checks every value.  Field types are the evaluated
+    annotations, so no module that declares a document may adopt `from __future__ import annotations`."""
+
+    def to_json(self) -> dict:
+        doc = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+        return {key: value.to_json() if isinstance(value, JsonDocument) else
+                value.tolist() if isinstance(value, np.ndarray) else value for key, value in doc.items()}
+
+    @classmethod
+    def from_json(cls, doc: dict):
+        return cls(**{field.name: field.type.from_json(doc[field.name])
+                      if isinstance(field.type, type) and issubclass(field.type, JsonDocument) else doc[field.name]
+                      for field in dataclasses.fields(cls) if field.default is not None or field.name in doc})
 
 
 def _openblas_function(name: str):

@@ -2,8 +2,8 @@
 exact-kernel oracle, plus the fitted-model types.
 
 Each random-feature model declares its maps once, in MAPS; the part checks, the
-fit, the JSON reader and writer, the CV search and the CLI loader all read it,
-and each map's `FeatureBasis` evaluates it (`field`, `grid_field`, `potential`).
+fit, the CV search and the CLI loader all read it, and each map's `FeatureBasis`
+evaluates it (`field`, `grid_field`, `potential`).
 
 All fits minimize a regularized least-squares objective over feature
 coefficients with one linear solve on the smaller of the primal and dual
@@ -18,8 +18,8 @@ from functools import reduce, wraps
 import numpy as np
 
 from . import features as ft
-from .kernels import (finite_array, finite_states, gram_matrix, integer_at_least, kernel_blocks, one_blas_thread,
-                      positive_finite, symplectic_matrix)
+from .kernels import (JsonDocument, finite_array, finite_states, gram_matrix, integer_at_least, kernel_blocks,
+                      one_blas_thread, positive_finite, symplectic_matrix)
 
 _EXACT_N_LIMIT = 200
 
@@ -27,7 +27,7 @@ _RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class Dataset:
+class Dataset(JsonDocument):
     """Paired state and state-derivative samples.
 
     `times` and `traj_ids` are optional bookkeeping used by the CSV
@@ -64,7 +64,7 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class Hyperparameters:
+class Hyperparameters(JsonDocument):
     """Kernel width, ridge weights, and feature budget for one fit.
 
     `lambda2` is None for the single-map baseline.
@@ -79,13 +79,6 @@ class Hyperparameters:
         for name in ("sigma", "lambda1") + (() if self.lambda2 is None else ("lambda2",)):
             object.__setattr__(self, name, positive_finite(name, getattr(self, name)))
         object.__setattr__(self, "d", integer_at_least("d", self.d, 1))
-
-    def to_json(self) -> dict:
-        return {"sigma": self.sigma, "lambda1": self.lambda1, "lambda2": self.lambda2, "d": self.d}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Hyperparameters":
-        return cls(doc["sigma"], doc["lambda1"], doc["lambda2"], doc["d"])
 
 
 def _batched(method):
@@ -102,7 +95,7 @@ def _batched(method):
     return call
 
 
-class _FeatureModel:
+class _FeatureModel(JsonDocument):
     """What the random-feature models share.  MAPS holds one (coefficient field, basis field,
     basis kind, ridge-weight field of hyper) per map, in the order the fit draws, stacks and
     solves them; the model's field is the sum of its maps.  `name` is its "model" in JSON."""
@@ -126,11 +119,6 @@ class _FeatureModel:
             raise ValueError(f"a {cls.name} model needs the ridge weights {lams}, none of them None")
         return list(lams.values())
 
-    @classmethod
-    def _from_parts(cls, coefs, bases, hyper: Hyperparameters):
-        return cls(**{name: coef for (name, *_), coef in zip(cls.MAPS, coefs)},
-                   **{slot: basis for (_, slot, *_), basis in zip(cls.MAPS, bases)}, hyper=hyper)
-
     def _parts(self) -> list[tuple[np.ndarray, ft.FeatureBasis]]:
         return [(getattr(self, name), getattr(self, slot)) for name, slot, *_ in self.MAPS]
 
@@ -149,15 +137,7 @@ class _FeatureModel:
         return reduce(operator.add, (basis.grid_field(limits, resolution, coef) for coef, basis in self._parts()))
 
     def to_json(self) -> dict:
-        return {"model": self.name, "hyper": self.hyper.to_json(),
-                **{slot: getattr(self, slot).to_json() for _, slot, *_ in self.MAPS},
-                **{name: getattr(self, name).tolist() for name, *_ in self.MAPS}}
-
-    @classmethod
-    def from_json(cls, doc: dict):
-        return cls._from_parts([doc[name] for name, *_ in cls.MAPS],
-                               [ft.FeatureBasis.from_json(doc[slot]) for _, slot, *_ in cls.MAPS],
-                               Hyperparameters.from_json(doc["hyper"]))
+        return {**super().to_json(), "model": self.name}
 
 
 @dataclass(frozen=True)
@@ -290,7 +270,8 @@ def _fit(model: type[_FeatureModel], dataset: Dataset, hyper: Hyperparameters, s
     bases = [ft.sample_basis(kind, hyper.d, dataset.dim, hyper.sigma, basis_seed)
              for (_, _, kind, _), basis_seed in zip(model.MAPS, seeds)]
     xi = solve_ridge(ft.factored_design(dataset.states, *bases), dataset.target_vector(), lam, len(dataset))
-    return model._from_parts(np.split(xi, len(bases)), bases, hyper)
+    return model(**{name: coef for (name, *_), coef in zip(model.MAPS, np.split(xi, len(bases)))},
+                 **{slot: basis for (_, slot, *_), basis in zip(model.MAPS, bases)}, hyper=hyper)
 
 
 def fit_helmholtz(dataset: Dataset, hyper: Hyperparameters, seed: int) -> HelmholtzModel:

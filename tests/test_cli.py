@@ -303,7 +303,7 @@ def test_a_repeated_key_is_refused_in_every_input_file(tmp_path, capsys, kind):
     else:
         flag, key = {"data": ("--data", "states"), "model": ("--model", "alpha")}[kind]
         if kind == "data":
-            doc = sy.dataset_to_json(cli.simulate_dataset(cli.parse_config(msd), 0))
+            doc = cli.simulate_dataset(cli.parse_config(msd), 0).to_json()
         else:
             assert cli.main(["fit", "--config", str(msd), "--fixed-hypers", "0.5,1e-4,1e-6",
                              "--out", str(tmp_path / "fit")]) == 0
@@ -352,7 +352,7 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
     bad_header = tmp_path / "bad.csv"
     bad_header.write_text("t,x,y\n0,1,2\n")
     stringly = tmp_path / "strings.json"
-    doc = sy.dataset_to_json(cli.simulate_dataset(cli.parse_config(msd), 0))
+    doc = cli.simulate_dataset(cli.parse_config(msd), 0).to_json()
     stringly.write_text(json.dumps({**doc, "states": [[str(v) for v in row] for row in doc["states"]]}))
     # data the protocol cannot use: fewer samples than search.folds when tuning, or 4-D states
     tiny = tmp_path / "tiny.csv"
@@ -366,7 +366,7 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
     d4 = tmp_path / "d4.json"
     d4.write_text(json.dumps({"states": np.eye(4).tolist(), "derivatives": np.eye(4).tolist()}))
     m4 = tmp_path / "m4.json"
-    m4.write_text(json.dumps(rg.fit_helmholtz(sy.dataset_from_json(json.loads(d4.read_text())),
+    m4.write_text(json.dumps(rg.fit_helmholtz(rg.Dataset.from_json(json.loads(d4.read_text())),
                                               rg.Hyperparameters(1.0, 1e-2, 1e-2, d=4), seed=0).to_json()))
     m2 = tmp_path / "m2.json"
     m2.write_text(json.dumps(rg.fit_helmholtz(first, rg.Hyperparameters(2.0, 1e-4, 1e-4, d=200), seed=0).to_json()))
@@ -378,6 +378,16 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
     # a test trajectory that stays finite (to 3.7e157) but whose squared field overflows, and training sets like it
     (tmp_path / "blowup").mkdir()
     blowup = str(write_config(tmp_path / "blowup", "msd", **{"system.k": 400.0, "test.h": 5.0}))
+    # a test trajectory whose energy rises 7.8e85-fold, though its squared field stays finite
+    (tmp_path / "runaway").mkdir()
+    runaway = str(write_config(tmp_path / "runaway", "msd", **{"system.k": 200.0, "test.h": 4.0}))
+    # model files that lack a key without a default, or whose default of null the model refuses
+    gaussian = rg.fit_baseline(first, rg.Hyperparameters(2.0, 1e-4, d=200), seed=0).to_json()
+    lacking = {key: tmp_path / f"lacking_{key}.json" for key in ("lambda2", "d", "phases")}
+    for doc, part, key in ((json.loads(m2.read_text()), "hyper", "lambda2"), (json.loads(m2.read_text()), "hyper", "d"),
+                           (gaussian, "basis", "phases")):
+        del doc[part][key]
+        lacking[key].write_text(json.dumps(doc))
     huge = tmp_path / "huge.csv"
     derivatives = first.derivatives.copy()
     derivatives[0, 0] = 1e200  # the first qdot
@@ -395,10 +405,16 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
                  "(t=39.2)") for argv in (
             ["fit", "--config", coarse, *fixed], ["eval", "--config", coarse, "--model", str(m2)],
             ["reproduce", "msd", "--config", coarse])),
-        *((argv, "config key 'test.h': the fixed-step RK4 cannot follow the system: the sum of squared derivatives "
-                 "overflows") for argv in (
-            ["fit", "--config", blowup, *fixed], ["eval", "--config", blowup, "--model", str(m2)],
-            ["reproduce", "msd", "--seeds", "2", "--config", blowup])),
+        *((argv, "config key 'test.h': the fixed-step RK4 cannot follow the system: its energy rose from 800 to inf")
+          for argv in (["fit", "--config", blowup, *fixed], ["eval", "--config", blowup, "--model", str(m2)],
+                       ["reproduce", "msd", "--seeds", "2", "--config", blowup])),
+        *((argv, "config key 'test.h': the fixed-step RK4 cannot follow the system: its energy rose from 400 to "
+                 "3.10048e+88") for argv in (
+            ["fit", "--config", runaway, *fixed], ["eval", "--config", runaway, "--model", str(m2)],
+            ["reproduce", "msd", "--seeds", "2", "--config", runaway])),
+        *((["eval", "--config", msd, "--model", str(lacking[key])], f"--model: cannot load {lacking[key]}: {message}")
+          for key, message in (("lambda2", "ValueError: a helmholtz model needs the ridge weights"),
+                               ("d", "KeyError: 'd'"), ("phases", "ValueError: phases must be a numeric (200,) array"))),
         *((argv, "--data: the sum of squared derivatives overflows") for argv in (
             ["fit", "--config", msd, "--data", str(huge), *fixed], ["fit", "--config", msd, "--data", str(huge)])),
         (["fit", "--config", noisy, *fixed], "config key 'data.noise_sigma': the sum of squared derivatives overflows"),
@@ -836,7 +852,7 @@ def test_fit_accepts_external_dataset(tmp_path):
             == (direct / "model_helmholtz.json").read_bytes())
     # the stamped train.json and a bare dataset document load to the same fit as train.csv
     bare = tmp_path / "bare.json"
-    bare.write_text(json.dumps(sy.dataset_to_json(sy.dataset_from_csv(sim_out / "train.csv"))))
+    bare.write_text(json.dumps(sy.dataset_from_csv(sim_out / "train.csv").to_json()))
     for data in (sim_out / "train.json", bare):
         out = tmp_path / f"fit-{data.stem}"
         assert cli.main(["fit", "--config", str(cli.bundled_config_path("msd")), "--data", str(data),

@@ -65,6 +65,19 @@ def test_make_test_set_protocols():
         ev.make_test_set(msd, np.array([2.0, 0.0]), 0.25, 0.1)
 
 
+def test_make_test_set_refuses_an_energy_that_rises():
+    """A step the RK4 cannot follow multiplies a damped system's energy, however small it starts; the rounding
+    of a start with no energy, and RK4's drift on an undamped system at a step it follows, pass."""
+    stiff = hr.mass_spring_damper(0.5, 200.0, 0.25)
+    for x0, start in (([2.0, 0.0], "400"), ([1.0e-3, 0.0], "0.0001")):
+        with pytest.raises(FloatingPointError, match=f"its energy rose from {start} to "):
+            ev.make_test_set(stiff, x0, 4.0, 20.0)
+    undamped = hr.damped_pendulum(1.0, 1.0, 0.0, 9.81)
+    at_rest = ev.make_test_set(undamped, [2 * np.pi, 0.0], 0.1, 20.0)
+    assert 0.0 < undamped.hamiltonian(at_rest.states).max() < 1e-26
+    ev.make_test_set(undamped, [np.pi / 2, 0.0], 1.0, 20.0)
+
+
 def test_fold_indices_partition():
     folds = ev.fold_indices(24, 5, seed=7)
     assert len(folds) == 5

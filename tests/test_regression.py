@@ -605,6 +605,9 @@ def test_model_json_round_trip():
     bdoc = json.loads(json.dumps(base.to_json()))
     bback = rg.BaselineModel.from_json(bdoc)
     assert np.abs(bback.predict(X) - base.predict(X)).max() <= 1e-15
+    # a baseline may omit hyper.lambda2, whose only valid value is null
+    del bdoc["hyper"]["lambda2"]
+    assert rg.BaselineModel.from_json(bdoc).to_json() == base.to_json()
 
 
 # ------------------------------------------------- benchmark-level anchors

@@ -213,14 +213,14 @@ def test_dataset_json_round_trip():
     system = hr.mass_spring_damper(0.5, 1.0, 0.25)
     ds = hr.generate_dataset(system, MSD_ICS, 0.25, 1.0, hr.NoiseSpec(0.1, 13),
                              include_t0=True)
-    doc = json.loads(json.dumps(sy.dataset_to_json(ds)))
-    back = sy.dataset_from_json(doc)
+    doc = json.loads(json.dumps(ds.to_json()))
+    back = hr.Dataset.from_json(doc)
     for column in ("states", "derivatives", "times", "traj_ids"):
         assert_array_equal(getattr(back, column), getattr(ds, column))
     # a fractional trajectory id is rejected, not truncated
     doc["traj_ids"][0] = 0.5
     with pytest.raises(ValueError, match="traj_ids"):
-        sy.dataset_from_json(doc)
+        hr.Dataset.from_json(doc)
 
 
 def test_trajectories_csv(tmp_path):
