@@ -377,8 +377,8 @@ def _summary_lines(rows: list[dict], title: str) -> list[str]:
 def _prepare(args, config: ExperimentConfig, dataset=None, model=None, test=True) -> tuple[int, Path, rg.Dataset]:
     """Check a command's flags against its config, build the flows it computes from, then create the output
     directory; returns the master seed, the directory and the training set, `dataset` or the one simulated.
-    Each failure is a ConfigError, naming `data.h` or `test.h` for a trajectory the RK4 cannot follow, as one
-    whose squared derivatives overflow, and `--data` or `data.noise_sigma` for a training set whose do.  `test`
+    Each failure is a ConfigError, naming `data.h` or `test.h` for a trajectory the RK4 cannot follow, its start for
+    one whose squared derivatives overflow, and `--data` or `data.noise_sigma` for a training set whose do.  `test`
     false, for a command that fits nothing, builds no test set and skips the check that tuning fills the folds."""
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
@@ -390,13 +390,14 @@ def _prepare(args, config: ExperimentConfig, dataset=None, model=None, test=True
     data, folds = (("--data",) * 2 if dataset is not None
                    else ("config key 'data.noise_sigma'", "config key 'search.folds'"))
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging step overflows before it fails, as do squares
-        for key, flow in [("data.h", "training_flow")] * (dataset is None) + [("test.h", "test_set")] * test:
+        for step, start, flow in ([("data.h", "data.initial_conditions", "training_flow")] * (dataset is None)
+                                  + [("test.h", "test.x0", "test_set")] * test):
             try:
                 built = getattr(config, flow)
-                if not np.isfinite(np.sum(np.square(built[2] if flow == "training_flow" else built.derivatives))):
-                    raise FloatingPointError("the sum of squared derivatives overflows")
             except FloatingPointError as err:
-                _fail(key, f"the fixed-step RK4 cannot follow the system: {err}")
+                _fail(step, f"the fixed-step RK4 cannot follow the system: {err}")
+            if not np.isfinite(np.sum(np.square(built[2] if flow == "training_flow" else built.derivatives))):
+                _fail(start, "the sum of squared derivatives overflows")
         dataset = simulate_dataset(config, master) if dataset is None else dataset
         if not np.isfinite(np.sum(np.square(dataset.derivatives))):  # every MSE against them would overflow too
             raise ConfigError(f"{data}: the sum of squared derivatives overflows")

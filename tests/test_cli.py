@@ -265,9 +265,9 @@ def test_unknown_keys_are_rejected(tmp_path, key, overrides):
         cli.parse_config(path)
 
 
-def test_kernel_width_range_is_enforced(tmp_path):
-    """Widths from 1e-6 to 1e6 are accepted, both ends included; the next double past either end fails,
-    naming the grid's entry or the fixed width."""
+def test_kernel_width_range_is_enforced(tmp_path, capsys):
+    """Widths from 1e-6 to 1e6 are accepted, both ends included, and so are ridge weights from 1e-300; the next
+    double past either end fails, naming the grid's entry or the fixed value, before the output directory exists."""
     lo, hi = cli.SIGMA_RANGE
     for key, overrides in (("search.sigma_grid[0]", lambda width: {"search.sigma_grid": [width, 1.0]}),
                            ("hyperparameters.helmholtz.sigma", lambda width: {"hyperparameters.helmholtz": {
@@ -277,6 +277,19 @@ def test_kernel_width_range_is_enforced(tmp_path):
         for width in (np.nextafter(lo, 0.0), np.nextafter(hi, np.inf), 1e-7, 1e7):
             with pytest.raises(cli.ConfigError, match=rf"config key '{re.escape(key)}'"):
                 cli.parse_config(write_config(tmp_path, "msd", **overrides(float(width))))
+    ridge = {"sigma": 1.0, "lambda1": 1e-3, "lambda2": 1e-3}
+    for key, overrides in (("search.lambda_grid[0]", lambda weight: {"search.lambda_grid": [weight, 1.0]}),
+                           *((f"hyperparameters.helmholtz.{k}",
+                              lambda weight, k=k: {"hyperparameters.helmholtz": {**ridge, k: weight}})
+                             for k in ("lambda1", "lambda2")),
+                           ("hyperparameters.gaussian.lambda",
+                            lambda weight: {"hyperparameters.gaussian": {"sigma": 1.0, "lambda": weight}})):
+        cli.parse_config(write_config(tmp_path, "msd", **overrides(1.0e-300)))
+        below = write_config(tmp_path, "msd", **overrides(9.999999999999999e-301))  # np.nextafter(1e-300, 0)
+        assert cli.main(["fit", "--config", str(below), "--out", str(tmp_path / "o")]) == 1, key
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: config key '{key}': must be >= 1e-300"), err
+        assert not (tmp_path / "o").exists(), key
 
 
 def test_yaml_syntax_errors_carry_location(tmp_path):
@@ -370,17 +383,25 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
                                               rg.Hyperparameters(1.0, 1e-2, 1e-2, d=4), seed=0).to_json()))
     m2 = tmp_path / "m2.json"
     m2.write_text(json.dumps(rg.fit_helmholtz(first, rg.Hyperparameters(2.0, 1e-4, 1e-4, d=200), seed=0).to_json()))
+
+    def config_in(folder, system, **overrides):
+        (tmp_path / folder).mkdir()
+        return str(write_config(tmp_path / folder, system, **overrides))
+
     # systems the fixed-step RK4 cannot follow: the training trajectories overflow, or only the test trajectory
-    (tmp_path / "stiff").mkdir()
-    stiff = str(write_config(tmp_path / "stiff", "msd", **{"system.d": 1.0e6}))
-    (tmp_path / "coarse").mkdir()
-    coarse = str(write_config(tmp_path / "coarse", "msd", **{"system.k": 400.0, "test.h": 5.0, "test.t_end": 60.0}))
-    # a test trajectory that stays finite (to 3.7e157) but whose squared field overflows, and training sets like it
-    (tmp_path / "blowup").mkdir()
-    blowup = str(write_config(tmp_path / "blowup", "msd", **{"system.k": 400.0, "test.h": 5.0}))
-    # a test trajectory whose energy rises 7.8e85-fold, though its squared field stays finite
-    (tmp_path / "runaway").mkdir()
-    runaway = str(write_config(tmp_path / "runaway", "msd", **{"system.k": 200.0, "test.h": 4.0}))
+    stiff = config_in("stiff", "msd", **{"system.d": 1.0e6})
+    coarse = config_in("coarse", "msd", **{"system.k": 400.0, "test.h": 5.0, "test.t_end": 60.0})
+    # test trajectories the RK4 follows to 3.7e157 or to 7.4e43, whose energy rises 7.8e85-fold; ones that it damps
+    # instead, an undamped pendulum losing 88% of its energy, or follows with a true state error of 0.12
+    inaccurate = {"blowup": config_in("blowup", "msd", **{"system.k": 400.0, "test.h": 5.0}),
+                  "runaway": config_in("runaway", "msd", **{"system.k": 200.0, "test.h": 4.0}),
+                  "undamped": config_in("undamped", "pendulum",
+                                        **{"system.d": 0.0, "test.x0": [0.5, 0.0], "test.h": 10.0}),
+                  "coarse_k": config_in("coarse_k", "msd", **{"system.k": 200.0, "test.h": 1.0})}
+    # starts the RK4 follows, but whose squared field overflows
+    huge_start = {"test.x0": config_in("x0", "msd", **{"test.x0": [1.0e+160, 0.0]}),
+                  "data.initial_conditions": config_in("ics", "msd", **{
+                      "data.initial_conditions": [[1.0, 0.0], [2.25, 0.0], [1.0e+160, 0.0]]})}
     # model files that lack a key without a default, or whose default of null the model refuses
     gaussian = rg.fit_baseline(first, rg.Hyperparameters(2.0, 1e-4, d=200), seed=0).to_json()
     lacking = {key: tmp_path / f"lacking_{key}.json" for key in ("lambda2", "d", "phases")}
@@ -405,13 +426,18 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
                  "(t=39.2)") for argv in (
             ["fit", "--config", coarse, *fixed], ["eval", "--config", coarse, "--model", str(m2)],
             ["reproduce", "msd", "--config", coarse])),
-        *((argv, "config key 'test.h': the fixed-step RK4 cannot follow the system: its energy rose from 800 to inf")
-          for argv in (["fit", "--config", blowup, *fixed], ["eval", "--config", blowup, "--model", str(m2)],
-                       ["reproduce", "msd", "--seeds", "2", "--config", blowup])),
-        *((argv, "config key 'test.h': the fixed-step RK4 cannot follow the system: its energy rose from 400 to "
-                 "3.10048e+88") for argv in (
-            ["fit", "--config", runaway, *fixed], ["eval", "--config", runaway, "--model", str(m2)],
-            ["reproduce", "msd", "--seeds", "2", "--config", runaway])),
+        *((argv, f"config key 'test.h': the fixed-step RK4 cannot follow the system: its estimated state error is "
+                 f"{estimate} of its start state, above the tolerance 0.04")
+          for name, system, estimate in (("blowup", "msd", "2.96e+154"), ("runaway", "msd", "1.87e+42"),
+                                         ("undamped", "pendulum", "0.155"), ("coarse_k", "msd", "1.31"))
+          for argv in (["fit", "--config", inaccurate[name], *fixed],
+                       ["eval", "--config", inaccurate[name], "--model", str(m2)],
+                       ["reproduce", system, "--seeds", "2", "--config", inaccurate[name]])),
+        *((argv, f"config key '{key}': the sum of squared derivatives overflows") for key, argv in (
+            ("test.x0", ["fit", "--config", huge_start["test.x0"], *fixed]),
+            ("test.x0", ["eval", "--config", huge_start["test.x0"], "--model", str(m2)]),
+            ("data.initial_conditions", ["simulate", "--config", huge_start["data.initial_conditions"]]),
+            ("data.initial_conditions", ["fit", "--config", huge_start["data.initial_conditions"], *fixed]))),
         *((["eval", "--config", msd, "--model", str(lacking[key])], f"--model: cannot load {lacking[key]}: {message}")
           for key, message in (("lambda2", "ValueError: a helmholtz model needs the ridge weights"),
                                ("d", "KeyError: 'd'"), ("phases", "ValueError: phases must be a numeric (200,) array"))),

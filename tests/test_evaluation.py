@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -65,17 +66,37 @@ def test_make_test_set_protocols():
         ev.make_test_set(msd, np.array([2.0, 0.0]), 0.25, 0.1)
 
 
-def test_make_test_set_refuses_an_energy_that_rises():
-    """A step the RK4 cannot follow multiplies a damped system's energy, however small it starts; the rounding
-    of a start with no energy, and RK4's drift on an undamped system at a step it follows, pass."""
-    stiff = hr.mass_spring_damper(0.5, 200.0, 0.25)
-    for x0, start in (([2.0, 0.0], "400"), ([1.0e-3, 0.0], "0.0001")):
-        with pytest.raises(FloatingPointError, match=f"its energy rose from {start} to "):
-            ev.make_test_set(stiff, x0, 4.0, 20.0)
+# Trajectories along 20 s that the RK4 follows, with the state error each reads against the tolerance 4e-2
+FOLLOWED = [(hr.damped_pendulum(), [np.pi / 2, 0.0], 0.1),               # the bundled test flows: 2.0e-9
+            (hr.mass_spring_damper(), [2.0, 0.0], 0.25),                  # 1.5e-9
+            (hr.damped_pendulum(d=0.0), [np.pi / 2, 0.0], 1.0),           # 1.6e-4
+            (hr.mass_spring_damper(k=200.0), [2.0, 0.0], 0.25),           # 6.8e-3
+            (hr.damped_pendulum(), [np.pi / 2, 0.0], 4.0),                # 3.8e-3
+            (hr.mass_spring_damper(), [0.0, 0.0], 0.25)]                  # at the origin: 0 of a start of 0
+# and ones it does not, with the estimate each names
+LOST = [(hr.damped_pendulum(d=0.0), [0.5, 0.0], 10.0, "0.155"),  # loses 88% of its energy, though undamped
+        (hr.mass_spring_damper(k=200.0), [2.0, 0.0], 1.0, "1.31"),  # a true state error of 0.12
+        (hr.mass_spring_damper(k=200.0), [2.0, 0.0], 4.0, "1.87e+42"),  # its energy rises 7.8e85-fold
+        (hr.mass_spring_damper(k=200.0), [1.0e-3, 0.0], 4.0, "1.87e+42")]
+
+
+def test_make_test_set_refuses_an_inaccurate_trajectory():
+    """A step the RK4 cannot follow, whether it damps or blows up the trajectory and however small the trajectory
+    starts, raises naming its estimated state error; the steps it follows pass, as do the bundled training flows
+    and a start with no energy, whose rounding moves it."""
+    for system, x0, h in FOLLOWED:
+        ev.make_test_set(system, x0, h, 20.0)
+    pendulum_dataset()  # and the bundled training flows: at most 6.2e-10
+    for k in (1.0, 400.0):  # the msd's, and at k 400 the closest to the tolerance of all: 0.012
+        hr.generate_dataset(hr.mass_spring_damper(k=k), [[1.0, 0.0], [2.25, 0.0], [3.5, 0.0]], 0.25, 1.0,
+                            hr.NoiseSpec(0.1, 0))
     undamped = hr.damped_pendulum(1.0, 1.0, 0.0, 9.81)
-    at_rest = ev.make_test_set(undamped, [2 * np.pi, 0.0], 0.1, 20.0)
+    at_rest = ev.make_test_set(undamped, [2 * np.pi, 0.0], 0.1, 20.0)  # at rest, with no energy: 1.2e-16
     assert 0.0 < undamped.hamiltonian(at_rest.states).max() < 1e-26
-    ev.make_test_set(undamped, [np.pi / 2, 0.0], 1.0, 20.0)
+    for system, x0, h, estimate in LOST:
+        with pytest.raises(FloatingPointError, match=re.escape(f"its estimated state error is {estimate} of its "
+                                                               "start state, above the tolerance 0.04")):
+            ev.make_test_set(system, x0, h, 20.0)
 
 
 def test_fold_indices_partition():
