@@ -1,8 +1,8 @@
-"""Experiment command line: simulate datasets, fit and evaluate models, and
-reproduce the two benchmark studies end to end.
+"""Experiment command line: simulate datasets, fit and evaluate models, and reproduce the two benchmark studies.
 
-Every artifact embeds the resolved configuration and seeds (see `_write`), so
-re-running a command with the same inputs rewrites identical files.
+A command computes every result before `_write` creates the output directory, so a failure leaves no `--out`.
+Every artifact embeds the resolved configuration and seeds (see `_write`), so re-running a command with the same
+inputs rewrites identical files.
 """
 
 import argparse
@@ -374,9 +374,9 @@ def _summary_lines(rows: list[dict], title: str) -> list[str]:
     return lines
 
 
-def _prepare(args, config: ExperimentConfig, dataset=None, model=None, test=True) -> tuple[int, Path, rg.Dataset]:
-    """Check a command's flags against its config, build the flows it computes from, then create the output
-    directory; returns the master seed, the directory and the training set, `dataset` or the one simulated.
+def _prepare(args, config: ExperimentConfig, dataset=None, model=None, test=True) -> tuple[int, rg.Dataset]:
+    """Check a command's flags against its config and build the flows it computes from; returns the master seed
+    and the training set, `dataset` or the one simulated.
     Each failure is a ConfigError, naming `data.h` or `test.h` for a trajectory the RK4 cannot follow, its start for
     one whose squared derivatives overflow, and `--data` or `data.noise_sigma` for a training set whose do.  `test`
     false, for a command that fits nothing, builds no test set and skips the check that tuning fills the folds."""
@@ -404,22 +404,22 @@ def _prepare(args, config: ExperimentConfig, dataset=None, model=None, test=True
     if test and model is None and None in config.doc["hyperparameters"].values() and len(dataset) < config.folds:
         raise ConfigError(f"{folds}: {len(dataset)} training sample(s) cannot fill the {config.folds} folds "
                           "of the search")
-    out = Path(args.out or config.output_dir)
+    return master, dataset
+
+
+def _write(flag: str | None, config: ExperimentConfig, seeds, files: dict) -> None:
+    """Create the output directory, `--out` (`flag`) or else `output_dir`, and write a command's manifest in it.
+
+    Each `{name: content}` file is stamped with the config and seeds: a dict is a JSON document with `config` and
+    `seeds` keys, its own keys winning; a list of lines is text led by `config: ...` and `seeds: ...` lines
+    (`# `-prefixed in a CSV); a `(writer, obj)` pair is written by `writer(obj, path, lines)`, which prefixes them.
+    """
+    out = Path(flag or config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        where = "--out" if args.out else "config key 'output_dir'"
+        where = "--out" if flag else "config key 'output_dir'"
         raise ConfigError(f"{where}: cannot create {out}: {type(err).__name__}: {err}")
-    return master, out, dataset
-
-
-def _write(out: Path, config: ExperimentConfig, seeds, files: dict) -> None:
-    """Write each file of a command's `{name: content}` manifest under `out`, stamped with the config and seeds.
-
-    A dict is a JSON document with `config` and `seeds` keys, its own keys winning; a list
-    of lines is text led by `config: ...` and `seeds: ...` lines (`# `-prefixed in a CSV);
-    a `(writer, obj)` pair is written by `writer(obj, path, lines)`, which prefixes them.
-    """
     stamp = {"config": config.resolved(), "seeds": seeds}
     lines = [f"{key}: {json.dumps(value, sort_keys=True)}" for key, value in stamp.items()]
     for name, content in files.items():
@@ -436,12 +436,12 @@ def _write(out: Path, config: ExperimentConfig, seeds, files: dict) -> None:
 
 def cmd_simulate(args) -> int:
     config = parse_config(args.config)
-    master, out, dataset = _prepare(args, config, test=False)
+    master, dataset = _prepare(args, config, test=False)
     fine = config.training_flow[-1]
     plot = [sy.Trajectory(fine.times[::5], states) for states in fine.states[::5].swapaxes(0, 1)]
-    _write(out, config, _seed_map(master), {"train.csv": (sy.dataset_to_csv, dataset),
-                                            "train.json": {"data": dataset.to_json()},
-                                            "trajectories.csv": (sy.trajectories_to_csv, plot)})
+    _write(args.out, config, _seed_map(master), {"train.csv": (sy.dataset_to_csv, dataset),
+                                                 "train.json": {"data": dataset.to_json()},
+                                                 "trajectories.csv": (sy.trajectories_to_csv, plot)})
     print(f"N = {len(dataset)}")
     return EXIT_OK
 
@@ -463,11 +463,11 @@ def _fix_hypers(config: ExperimentConfig, text: str) -> ExperimentConfig:
 def cmd_fit(args) -> int:
     dataset = _read("--data", args.data, _load_dataset) if args.data else None
     config = _fix_hypers(parse_config(args.config), args.fixed_hypers)
-    master, out, dataset = _prepare(args, config, dataset)
+    master, dataset = _prepare(args, config, dataset)
     result = run_protocol(config, master, dataset)
     reports = [result[f"report_{kind}"] for kind in FIXED_LAMBDAS]
-    _write(out, config, result["seeds"], {**{f"model_{kind}.json": result[kind].to_json() for kind in FIXED_LAMBDAS},
-                                          "eval_report.json": {"reports": reports}})
+    _write(args.out, config, result["seeds"], {**{f"model_{k}.json": result[k].to_json() for k in FIXED_LAMBDAS},
+                                               "eval_report.json": {"reports": reports}})
     print("\n".join(_summary_lines(reports, f"system: {config.system_name}  seed: {master}")))
     return EXIT_OK
 
@@ -476,9 +476,9 @@ def cmd_eval(args) -> int:
     model = _read("--model", args.model, _load_model)
     dataset = _read("--data", args.data, _load_dataset) if args.data else None
     config = parse_config(args.config)
-    master, out, dataset = _prepare(args, config, dataset, model)
+    master, dataset = _prepare(args, config, dataset, model)
     reports = [ev.evaluate_model(model, dataset, config.test_set, config.system_name, master, NOTES)]
-    _write(out, config, _seed_map(master), {"eval_report.json": {"reports": reports}})
+    _write(args.out, config, _seed_map(master), {"eval_report.json": {"reports": reports}})
     print("\n".join(_summary_lines(reports, f"system: {config.system_name}  seed: {master}")))
     return EXIT_OK
 
@@ -505,7 +505,7 @@ def cmd_reproduce(args) -> int:
     config = parse_config(args.config or bundled_config_path(args.experiment))
     if config.system_name != args.experiment:
         raise ConfigError(f"--config is for system {config.system_name!r}, not {args.experiment!r}")
-    base_seed, out, _ = _prepare(args, config)
+    base_seed, _ = _prepare(args, config)
     masters = [base_seed + i for i in range(args.seeds)]
 
     # Per-seed runs are pure; gather in seed order so aggregation is stable.  `_prepare` built what the seeds
@@ -522,7 +522,7 @@ def cmd_reproduce(args) -> int:
     summary_text = _summary_lines(rows, title) + [f"{'PASS' if ok else 'FAIL'}: {desc}" for desc, ok in checks]
 
     first = results[0]
-    _write(out, config, first["seeds"], {
+    _write(args.out, config, first["seeds"], {
         "summary.csv": ["system,model,train_mse,test_mse,seed,d,sigma,lambda1,lambda2"] + [
             f"{r['system']},{r['model']},{r['train_mse']!r},{r['test_mse']!r},{r['seed']},{r['hyper']['d']},"
             f"{r['hyper']['sigma']!r},{r['hyper']['lambda1']!r},{r['hyper']['lambda2']!r}" for r in reports],
@@ -577,6 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if empty := [key for key, value in vars(args).items() if value == ""]:  # else it would read as absent
+            raise ConfigError(f"--{empty[0].replace('_', '-')}: expected a non-empty value, got ''")
         with one_blas_thread:
             return args.func(args)
     except ConfigError as err:

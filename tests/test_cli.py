@@ -182,13 +182,32 @@ def test_bad_grid_or_bounds_fails_before_reproduce_starts(tmp_path, capsys, key,
 
 def test_a_ridge_weight_that_overflows_the_search_names_the_ridge_grid(tmp_path, capsys):
     """1e-300 parses as a ridge weight, but G / lambda overflows in the fold systems; only the search sees that,
-    so the output directory exists by then.  reproduce raises it from its worker threads."""
+    and reproduce raises it from its worker threads.  No output directory is created before every result exists,
+    so this late failure leaves none either."""
     config = str(write_config(tmp_path, "msd", **{"search.lambda_grid": [1.0e-300, 1.0e-3]}))
+    out = tmp_path / "o"
     for argv in (["fit", "--config", config], ["reproduce", "msd", "--seeds", "2", "--jobs", "2", "--config", config]):
-        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 1, argv
+        assert cli.main(argv + ["--out", str(out)]) == 1, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config key 'search.lambda_grid': "
                                                    "cross-validation score is not finite"), (argv, err)
+        assert not out.exists(), argv
+
+
+def test_an_internal_failure_propagates_and_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
+    """A failure that is not a config error, here in the fit after the search, is raised as it is, with no
+    `error:` line, from `fit` and from `reproduce`'s worker threads, and leaves no output directory."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken fit")
+
+    monkeypatch.setattr(cli.rg, "fit_helmholtz", broken)
+    out = tmp_path / "o"
+    for argv in (["fit", "--config", str(cli.bundled_config_path("msd"))],
+                 ["reproduce", "msd", "--seeds", "2", "--jobs", "2"]):
+        with pytest.raises(RuntimeError, match="broken fit"):
+            cli.main(argv + ["--out", str(out)])
+        assert capsys.readouterr().err == "", argv
+        assert not out.exists(), argv
 
 
 def test_end_times_must_be_whole_steps(tmp_path):
@@ -460,9 +479,15 @@ def test_bad_flags_exit_1_naming_the_flag(tmp_path, capsys):
         (["fit", "--config", str(one_short)], "search.folds"),
         (["fit", "--config", msd, "--data", str(d4), "--fixed-hypers", "0.5,1e-4,1e-6"], "--data"),
         (["eval", "--config", msd, "--model", str(m4)], "--model: state dimension 4 does not match the config's 2"),
+        # an empty flag value, which would read as absent: --out as the config's output_dir, here the same `out`
+        (["simulate", "--config", config_in("to_out", "msd", output_dir=str(out)), "--out", ""],
+         "--out: expected a non-empty value, got ''"),
+        (["fit", "--config", msd, "--data", ""], "--data: expected a non-empty value, got ''"),
+        (["fit", "--config", msd, "--fixed-hypers", ""], "--fixed-hypers: expected a non-empty value, got ''"),
+        (["reproduce", "msd", "--config", ""], "--config: expected a non-empty value, got ''"),
     ]
     for argv, flag in cases:
-        assert cli.main(argv + ["--out", str(out)]) == 1, argv
+        assert cli.main(argv + ["--out", str(out)] * ("--out" not in argv)) == 1, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0], (argv, err)
         assert not out.exists(), argv
@@ -731,9 +756,9 @@ def manifests(monkeypatch):
     """The file names of each manifest `cli._write` writes, by output directory; the writer still runs."""
     names, write = {}, cli._write
 
-    def spy(out, config, seeds, files):
-        names.setdefault(out, []).extend(files)
-        write(out, config, seeds, files)
+    def spy(flag, config, seeds, files):
+        names.setdefault(Path(flag or config.output_dir), []).extend(files)
+        write(flag, config, seeds, files)
 
     monkeypatch.setattr(cli, "_write", spy)
     return names
